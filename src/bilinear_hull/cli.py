@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .constraints import lifted_tangent
-from .errors import BilinearHullError, InfeasibleBounds
+from .errors import BilinearHullError, Infeasible, InfeasibleBounds
 from .geometry import Point3, RawBounds
 from .hull import (
     Region,
@@ -356,7 +356,7 @@ def _cmd_oracle(args) -> str:
         zmin, zmax = envelopes(d, xn, yn)
         try:
             oz = oracle_envelope(s, xn, yn)
-        except BilinearHullError:
+        except Infeasible:
             oz = None
         out.update({
             "at": {"x": args.at[0], "y": args.at[1]},

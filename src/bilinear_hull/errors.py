@@ -27,3 +27,12 @@ class NegativeDiscriminant(BilinearHullError):
 
 class Infeasible(BilinearHullError):
     """A linear program has no feasible point."""
+
+
+class SolverError(BilinearHullError):
+    """The LP oracle's simplex broke down numerically.
+
+    Unlike Infeasible this certifies nothing about the LP: it reports an
+    unbounded direction, a stuck artificial, an iteration limit or a basis
+    whose solution misses the right-hand side.
+    """

@@ -12,10 +12,15 @@ so the tightened form satisfies
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
+import sys
 
-from .errors import InfeasibleBounds
+from .errors import DegenerateBounds, InfeasibleBounds
 
 _MAX_TIGHTEN_PASSES = 10
+# a shrink factor this close to 1 is roundoff in uz/ly, not a reduction:
+# rescaling by it leaves the ratio where it was, so it never settles
+_NO_SHRINK = 1.0 - 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,9 @@ class RawBounds:
     uz: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.lx, self.ly, self.lz,
+                                       self.ux, self.uy, self.uz))):
+            raise InfeasibleBounds("bounds must be finite numbers")
         if not (0.0 <= self.lx < self.ux and 0.0 <= self.ly < self.uy):
             raise InfeasibleBounds("need 0 <= lx < ux and 0 <= ly < uy")
         if not (0.0 <= self.lz < self.uz):
@@ -165,7 +173,9 @@ def tighten_with_scaling(b: NormalizedBounds) -> tuple[NormalizedBounds, Scaling
     Reductions:  x >= lz (from xy >= lz, y <= 1) raises lx, mirror for ly;
     x <= uz/ly (from xy <= uz, y >= ly) shrinks the box, after which the box is
     rescaled back to unit upper bounds.  The two interact, so they run to a
-    fixed point; convergence is geometric and ten passes are plenty.
+    fixed point; convergence is geometric and ten passes are plenty.  A
+    shrink factor within a few ulps of 1 counts as none.  Raises
+    DegenerateBounds if the passes still do not settle.
     """
     lx, ly, lz, uz = b.lx, b.ly, b.lz, b.uz
     sx = sy = 1.0
@@ -174,6 +184,10 @@ def tighten_with_scaling(b: NormalizedBounds) -> tuple[NormalizedBounds, Scaling
         nly = max(ly, lz)
         ax = min(1.0, uz / nly) if nly > 0.0 else 1.0
         ay = min(1.0, uz / nlx) if nlx > 0.0 else 1.0
+        if ax >= _NO_SHRINK:
+            ax = 1.0
+        if ay >= _NO_SHRINK:
+            ay = 1.0
         changed = nlx != lx or nly != ly or ax < 1.0 or ay < 1.0
         lx, ly = nlx, nly
         if ax < 1.0 or ay < 1.0:
@@ -186,7 +200,7 @@ def tighten_with_scaling(b: NormalizedBounds) -> tuple[NormalizedBounds, Scaling
         if not changed:
             break
     else:
-        raise RuntimeError("bound tightening failed to reach a fixed point")
+        raise DegenerateBounds("bound tightening failed to reach a fixed point")
     uz = min(uz, 1.0)
     lz = min(max(lz, lx * ly), uz)
     if not lz < uz:

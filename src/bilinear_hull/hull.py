@@ -423,6 +423,8 @@ def _candidates(d: HullDescription, p: Point3, tol: Tolerance
                 ) -> list[tuple[float, int, int, object]]:
     b = d.bounds
     x, y, z = p.x, p.y, p.z
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise OutOfDomain("query point must have finite coordinates")
     out: list[tuple[float, int, int, object]] = []
     for i, q in enumerate(d.rlt):
         out.append((float(q.residual(x, y, z)), 0, i, q))
@@ -447,7 +449,8 @@ def worst_violation(d: HullDescription, p: Point3,
                     tol: Tolerance = DEFAULT_TOLERANCE
                     ) -> tuple[float, dict | None]:
     """Smallest constraint residual at p and, when negative beyond
-    feas_tol, a short identification of the violated constraint.
+    feas_tol, a short identification of the violated constraint.  A point
+    with a non-finite coordinate raises OutOfDomain.
     """
     worst = min(_candidates(d, p, tol), key=lambda t: (t[0], t[1], t[2]))
     res = worst[0]
@@ -466,7 +469,8 @@ def separate(d: HullDescription, p: Point3,
     Picks the most violated constraint; ties break toward RLT planes, then
     bounds, then the center cone, the side cones, and the corner cones
     last.  A violated cone is converted into the lifted tangent plane
-    through the projection of p.
+    through the projection of p.  A point with a non-finite coordinate
+    raises OutOfDomain.
     """
     b = d.bounds
     ft = tol.feas_tol

@@ -28,6 +28,18 @@ def test_describe_reports_case_and_pieces():
         "UpperGeneral", "SideY"]
 
 
+def test_describe_box_whose_tightening_once_stalled():
+    # uz/ly lands one ulp under 1 during tightening; this used to end in a
+    # traceback from a bare RuntimeError
+    r = run_cli("describe", "--lx", "0.3276705387104378",
+                "--ly", "0.43411562216305305", "--lz", "0.14234243155401288",
+                "--uz", "0.20572509825365426")
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    out = json.loads(r.stdout)
+    assert out["case"]["region"] == "RegionA"
+
+
 def test_output_is_byte_stable():
     args = ("describe", "--lx", "0.32", "--ly", "0.28",
             "--lz", "0.1", "--uz", "0.7")

@@ -11,6 +11,8 @@ from bilinear_hull import (
     Point3,
     RawBounds,
     Scaling,
+    hull_from_raw,
+    membership,
     normalize,
     tighten,
     tighten_with_scaling,
@@ -178,6 +180,40 @@ def test_tighten_preserves_surface_points():
             assert t.lz - 1e-12 <= p.z <= t.uz + 1e-12
             assert abs(p.z - p.x * p.y) <= 1e-14
         assert kept > 100
+
+
+def test_raw_bounds_reject_non_finite():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InfeasibleBounds, match="finite"):
+            RawBounds(0, 0, 0, bad, 1, 1)
+        with pytest.raises(InfeasibleBounds, match="finite"):
+            RawBounds(0, 0, 0, 1, 1, bad)
+    with pytest.raises(InfeasibleBounds, match="finite"):
+        RawBounds(0, 0, -math.inf, 1, 1, 1)
+
+
+# uz/ly of this box sits one ulp under 1 after the first pass, and rescaling
+# by that ratio leaves it there
+ROUNDOFF_BOX = RawBounds(0.3276705387104378, 0.43411562216305305,
+                         0.14234243155401288, 1.0, 1.0, 0.20572509825365426)
+
+
+def test_tightening_settles_when_the_shrink_is_roundoff():
+    nb, _ = normalize(ROUNDOFF_BOX)
+    t, s = tighten_with_scaling(nb)
+    assert t.is_tightened()
+    assert tighten(t) == t
+    d, sc = hull_from_raw(ROUNDOFF_BOX)
+    rng = np.random.default_rng(3)
+    kept = 0
+    for _ in range(2000):
+        x = rng.uniform(ROUNDOFF_BOX.lx, 1.0)
+        y = rng.uniform(ROUNDOFF_BOX.ly, 1.0)
+        if not ROUNDOFF_BOX.lz <= x * y <= ROUNDOFF_BOX.uz:
+            continue
+        kept += 1
+        assert membership(d, sc.to_normalized(Point3(x, y, x * y)))
+    assert kept > 50
 
 
 def test_point3_astuple():

@@ -355,6 +355,16 @@ def test_no_cut_for_members():
     assert r > 0 and info is None
 
 
+def test_separate_rejects_non_finite_points():
+    d, _ = hull_from_raw(RawBounds(0, 0, 0, 1, 1, 0.4))
+    for p in (Point3(math.nan, 0.5, 0.3), Point3(0.5, 0.5, math.nan),
+              Point3(0.5, math.inf, 0.3)):
+        with pytest.raises(OutOfDomain):
+            separate(d, p)
+        with pytest.raises(OutOfDomain):
+            worst_violation(d, p)
+
+
 def test_separate_example_cut():
     d, _ = hull_from_raw(RawBounds(0, 0, 0, 1, 1, 0.4))
     p = Point3(0.5, 0.5, 0.35)

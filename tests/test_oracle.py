@@ -8,6 +8,7 @@ from bilinear_hull import (
     NormalizedBounds,
     Point3,
     RawBounds,
+    SolverError,
     envelope_grid,
     envelopes,
     hull_from_raw,
@@ -16,6 +17,8 @@ from bilinear_hull import (
     oracle_membership,
     sample_surface,
 )
+from bilinear_hull import oracle
+from test_acceptance import CONFIGS
 
 
 def test_two_point_grid_is_the_corners():
@@ -149,3 +152,81 @@ def test_oracle_membership_tracks_analytic():
         off = Point3(x, y, hi + 0.05)
         assert not membership(d, off)
         assert not oracle_membership(s, off)
+
+
+def test_sampler_dedupe_matches_unique_rows():
+    for _, raw in CONFIGS:
+        d, _ = hull_from_raw(raw)
+        for n in (2, 17, 61):
+            s = sample_surface(d.bounds, n)
+            ref = np.unique(np.vstack(oracle._surface_parts(d.bounds, n)),
+                            axis=0)
+            assert np.array_equal(s.x, ref[:, 0])
+            assert np.array_equal(s.y, ref[:, 1])
+            assert np.array_equal(s.z, ref[:, 0] * ref[:, 1])
+
+
+def _cold(s, x, y):
+    try:
+        return oracle_envelope(s, x, y)
+    except Infeasible:
+        return np.nan
+
+
+def test_working_set_queries_match_cold_queries():
+    # one shared working set and warm bases against a fresh solver per query
+    for _, raw in CONFIGS:
+        d, _ = hull_from_raw(raw)
+        b = d.bounds
+        s = sample_surface(b, 61)
+        g = np.linspace(b.lx, 1.0, 9)
+        h = np.linspace(b.ly, 1.0, 9)
+        xs, ys = [a.ravel() for a in np.meshgrid(g, h, indexing="ij")]
+        warm = oracle_envelope_many(s, xs, ys)
+        cold = np.array([_cold(s, x, y) for x, y in zip(xs, ys)])
+        assert np.array_equal(np.isnan(warm), np.isnan(cold)), raw
+        feas = ~np.isnan(cold)
+        assert feas.any()
+        assert np.max(np.abs(warm[feas] - cold[feas])) <= 1e-12, raw
+
+
+def test_degenerate_artificial_is_driven_out():
+    # the corner (1, uz) is a single sample, so phase 1 ends with zero-level
+    # artificials still basic
+    d, _ = hull_from_raw(RawBounds(0, 0, 0, 1, 1, 0.4))
+    s = sample_surface(d.bounds, 61)
+    a = np.vstack([s.x, s.y, np.ones_like(s.x)])
+    rhs = np.array([1.0, 0.4, 1.0])
+    lp = oracle._Simplex(a)
+    v = lp.phase1(rhs)
+    stuck = [i for i, j in enumerate(v.basis) if j >= lp.n]
+    assert stuck
+    # the column a search over every non-basic column would pick
+    bmat = lp._basis_matrix(v.basis, np.ones(3))
+    i = stuck[0]
+    want = next(j for j in range(lp.n) if j not in v.basis
+                and abs(np.linalg.solve(bmat, a[:, j])[i]) > oracle._PIVOT_TOL)
+    out = lp._drive_out(v, rhs)
+    assert out.basis[i] == want
+    assert all(j < lp.n for j in out.basis)
+    assert np.allclose(a[:, out.basis] @ out.xb, rhs, atol=1e-12)
+    assert oracle_envelope(s, 1.0, 0.4) == pytest.approx(0.4, abs=1e-12)
+
+
+def test_solver_breakdown_is_not_a_non_member(monkeypatch):
+    s = sample_surface(NormalizedBounds(0, 0, 0, 0.4), 21)
+
+    def broken(*args, **kwargs):
+        raise SolverError("simplex iteration limit hit")
+
+    monkeypatch.setattr(oracle._Simplex, "_iterate", broken)
+    with pytest.raises(SolverError):
+        oracle_membership(s, Point3(0.5, 0.5, 0.2))
+
+
+def test_check_solution_raises_solver_error():
+    a = np.array([[0.0, 1.0], [1.0, 1.0]])
+    v = oracle._Vertex([0, 1], np.eye(2), np.array([0.5, 0.5]))
+    oracle._check_solution(a, np.array([0.5, 1.0]), v)
+    with pytest.raises(SolverError):
+        oracle._check_solution(a, np.array([0.5, 1.5]), v)
