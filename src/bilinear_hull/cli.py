@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from .constraints import lifted_tangent
 from .errors import BilinearHullError, Infeasible, InfeasibleBounds
 from .geometry import Point3, RawBounds
 from .hull import (
@@ -24,6 +23,7 @@ from .hull import (
     envelope_grid,
     envelopes,
     hull_from_raw,
+    lifted_tangent,
     membership,
     region_map_polylines,
     separate,

@@ -11,9 +11,10 @@ family here carries three interchangeable views:
     the lower box corner) to a point on xy = uz (or a curve endpoint), along
     which the cone is tight.
 
-lifted_tangent() walks the fan geometry for a query point and emits the
-supporting plane through it, falling back to the binding RLT plane in the
-wedges where the hull boundary is flat.
+The helpers at the end turn a tangent segment into its lifted inequality
+and handle the flat wedges where an upper RLT plane is the hull boundary;
+hull.lifted_tangent() reads the binding piece of a description and uses
+them to emit the supporting plane above a query point.
 """
 
 from __future__ import annotations
@@ -24,21 +25,26 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateBounds, NegativeDiscriminant, OutOfDomain
-from .geometry import DEFAULT_TOLERANCE, NormalizedBounds, Point3, Tolerance
+from .errors import DegenerateBounds, NegativeDiscriminant
+from .geometry import NormalizedBounds, Point3
 
 DISC_CLAMP = -1e-12
 
 
 def _clamped_sqrt(d):
-    """sqrt with the documented negative-roundoff clamp at DISC_CLAMP."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d < DISC_CLAMP):
+    """sqrt with the documented negative-roundoff clamp at DISC_CLAMP.
+
+    A float stays a float (scalar queries skip numpy's per-call overhead);
+    anything else is evaluated as an array.
+    """
+    low = d if isinstance(d, float) else np.min(d, initial=np.inf)
+    if low < DISC_CLAMP:
         raise NegativeDiscriminant(
-            "discriminant %g below clamp threshold %g" % (float(np.min(d)), DISC_CLAMP)
+            "discriminant %g below clamp threshold %g" % (float(low), DISC_CLAMP)
         )
-    out = np.sqrt(np.maximum(d, 0.0))
-    return out
+    if isinstance(d, float):
+        return math.sqrt(max(d, 0.0))
+    return np.sqrt(np.maximum(d, 0.0))
 
 
 class TangentFamily(Enum):
@@ -143,8 +149,9 @@ class SocConstraint:
         Raises NegativeDiscriminant when evaluated far outside the region
         on which the family's formula is real (beyond the -1e-12 clamp).
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        if not (isinstance(x, float) and isinstance(y, float)):
+            x = np.asarray(x, dtype=float)
+            y = np.asarray(y, dtype=float)
         f = self.family
         p = self.params
         if f is TangentFamily.UPPER_ZERO:
@@ -171,7 +178,7 @@ class SocConstraint:
             out = (ly * x + lx * y + _clamped_sqrt(disc)) / 2.0
         else:  # pragma: no cover - enum is closed
             raise AssertionError(f)
-        if out.ndim == 0:
+        if np.ndim(out) == 0:
             return float(out)
         return out
 
@@ -208,8 +215,6 @@ def evaluate(c, p) -> float:
         x, y, z = p.x, p.y, p.z
     else:
         x, y, z = p
-    if isinstance(c, LinearInequality):
-        return float(c.residual(x, y, z))
     return float(c.residual(x, y, z))
 
 
@@ -356,235 +361,63 @@ class TangentSegment:
                       alpha * self.lower.z + t * self.upper.z)
 
 
-def _ineq_from_lower_tangent(seg: TangentSegment, lz: float, uz: float) -> LinearInequality:
-    # tangent at the lower endpoint, lifted so the plane contains the segment
-    xs, ys = seg.lower.x, seg.lower.y
-    xb, yb = seg.upper.x, seg.upper.y
-    a = -(ys * xb + xs * yb - 2.0 * lz) / (uz - lz)
-    return LinearInequality(-(2.0 + a) * lz, ys, xs, a, label="lifted_tangent")
-
-
-def _ineq_from_upper_tangent(seg: TangentSegment, lz: float, uz: float) -> LinearInequality:
-    # tangent at the upper endpoint; used when the lower endpoint is a corner
-    xs, ys = seg.lower.x, seg.lower.y
-    xb, yb = seg.upper.x, seg.upper.y
-    a = (yb * xs + xb * ys - 2.0 * uz) / (uz - lz)
-    return LinearInequality(-(2.0 + a) * uz, yb, xb, a, label="lifted_tangent")
-
-
 _UPPER_FORM = (TangentFamily.UPPER_ZERO, TangentFamily.UPPER_GENERAL)
 
 
 def _segment_inequality(seg: TangentSegment, lz: float, uz: float) -> LinearInequality:
+    """The plane containing seg that is tangent to the curve at one end: the
+    upper end for the upper families (their lower end is a corner), the
+    lower end otherwise."""
+    xs, ys = seg.lower.x, seg.lower.y
+    xb, yb = seg.upper.x, seg.upper.y
+    cross = ys * xb + xs * yb
     if seg.family in _UPPER_FORM:
-        return _ineq_from_upper_tangent(seg, lz, uz)
-    return _ineq_from_lower_tangent(seg, lz, uz)
+        a = (cross - 2.0 * uz) / (uz - lz)
+        return LinearInequality(-(2.0 + a) * uz, yb, xb, a, label="lifted_tangent")
+    a = -(cross - 2.0 * lz) / (uz - lz)
+    return LinearInequality(-(2.0 + a) * lz, ys, xs, a, label="lifted_tangent")
 
 
-def _solve_to_anchor(lz, uz, x, y, px, py, family, tol) -> TangentSegment | None:
-    """Segment through (x, y) with fixed upper endpoint (px, py), px*py = uz.
-
-    Returns None when the interpolation weight leaves [0, 1] or the solved
-    lower endpoint falls outside the curve's admissible quadrant.
-    """
-    s_lin = py * x + px * y - 2.0 * lz
-    disc = (py * x - px * y) ** 2 + 4.0 * lz * (px - x) * (py - y)
-    if disc < DISC_CLAMP:
-        return None
-    s = (s_lin - math.sqrt(max(disc, 0.0))) / (2.0 * (uz - lz))
-    alpha = 1.0 - s
-    if not -tol.boundary_tol <= s <= 1.0 + tol.boundary_tol:
-        return None
-    if alpha <= tol.boundary_tol:
-        xs, ys = px, py  # query sits on the anchor itself
-    else:
-        xs = (x - s * px) / alpha
-        ys = (y - s * py) / alpha
-    if xs <= 0.0 or ys <= 0.0:
-        return None
-    return TangentSegment(Point3(xs, ys, lz), Point3(px, py, uz),
-                          min(max(alpha, 0.0), 1.0), family)
-
-
-def _solve_from_corner(lz, uz, x, y, cx, cy, family, tol) -> TangentSegment | None:
-    """Segment through (x, y) with fixed lower endpoint (cx, cy), cx*cy = lz."""
-    b_lin = 2.0 * uz - (cy * x + cx * y)
-    disc = (cy * x - cx * y) ** 2 + 4.0 * uz * (x - cx) * (y - cy)
-    if disc < DISC_CLAMP:
-        return None
-    alpha = (b_lin - math.sqrt(max(disc, 0.0))) / (2.0 * (uz - lz))
-    if not -tol.boundary_tol <= alpha <= 1.0 + tol.boundary_tol:
-        return None
-    t = 1.0 - alpha
-    if t <= tol.boundary_tol:
-        return None  # query sits on the corner itself
-    xb = (x - alpha * cx) / t
-    yb = (y - alpha * cy) / t
-    if xb <= 0.0 or yb <= 0.0:
-        return None
-    return TangentSegment(Point3(cx, cy, lz), Point3(xb, yb, uz),
-                          min(max(alpha, 0.0), 1.0), family)
-
-
-def _projection_alpha(x, y, seg: TangentSegment) -> float:
-    dx = seg.upper.x - seg.lower.x
-    dy = seg.upper.y - seg.lower.y
+def _projection_alpha(x, y, lower: Point3, upper: Point3) -> float:
+    """Weight on lower of the point of the segment nearest to (x, y)."""
+    dx = upper.x - lower.x
+    dy = upper.y - lower.y
     denom = dx * dx + dy * dy
     if denom <= 0.0:
         return 0.0
-    a = ((seg.upper.x - x) * dx + (seg.upper.y - y) * dy) / denom
+    a = ((upper.x - x) * dx + (upper.y - y) * dy) / denom
     return min(max(a, 0.0), 1.0)
 
 
-def _wedge_result(b: NormalizedBounds, x, y, side: str, family: TangentFamily):
-    """Supporting plane in the flat wedges where no tangent segment passes
-    through (x, y): the binding upper RLT plane plus the extreme fan segment
-    lying in it.
+def _wedge_result(b: NormalizedBounds, x, y, family: TangentFamily | None = None):
+    """Supporting plane in the flat wedges where a linear row binds: the
+    lower of the two upper RLT planes plus the extreme fan segment lying in
+    it, with alpha the clamped projection parameter of (x, y).
+
+    The segment's family is the side fan ending in the plane's far corner
+    (SideX for (1, uz), SideY for (uz, 1)) unless the caller names one.
     """
     lx, ly, lz, uz = b.lx, b.ly, b.lz, b.uz
-    corner_y = (lz / ly, ly) if (not b.lower_trivial and ly > 0.0) else (lx, ly)
-    corner_x = (lx, lz / lx) if (not b.lower_trivial and lx > 0.0) else (lx, ly)
-    if side == "y":
+    if ly * x + y - ly <= x + lx * y - lx:
         ineq = LinearInequality(-ly, ly, 1.0, -1.0, label="rlt_upper_y")
-        seg = TangentSegment(Point3(corner_y[0], corner_y[1], lz),
-                             Point3(1.0, uz, uz), 0.0, family)
+        corner = (lz / ly, ly) if (not b.lower_trivial and ly > 0.0) else (lx, ly)
+        upper = Point3(1.0, uz, uz)
+        side_family = TangentFamily.SIDE_X
     else:
         ineq = LinearInequality(-lx, 1.0, lx, -1.0, label="rlt_upper_x")
-        seg = TangentSegment(Point3(corner_x[0], corner_x[1], lz),
-                             Point3(uz, 1.0, uz), 0.0, family)
-    seg = TangentSegment(seg.lower, seg.upper, _projection_alpha(x, y, seg),
-                         family)
-    return ineq, seg
+        corner = (lx, lz / lx) if (not b.lower_trivial and lx > 0.0) else (lx, ly)
+        upper = Point3(uz, 1.0, uz)
+        side_family = TangentFamily.SIDE_Y
+    lower = Point3(corner[0], corner[1], lz)
+    return ineq, TangentSegment(lower, upper,
+                                _projection_alpha(x, y, lower, upper),
+                                side_family if family is None else family)
 
 
-def _pick_wedge(b: NormalizedBounds, x, y, family: TangentFamily):
-    # the binding plane among the two upper RLT planes decides the wedge
-    z_y = b.ly * x + y - b.ly
-    z_x = x + b.lx * y - b.lx
-    return _wedge_result(b, x, y, "y" if z_y <= z_x else "x", family)
-
-
-def lifted_tangent(b: NormalizedBounds, x: float, y: float,
-                   tol: Tolerance = DEFAULT_TOLERANCE
-                   ) -> tuple[LinearInequality, TangentSegment]:
-    """Supporting plane of the hull above the interior point (x, y).
-
-    The bounds must be in tightened form.  The query must be strictly inside
-    the box with lz < x*y < uz; otherwise OutOfDomain is raised, as it is
-    when neither product bound is active (no curved boundary exists).
-
-    Returns the inequality together with the tangent segment certifying it.
-    In the flat wedges adjacent to the box edges the hull's upper boundary
-    is an RLT plane; that plane is returned with the extreme fan segment it
-    contains and alpha replaced by the clamped projection parameter.
-    """
-    if not (b.is_tightened() or (b.lx == 0.0 and b.ly == 0.0)):
-        raise OutOfDomain("bounds must be tightened first")
-    lx, ly, lz, uz = b.lx, b.ly, b.lz, b.uz
-    if not (lx < x < 1.0 and ly < y < 1.0):
-        raise OutOfDomain("point is not strictly inside the box")
-    xy = x * y
-    if not lz < xy < uz:
-        raise OutOfDomain("need lz < x*y < uz")
-    if b.lower_trivial and b.upper_trivial:
-        raise OutOfDomain("both product bounds are trivial: hull is polyhedral")
-    bt = tol.boundary_tol
-
-    def finish(seg: TangentSegment):
-        return _segment_inequality(seg, lz, uz), seg
-
-    def finish_wedge(pair):
-        return pair
-
-    if b.lower_trivial:
-        fam = TangentFamily.UPPER_ZERO if lx == 0.0 and ly == 0.0 \
-            else TangentFamily.UPPER_GENERAL
-        seg = _solve_from_corner(lz, uz, x, y, lx, ly, fam, tol)
-        if seg is not None and uz - bt <= seg.upper.x <= 1.0 + bt:
-            return finish(seg)
-        return finish_wedge(_pick_wedge(b, x, y, fam))
-
-    if b.upper_trivial:
-        seg = _solve_to_anchor(lz, uz, x, y, 1.0, 1.0, TangentFamily.LOWER, tol)
-        if seg is not None and seg.lower.x >= lx - bt and seg.lower.y >= ly - bt:
-            return finish(seg)
-        return finish_wedge(_pick_wedge(b, x, y, TangentFamily.LOWER))
-
-    # both product bounds active: try the proportionally scaled pair first
-    scale = math.sqrt(xy)
-    xs_c, ys_c = x * math.sqrt(lz) / scale, y * math.sqrt(lz) / scale
-    xb_c, yb_c = x * math.sqrt(uz) / scale, y * math.sqrt(uz) / scale
-    if (xb_c <= 1.0 + bt and yb_c <= 1.0 + bt
-            and xs_c >= lx - bt and ys_c >= ly - bt):
-        alpha = (math.sqrt(uz) - scale) / (math.sqrt(uz) - math.sqrt(lz))
-        seg = TangentSegment(Point3(xs_c, ys_c, lz), Point3(xb_c, yb_c, uz),
-                             min(max(alpha, 0.0), 1.0), TangentFamily.CENTER)
-        return finish(seg)
-
-    # curve-corner fans only exist when the matching box edge meets the
-    # curve; with a zero lower corner the cascade never reaches them
-    corner_y = (lz / ly, ly) if ly > 0.0 else None
-    corner_x = (lx, lz / lx) if lx > 0.0 else None
-
-    def corner_route(corner, fam_wedge):
-        if corner is None:
-            return None
-        cx, cy = corner
-        seg = _solve_from_corner(lz, uz, x, y, cx, cy,
-                                 TangentFamily.UPPER_GENERAL, tol)
-        if seg is not None and uz - bt <= seg.upper.x <= 1.0 + bt:
-            return finish(seg)
-        if seg is not None and seg.upper.x > 1.0 + bt:
-            return finish_wedge(_pick_wedge(b, x, y, fam_wedge))
-        return None
-
-    if xb_c > 1.0 + bt:
-        # scaled upper endpoint leaves through x = 1: side fan into (1, uz)
-        seg = _solve_to_anchor(lz, uz, x, y, 1.0, uz, TangentFamily.SIDE_X, tol)
-        if seg is not None and seg.lower.x >= lx - bt and seg.lower.y >= ly - bt:
-            return finish(seg)
-        if seg is not None and seg.lower.y < ly - bt:
-            got = corner_route(corner_y, TangentFamily.SIDE_X)
-            if got is not None:
-                return got
-            alt = _solve_to_anchor(lz, uz, x, y, uz, 1.0, TangentFamily.SIDE_Y, tol)
-            if alt is not None and alt.lower.x >= lx - bt and alt.lower.y >= ly - bt:
-                return finish(alt)
-        else:
-            got = corner_route(corner_x, TangentFamily.SIDE_Y)
-            if got is not None:
-                return got
-    elif yb_c > 1.0 + bt:
-        seg = _solve_to_anchor(lz, uz, x, y, uz, 1.0, TangentFamily.SIDE_Y, tol)
-        if seg is not None and seg.lower.x >= lx - bt and seg.lower.y >= ly - bt:
-            return finish(seg)
-        if seg is not None and seg.lower.x < lx - bt:
-            got = corner_route(corner_x, TangentFamily.SIDE_Y)
-            if got is not None:
-                return got
-            alt = _solve_to_anchor(lz, uz, x, y, 1.0, uz, TangentFamily.SIDE_X, tol)
-            if alt is not None and alt.lower.x >= lx - bt and alt.lower.y >= ly - bt:
-                return finish(alt)
-        else:
-            got = corner_route(corner_y, TangentFamily.SIDE_X)
-            if got is not None:
-                return got
-    else:
-        # upper endpoint fits, lower endpoint left the box
-        if ys_c < ly - bt:
-            got = corner_route(corner_y, TangentFamily.SIDE_X)
-            if got is not None:
-                return got
-            alt = _solve_to_anchor(lz, uz, x, y, uz, 1.0, TangentFamily.SIDE_Y, tol)
-            if alt is not None and alt.lower.x >= lx - bt and alt.lower.y >= ly - bt:
-                return finish(alt)
-        else:
-            got = corner_route(corner_x, TangentFamily.SIDE_Y)
-            if got is not None:
-                return got
-            alt = _solve_to_anchor(lz, uz, x, y, 1.0, uz, TangentFamily.SIDE_X, tol)
-            if alt is not None and alt.lower.x >= lx - bt and alt.lower.y >= ly - bt:
-                return finish(alt)
-    return finish_wedge(_pick_wedge(b, x, y, TangentFamily.SIDE_X
-                                    if b.ly * x + y - b.ly <= x + b.lx * y - b.lx
-                                    else TangentFamily.SIDE_Y))
+def __getattr__(name):
+    # lifted_tangent reads a hull description, so it lives in hull (which
+    # imports this module); resolving it lazily keeps this import path
+    if name == "lifted_tangent":
+        from .hull import lifted_tangent
+        return lifted_tangent
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -18,9 +18,10 @@ import sys
 from .errors import DegenerateBounds, InfeasibleBounds
 
 _MAX_TIGHTEN_PASSES = 10
-# a shrink factor this close to 1 is roundoff in uz/ly, not a reduction:
-# rescaling by it leaves the ratio where it was, so it never settles
-_NO_SHRINK = 1.0 - 4.0 * sys.float_info.epsilon
+# a ratio this close to 1 is roundoff, not a bound: a shrink factor uz/ly
+# there is no reduction (rescaling by it leaves the ratio where it was, so
+# tightening never settles), and a normalized uz there is the trivial ux*uy
+_NEAR_ONE = 1.0 - 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,8 @@ def normalize(b: RawBounds) -> tuple[NormalizedBounds, Scaling]:
     """Rescale to unit variable upper bounds and drop slack in the z range.
 
     The product lower bound is raised to the box corner value lx*ly when the
-    corner already enforces more, and uz is clipped at the trivial bound ux*uy.
+    corner already enforces more, and uz is clipped at the trivial bound ux*uy
+    (a normalized uz within a few ulps of 1 counts as that bound).
     A z range that collapses to a single value after these adjustments leaves
     no three-dimensional body to describe and raises InfeasibleBounds.
     """
@@ -161,6 +163,8 @@ def normalize(b: RawBounds) -> tuple[NormalizedBounds, Scaling]:
     ly = b.ly / b.uy
     lz = b.lz / s.sz
     uz = min(b.uz / s.sz, 1.0)
+    if uz >= _NEAR_ONE:
+        uz = 1.0
     lz = max(lz, lx * ly)
     if not lz < uz:
         raise InfeasibleBounds("z range collapses to a point after normalization")
@@ -184,9 +188,9 @@ def tighten_with_scaling(b: NormalizedBounds) -> tuple[NormalizedBounds, Scaling
         nly = max(ly, lz)
         ax = min(1.0, uz / nly) if nly > 0.0 else 1.0
         ay = min(1.0, uz / nlx) if nlx > 0.0 else 1.0
-        if ax >= _NO_SHRINK:
+        if ax >= _NEAR_ONE:
             ax = 1.0
-        if ay >= _NO_SHRINK:
+        if ay >= _NEAR_ONE:
             ay = 1.0
         changed = nlx != lx or nly != ly or ax < 1.0 or ay < 1.0
         lx, ly = nlx, nly

@@ -17,10 +17,14 @@ from enum import Enum
 import numpy as np
 
 from .constraints import (
+    _UPPER_FORM,
     LinearInequality,
     SocConstraint,
     TangentFamily,
-    lifted_tangent,
+    TangentSegment,
+    _projection_alpha,
+    _segment_inequality,
+    _wedge_result,
     rlt,
     soc_center,
     soc_lower,
@@ -49,10 +53,6 @@ class Region(Enum):
     B = "RegionB"
     C = "RegionC"
     D = "RegionD"
-    # E and F are the x<->y mirrors of C and D.  classify() never returns
-    # them; it reports C or D with the swapped flag set instead.
-    E = "RegionE"
-    F = "RegionF"
 
 
 _REGION_LETTER = {Region.A: "A", Region.B: "B", Region.C: "C", Region.D: "D"}
@@ -61,6 +61,9 @@ _SWAPPED_LETTER = {Region.C: "E", Region.D: "F"}
 
 @dataclass(frozen=True)
 class CaseTag:
+    """A region plus the x<->y mirror flag; the mirrors of C and D have no
+    region of their own and get the map letters E and F."""
+
     region: Region
     swapped: bool = False
 
@@ -296,11 +299,14 @@ def membership(d: HullDescription, p: Point3,
     """Whether p lies in the described hull, within feas_tol.
 
     Points within boundary_tol of a predicate boundary are checked against
-    the pieces on both sides.
+    the pieces on both sides.  A point with a non-finite coordinate raises
+    OutOfDomain.
     """
     b = d.bounds
     ft = tol.feas_tol
     x, y, z = p.x, p.y, p.z
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise OutOfDomain("query point must have finite coordinates")
     if not (b.lx - ft <= x <= 1.0 + ft and b.ly - ft <= y <= 1.0 + ft):
         return False
     if not (d.zlo - ft <= z <= d.zhi + ft):
@@ -317,12 +323,18 @@ def membership(d: HullDescription, p: Point3,
 
 def membership_mask(d: HullDescription, x, y, z,
                     tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Vectorized membership over equally shaped coordinate arrays."""
+    """Vectorized membership over equally shaped coordinate arrays.
+
+    Any non-finite coordinate raises OutOfDomain, as in membership().
+    """
     b = d.bounds
     ft = tol.feas_tol
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()
+            and np.isfinite(z).all()):
+        raise OutOfDomain("query points must have finite coordinates")
     ok = (x >= b.lx - ft) & (x <= 1.0 + ft) & (y >= b.ly - ft) & (y <= 1.0 + ft)
     ok &= (z >= d.zlo - ft) & (z <= d.zhi + ft)
     for q in d.rlt:
@@ -346,11 +358,22 @@ def envelopes(d: HullDescription, x: float, y: float,
     if not (b.lx - ft <= x <= 1.0 + ft and b.ly - ft <= y <= 1.0 + ft):
         raise OutOfDomain("point outside the box")
     zmin = max(x + y - 1.0, b.ly * x + b.lx * y - b.lx * b.ly, d.zlo)
+    return zmin, _binding(d, x, y, tol)[0]
+
+
+def _binding(d: HullDescription, x: float, y: float, tol: Tolerance
+             ) -> tuple[float, HullPiece | None]:
+    """zmax at (x, y) and the piece attaining it; None when only a linear
+    row (an upper RLT plane or z <= uz) attains it."""
+    b = d.bounds
     zmax = min(x + b.lx * y - b.lx, b.ly * x + y - b.ly, d.zhi)
+    binding = None
     for piece in d.pieces:
         if piece.applicable(x, y, tol.boundary_tol):
-            zmax = min(zmax, float(piece.soc.envelope_z(x, y)))
-    return zmin, zmax
+            z = float(piece.soc.envelope_z(x, y))
+            if z <= zmax:
+                zmax, binding = z, piece
+    return zmax, binding
 
 
 def envelope_grid(d: HullDescription, xs: np.ndarray, ys: np.ndarray,
@@ -419,6 +442,73 @@ def _soc_linearization(c: SocConstraint, p: Point3) -> LinearInequality:
                             label="soc_support")
 
 
+def _touch(plane: LinearInequality, c: float) -> Point3:
+    # where the plane meets the curve xy = c at height z = c tangentially
+    return Point3(math.sqrt(c * plane.ay / plane.ax),
+                  math.sqrt(c * plane.ax / plane.ay), c)
+
+
+def _tangent(d: HullDescription, x: float, y: float, tol: Tolerance
+             ) -> tuple[LinearInequality, TangentSegment]:
+    """Supporting plane of the concave envelope zmax above (x, y), with the
+    surface segment along which it touches the hull.
+
+    The plane is the tangent of the binding piece's cone at (x, y, zmax).
+    Each segment end is where that plane touches xy = lz or xy = uz, or
+    the family's fixed anchor: the fan corner (1, 1), (1, uz) or (uz, 1)
+    above, the cone's lower corner below for the upper families.  Where a
+    linear row binds the plane is the upper RLT plane of the wedge.
+    """
+    b = d.bounds
+    zmax, piece = _binding(d, x, y, tol)
+    if piece is None:
+        one_sided = d.case.region in (Region.UPPER_ONLY, Region.LOWER_ONLY)
+        return _wedge_result(b, x, y,
+                             d.pieces[0].soc.family if one_sided else None)
+    fam = piece.soc.family
+    plane = _soc_linearization(piece.soc, Point3(x, y, zmax))
+    if fam in _UPPER_FORM:
+        lower = Point3(piece.soc.params.get("lx", 0.0),
+                       piece.soc.params.get("ly", 0.0), b.lz)
+    else:
+        lower = _touch(plane, b.lz)
+    if fam is TangentFamily.LOWER:
+        upper = Point3(1.0, 1.0, b.uz)
+    elif fam is TangentFamily.SIDE_X:
+        upper = Point3(1.0, b.uz, b.uz)
+    elif fam is TangentFamily.SIDE_Y:
+        upper = Point3(b.uz, 1.0, b.uz)
+    else:
+        upper = _touch(plane, b.uz)
+    seg = TangentSegment(lower, upper, _projection_alpha(x, y, lower, upper), fam)
+    return _segment_inequality(seg, b.lz, b.uz), seg
+
+
+def lifted_tangent(b: NormalizedBounds, x: float, y: float,
+                   tol: Tolerance = DEFAULT_TOLERANCE
+                   ) -> tuple[LinearInequality, TangentSegment]:
+    """Supporting plane of the hull above the interior point (x, y).
+
+    The bounds must be in tightened form.  The query must be strictly inside
+    the box with lz < x*y < uz; otherwise OutOfDomain is raised, as it is
+    when neither product bound is active (no curved boundary exists).
+
+    Returns the inequality together with the tangent segment certifying it.
+    In the flat wedges adjacent to the box edges the hull's upper boundary
+    is an RLT plane; that plane is returned with the extreme fan segment it
+    contains and alpha replaced by the clamped projection parameter.
+    """
+    if not (b.is_tightened() or (b.lx == 0.0 and b.ly == 0.0)):
+        raise OutOfDomain("bounds must be tightened first")
+    if not (b.lx < x < 1.0 and b.ly < y < 1.0):
+        raise OutOfDomain("point is not strictly inside the box")
+    if not b.lz < x * y < b.uz:
+        raise OutOfDomain("need lz < x*y < uz")
+    if b.lower_trivial and b.upper_trivial:
+        raise OutOfDomain("both product bounds are trivial: hull is polyhedral")
+    return _tangent(describe(b, tol), x, y, tol)
+
+
 def _candidates(d: HullDescription, p: Point3, tol: Tolerance
                 ) -> list[tuple[float, int, int, object]]:
     b = d.bounds
@@ -468,9 +558,10 @@ def separate(d: HullDescription, p: Point3,
 
     Picks the most violated constraint; ties break toward RLT planes, then
     bounds, then the center cone, the side cones, and the corner cones
-    last.  A violated cone is converted into the lifted tangent plane
-    through the projection of p.  A point with a non-finite coordinate
-    raises OutOfDomain.
+    last.  A violated cone is converted into the hull's tangent plane
+    above the projection of p (below the curve xy = lz, the tangent of that
+    curve); when p does not violate it, the most violated linear row is
+    returned.  A point with a non-finite coordinate raises OutOfDomain.
     """
     b = d.bounds
     ft = tol.feas_tol
@@ -496,17 +587,11 @@ def separate(d: HullDescription, p: Point3,
         cut = LinearInequality(-2.0 * d.zlo, yq * s, xq * s, 0.0,
                                label="product_lower_tangent")
     elif xq * yq < d.zhi:
-        cut = lifted_tangent(b, xq, yq, tol)[0]
+        cut = _tangent(d, xq, yq, tol)[0]
     if cut is not None and float(cut.residual(x, y, z)) < 0.0:
         return cut
     lin = [t for t in candidates if isinstance(t[3], LinearInequality)]
-    worst_lin = min(lin, key=lambda t: (t[0], t[1], t[2]))
-    if worst_lin[0] < -ft:
-        return worst_lin[3]
-    piece = worst[3]
-    if piece.globally_valid:
-        return _soc_linearization(piece.soc, p)
-    return cut if cut is not None else worst_lin[3]
+    return min(lin, key=lambda t: (t[0], t[1], t[2]))[3]
 
 
 @dataclass(frozen=True)

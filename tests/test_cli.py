@@ -40,6 +40,13 @@ def test_describe_box_whose_tightening_once_stalled():
     assert out["case"]["region"] == "RegionA"
 
 
+def test_describe_roundoff_uz_box_has_no_pieces():
+    out = run_json("describe", "--ux", "1e-8", "--uy", "1e-8", "--uz", "1e-16")
+    assert out["bounds"]["uz"] == 1
+    assert out["case"]["region"] == "NoZBound"
+    assert out["pieces"] == []
+
+
 def test_output_is_byte_stable():
     args = ("describe", "--lx", "0.32", "--ly", "0.28",
             "--lz", "0.1", "--uz", "0.7")

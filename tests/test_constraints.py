@@ -13,9 +13,11 @@ from bilinear_hull import (
     OutOfDomain,
     Point3,
     Psd2,
+    RawBounds,
     TangentFamily,
     envelope_z,
     evaluate,
+    hull_from_raw,
     lifted_tangent,
     rlt,
     soc_center,
@@ -425,6 +427,155 @@ def test_tangent_segment_lies_on_matching_cone():
                 p = seg.point_at(t)
                 assert abs(float(cone.residual(p.x, p.y, p.z))) <= 1e-9
     assert seen == set(TangentFamily)
+
+
+# Outputs of the fan-geometry cascade that lifted_tangent used before it was
+# derived from the binding hull piece, recorded on the raw boxes below: one
+# row per family, both mirror orientations of regions C and D, and the flat
+# wedges on both upper RLT planes.  Columns: box, query, family, label of
+# the inequality, alpha, lower and upper segment ends, (a0, ax, ay, az).
+_PINNED_BOXES = {
+    "upper-only": RawBounds(0.0, 0.0, 0.0, 1.0, 1.0, 0.4),
+    "upper-general": RawBounds(0.2, 0.3, 0.0, 1.0, 1.0, 0.5),
+    "lower-only": RawBounds(0.0, 0.0, 0.2, 1.0, 1.0, 1.0),
+    "lower-general": RawBounds(0.5, 0.3, 0.3, 1.0, 1.0, 1.0),
+    "band-zero-corner": RawBounds(0.0, 0.0, 0.2, 1.0, 1.0, 0.7),
+    "region-a": RawBounds(0.32, 0.28, 0.1, 1.0, 1.0, 0.7),
+    "region-b": RawBounds(0.14, 0.2, 0.1, 1.0, 1.0, 0.7),
+    "region-c": RawBounds(0.14, 0.3, 0.1, 1.0, 1.0, 0.7),
+    "region-d": RawBounds(0.14, 0.5, 0.1, 1.0, 1.0, 0.7),
+    "region-c-swapped": RawBounds(0.3, 0.14, 0.1, 1.0, 1.0, 0.7),
+    "region-d-swapped": RawBounds(0.5, 0.14, 0.1, 1.0, 1.0, 0.7),
+}
+
+_PINNED_TANGENTS = [
+    ("upper-only", 0.4, 0.85, "UPPER_ZERO", "lifted_tangent", 0.07804555427071133,
+     (0.0, 0.0, 0.0),
+     (0.4338609156373124, 0.9219544457292888, 0.4),
+     (-0.0, 0.9219544457292888, 0.4338609156373124, -2.0)),
+    ("upper-only", 0.15, 0.45, "UPPER_ZERO", "rlt_upper_x", 0.5603448275862069,
+     (0.0, 0.0, 0.0),
+     (0.4, 1.0, 0.4),
+     (-0.0, 1.0, 0.0, -1.0)),
+    ("upper-only", 0.7, 0.2, "UPPER_ZERO", "rlt_upper_y", 0.3275862068965517,
+     (0.0, 0.0, 0.0),
+     (1.0, 0.4, 0.4),
+     (-0.0, 0.0, 1.0, -1.0)),
+    ("upper-general", 0.55, 0.45, "UPPER_GENERAL", "lifted_tangent", 0.4686325370553957,
+     (0.2, 0.3, 0.06),
+     (0.8586778913041726, 0.5822905248446454, 0.5),
+     (-0.28870621859111456, 0.5822905248446454, 0.8586778913041726, -1.4225875628177709)),
+    ("upper-general", 0.3, 0.8, "UPPER_GENERAL", "rlt_upper_x", 0.3448275862068965,
+     (0.2, 0.3, 0.06),
+     (0.5, 1.0, 0.5),
+     (-0.2, 1.0, 0.2, -1.0)),
+    ("upper-general", 0.8, 0.35, "UPPER_GENERAL", "rlt_upper_y", 0.27941176470588225,
+     (0.2, 0.3, 0.06),
+     (1.0, 0.5, 0.5),
+     (-0.3, 0.3, 1.0, -1.0)),
+    ("lower-only", 0.7, 0.3, "LOWER", "lifted_tangent", 0.9829455265819088,
+     (0.6947948875221814, 0.2878547375517569, 0.2),
+     (1.0, 1.0, 1.0),
+     (-0.2543375937315155, 0.2878547375517569, 0.6947948875221814, -0.7283120313424227)),
+    ("lower-general", 0.85, 0.4, "LOWER", "lifted_tangent", 0.933732334735858,
+     (0.8393543905251677, 0.357417562100671, 0.3),
+     (1.0, 1.0, 1.0),
+     (-0.34424059173178334, 0.357417562100671, 0.8393543905251677, -0.8525313608940553)),
+    ("lower-general", 0.65, 0.85, "LOWER", "rlt_upper_x", 0.573170731707317,
+     (0.5, 0.6, 0.3),
+     (1.0, 1.0, 1.0),
+     (-0.5, 1.0, 0.5, -1.0)),
+    ("band-zero-corner", 0.65, 0.85, "CENTER", "lifted_tangent", 0.23971612455211258,
+     (0.39107694443752145, 0.5114083119567588, 0.2),
+     (0.7316379689758172, 0.9567573440452993, 0.7),
+     (-0.26066740905808466, 0.5114083119567588, 0.39107694443752145, -0.6966629547095765)),
+    ("band-zero-corner", 0.85, 0.35, "SIDE_X", "lifted_tangent", 0.7744135250736888,
+     (0.8063050358195554, 0.24804508357896257, 0.2),
+     (1.0, 0.7, 0.7),
+     (-0.23501655653893946, 0.24804508357896257, 0.8063050358195554, -0.8249172173053027)),
+    ("band-zero-corner", 0.4, 0.85, "SIDE_Y", "lifted_tangent", 0.6770753572082557,
+     (0.25691785736085276, 0.7784589286804263, 0.2),
+     (0.7, 1.0, 0.7),
+     (-0.2392643570251395, 0.7784589286804263, 0.25691785736085276, -0.8036782148743024)),
+    ("region-a", 0.7, 0.6, "CENTER", "lifted_tangent", 0.3623640788637147,
+     (0.34156502553198664, 0.29277002188455997, 0.1),
+     (0.9036961141150639, 0.7745966692414834, 0.7),
+     (-0.14514162296451363, 0.29277002188455997, 0.34156502553198664, -0.5485837703548636)),
+    ("region-a", 0.65, 0.75, "UPPER_GENERAL", "lifted_tangent", 0.26666666666666666,
+     (0.32, 0.3125, 0.1),
+     (0.7699999999999999, 0.909090909090909, 0.7),
+     (-0.38678977272727266, 0.909090909090909, 0.7699999999999999, -1.4474431818181819)),
+    ("region-a", 0.8, 0.4, "SIDE_X", "rlt_upper_y", 0.43172190381260894,
+     (0.35714285714285715, 0.28, 0.1),
+     (1.0, 0.7, 0.7),
+     (-0.28, 0.28, 1.0, -1.0)),
+    ("region-b", 0.65, 0.4, "SIDE_X", "lifted_tangent", 0.6309924597826911,
+     (0.44531825289871574, 0.2245585024846135, 0.1),
+     (1.0, 0.7, 0.7),
+     (-0.1439531200810476, 0.2245585024846135, 0.44531825289871574, -0.5604687991895242)),
+    ("region-b", 0.3, 0.85, "SIDE_Y", "rlt_upper_x", 0.675190019828156,
+     (0.14, 0.7142857142857143, 0.1),
+     (0.7, 1.0, 0.7),
+     (-0.14, 1.0, 0.14, -1.0)),
+    ("region-c", 0.75, 0.65, "UPPER_GENERAL", "lifted_tangent", 0.266057789721171,
+     (0.33333333333333337, 0.3, 0.1),
+     (0.901043789049421, 0.7768767828015137, 0.7),
+     (-0.3841507417012193, 0.7768767828015137, 0.901043789049421, -1.4512132261411153)),
+    ("region-c", 0.35, 0.65, "SIDE_Y", "lifted_tangent", 0.7,
+     (0.19999999999999998, 0.5000000000000001, 0.1),
+     (0.7, 1.0, 0.7),
+     (-0.14166666666666666, 0.5000000000000001, 0.19999999999999998, -0.5833333333333334)),
+    ("region-c-swapped", 0.65, 0.7, "CENTER", "lifted_tangent", 0.31151633108090876,
+     (0.30472470011002206, 0.3281650616569468, 0.1),
+     (0.8062257748298551, 0.8682431421244592, 0.7),
+     (-0.14514162296451363, 0.3281650616569468, 0.30472470011002206, -0.5485837703548638)),
+    ("region-c-swapped", 0.6, 0.8, "UPPER_GENERAL", "lifted_tangent", 0.27718709528806257,
+     (0.3, 0.33333333333333337, 0.1),
+     (0.7150451632010624, 0.9789591427572082, 0.7),
+     (-0.3873754856543249, 0.9789591427572082, 0.7150451632010624, -1.4466064490652502)),
+    ("region-c-swapped", 0.7, 0.25, "SIDE_X", "lifted_tangent", 0.828388218141501,
+     (0.6378509575220014, 0.15677643628300217, 0.1),
+     (1.0, 0.7, 0.7),
+     (-0.1327879822419328, 0.15677643628300217, 0.6378509575220014, -0.6721201775806719)),
+    ("region-d", 0.65, 0.8, "UPPER_GENERAL", "lifted_tangent", 0.23202262065192622,
+     (0.2, 0.5, 0.1),
+     (0.7859547586961472, 0.8906365057974315, 0.7),
+     (-0.4329554605921533, 0.8906365057974315, 0.7859547586961472, -1.3814921991540667)),
+    ("region-d", 0.35, 0.7, "SIDE_Y", "lifted_tangent", 0.6734945607665144,
+     (0.18032245486636192, 0.5545621041711672, 0.1),
+     (0.7, 1.0, 0.7),
+     (-0.1385806787023035, 0.5545621041711672, 0.18032245486636192, -0.6141932129769649)),
+    ("region-d-swapped", 0.9, 0.3, "SIDE_X", "rlt_upper_y", 0.6390449438202247,
+     (0.7142857142857143, 0.14, 0.1),
+     (1.0, 0.7, 0.7),
+     (-0.14, 0.14, 1.0, -1.0)),
+    ("region-d-swapped", 0.7, 0.9, "UPPER_GENERAL", "lifted_tangent", 0.09279871750971447,
+     (0.5, 0.2, 0.1),
+     (0.7204582421345305, 0.9716038474708569, 0.7),
+     (-0.501542500856057, 0.9716038474708569, 0.7204582421345305, -1.2835107130627756)),
+
+]
+
+
+@pytest.mark.parametrize(
+    "box, x, y, family, label, alpha, lower, upper, coeffs", _PINNED_TANGENTS,
+    ids=["%s-%g-%g" % row[:3] for row in _PINNED_TANGENTS])
+def test_tangent_pinned_outputs(box, x, y, family, label, alpha, lower, upper,
+                                coeffs):
+    b = hull_from_raw(_PINNED_BOXES[box])[0].bounds
+    cut, seg = lifted_tangent(b, x, y)
+    assert seg.family is TangentFamily[family]
+    assert cut.label == label
+    got = ((seg.alpha,) + seg.lower.astuple() + seg.upper.astuple()
+           + (cut.a0, cut.ax, cut.ay, cut.az))
+    want = (alpha,) + lower + upper + coeffs
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+
+
+def test_tangent_pinned_table_covers_every_family():
+    assert {TangentFamily[row[3]] for row in _PINNED_TANGENTS} == set(TangentFamily)
+    assert {row[4] for row in _PINNED_TANGENTS} == {
+        "lifted_tangent", "rlt_upper_x", "rlt_upper_y"}
 
 
 def _matching_cone(b, seg):

@@ -216,5 +216,15 @@ def test_tightening_settles_when_the_shrink_is_roundoff():
     assert kept > 50
 
 
+def test_normalize_snaps_roundoff_uz_to_the_trivial_bound():
+    # 1e-16 / (1e-8 * 1e-8) rounds to one ulp under 1
+    raw = RawBounds(0, 0, 0, 1e-8, 1e-8, 1e-16)
+    nb, _ = normalize(raw)
+    assert nb.uz == 1.0 and nb.upper_trivial
+    d, _ = hull_from_raw(raw)
+    assert d.case.region.value == "NoZBound"
+    assert d.pieces == ()
+
+
 def test_point3_astuple():
     assert Point3(0.1, 0.2, 0.3).astuple() == (0.1, 0.2, 0.3)

@@ -365,6 +365,21 @@ def test_separate_rejects_non_finite_points():
             worst_violation(d, p)
 
 
+def test_membership_rejects_non_finite_points():
+    d, _ = hull_from_raw(RawBounds(0, 0, 0, 1, 1, 0.4))
+    for bad in (math.nan, math.inf, -math.inf):
+        for p in (Point3(bad, 0.5, 0.2), Point3(0.5, bad, 0.2),
+                  Point3(0.5, 0.5, bad)):
+            with pytest.raises(OutOfDomain):
+                membership(d, p)
+            with pytest.raises(OutOfDomain):
+                membership_mask(d, [p.x], [p.y], [p.z])
+        with pytest.raises(OutOfDomain):
+            membership_mask(d, np.array([0.5, bad]), np.array([0.5, 0.5]),
+                            np.array([0.2, 0.2]))
+    assert membership_mask(d, [0.5], [0.5], [0.2]).tolist() == [True]
+
+
 def test_separate_example_cut():
     d, _ = hull_from_raw(RawBounds(0, 0, 0, 1, 1, 0.4))
     p = Point3(0.5, 0.5, 0.35)
