@@ -18,8 +18,6 @@ import numpy as np
 from .errors import BilinearHullError, Infeasible, InfeasibleBounds
 from .geometry import Point3, RawBounds
 from .hull import (
-    Region,
-    describe,
     envelope_grid,
     envelopes,
     hull_from_raw,
@@ -30,7 +28,7 @@ from .hull import (
     worst_violation,
 )
 from .oracle import oracle_envelope, oracle_membership, sample_surface
-from .volume import Side, optimal_branch, vol_hull, vol_mc, vol_numeric
+from .volume import optimal_branch, vol_closed, vol_mc, vol_numeric
 
 
 def _g(v) -> str:
@@ -175,10 +173,8 @@ def _cmd_separate(args) -> str:
         out["cut"] = None
     else:
         out["inside"] = False
-        sz = sc.sz
         out["cut"] = cut.to_dict()
-        out["cut_raw"] = {"type": "linear", "a0": cut.a0, "ax": cut.ax / sc.sx,
-                          "ay": cut.ay / sc.sy, "az": cut.az / sz}
+        out["cut_raw"] = sc.inequality_to_raw(cut).to_dict()
         out["violation"] = -float(cut.residual(p.x, p.y, p.z))
     return _render(args, out)
 
@@ -186,8 +182,8 @@ def _cmd_separate(args) -> str:
 def _cmd_envelope(args) -> str:
     raw = _raw_bounds(args)
     d, sc = hull_from_raw(raw)
-    sz = sc.sz
     if args.at is not None:
+        sz = sc.sz
         xn, yn = args.at[0] / sc.sx, args.at[1] / sc.sy
         zmin, zmax = envelopes(d, xn, yn)
         out = _header(raw, d, sc)
@@ -198,21 +194,35 @@ def _cmd_envelope(args) -> str:
             "zmax": zmax * sz,
         })
         return _render(args, out)
+    return _grid_table(args, raw, d, sc, with_piece_id=False)
+
+
+def _grid_table(args, raw: RawBounds, d, sc, with_piece_id: bool) -> str:
+    """The envelopes on an args.grid x args.grid tensor grid over the box,
+    in the raw frame, with the id of the binding piece if asked for."""
+    sz = sc.sz
     n = args.grid
     xs = np.linspace(d.bounds.lx, 1.0, n)
     ys = np.linspace(d.bounds.ly, 1.0, n)
-    zmin, zmax, _ = envelope_grid(d, xs, ys)
-    header = _header_csv_lines(raw, d, sc)
+    zmin, zmax, pid = envelope_grid(d, xs, ys)
+    columns = ["x", "y", "zmin", "zmax"]
+    if with_piece_id:
+        columns.append("piece_id")
+    lines = _header_csv_lines(raw, d, sc) + [",".join(columns)]
     rows = []
-    lines = header + ["x,y,zmin,zmax"]
     for i in range(n):
         for j in range(n):
             vals = (xs[i] * sc.sx, ys[j] * sc.sy,
                     zmin[i, j] * sz, zmax[i, j] * sz)
-            rows.append([float(v) for v in vals])
-            lines.append(",".join(_g(v) for v in vals))
+            row = [float(v) for v in vals]
+            line = ",".join(_g(v) for v in vals)
+            if with_piece_id:
+                row.append(int(pid[i, j]))
+                line += ",%d" % pid[i, j]
+            rows.append(row)
+            lines.append(line)
     out = _header(raw, d, sc)
-    out["columns"] = ["x", "y", "zmin", "zmax"]
+    out["columns"] = columns
     out["rows"] = rows
     return _render(args, out, csv_lines=lines)
 
@@ -229,9 +239,7 @@ def _cmd_tangent(args) -> str:
         "family": seg.family.value,
         "alpha": seg.alpha,
         "inequality": ineq.to_dict(),
-        "inequality_raw": {"type": "linear", "a0": ineq.a0,
-                           "ax": ineq.ax / sc.sx, "ay": ineq.ay / sc.sy,
-                           "az": ineq.az / sz},
+        "inequality_raw": sc.inequality_to_raw(ineq).to_dict(),
         "segment": {
             "lower": [seg.lower.x, seg.lower.y, seg.lower.z],
             "upper": [seg.upper.x, seg.upper.y, seg.upper.z],
@@ -246,17 +254,6 @@ def _cmd_tangent(args) -> str:
     return _render(args, out)
 
 
-def _closed_form_volume(d) -> float | None:
-    b = d.bounds
-    if b.lx != 0.0 or b.ly != 0.0:
-        return None
-    if d.case.region is Region.UPPER_ONLY:
-        return vol_hull(Side.UPPER, b.uz)
-    if d.case.region is Region.LOWER_ONLY:
-        return vol_hull(Side.LOWER, b.lz)
-    return None
-
-
 def _cmd_volume(args) -> str:
     raw = _raw_bounds(args)
     d, sc = hull_from_raw(raw)
@@ -264,7 +261,7 @@ def _cmd_volume(args) -> str:
     out = _header(raw, d, sc)
     out["method"] = args.method
     if args.method == "closed":
-        v = _closed_form_volume(d)
+        v = vol_closed(d)
         out["volume"] = v
         out["volume_raw"] = None if v is None else v * scale
     elif args.method == "numeric":
@@ -325,24 +322,7 @@ def _cmd_regions(args) -> str:
 def _cmd_mesh(args) -> str:
     raw = _raw_bounds(args)
     d, sc = hull_from_raw(raw)
-    sz = sc.sz
-    n = args.grid
-    xs = np.linspace(d.bounds.lx, 1.0, n)
-    ys = np.linspace(d.bounds.ly, 1.0, n)
-    zmin, zmax, pid = envelope_grid(d, xs, ys)
-    lines = _header_csv_lines(raw, d, sc) + ["x,y,zmin,zmax,piece_id"]
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            vals = (xs[i] * sc.sx, ys[j] * sc.sy, zmin[i, j] * sz,
-                    zmax[i, j] * sz)
-            rows.append([float(vals[0]), float(vals[1]), float(vals[2]),
-                         float(vals[3]), int(pid[i, j])])
-            lines.append(",".join(_g(v) for v in vals) + ",%d" % pid[i, j])
-    out = _header(raw, d, sc)
-    out["columns"] = ["x", "y", "zmin", "zmax", "piece_id"]
-    out["rows"] = rows
-    return _render(args, out, csv_lines=lines)
+    return _grid_table(args, raw, d, sc, with_piece_id=True)
 
 
 def _cmd_oracle(args) -> str:

@@ -11,8 +11,7 @@ family here carries three interchangeable views:
     the lower box corner) to a point on xy = uz (or a curve endpoint), along
     which the cone is tight.
 
-The helpers at the end turn a tangent segment into its lifted inequality
-and handle the flat wedges where an upper RLT plane is the hull boundary;
+The helpers at the end turn a tangent segment into its lifted inequality;
 hull.lifted_tangent() reads the binding piece of a description and uses
 them to emit the supporting plane above a query point.
 """
@@ -218,10 +217,6 @@ def evaluate(c, p) -> float:
     return float(c.residual(x, y, z))
 
 
-def envelope_z(c: SocConstraint, x, y):
-    return c.envelope_z(x, y)
-
-
 def rlt(b: NormalizedBounds) -> list[LinearInequality]:
     """The four McCormick planes for the canonical box, in fixed order.
 
@@ -306,14 +301,20 @@ def soc_sides(lz: float, uz: float) -> tuple[SocConstraint, SocConstraint]:
     (1, uz) and (uz, 1).  At uz = 1 both reduce to soc_lower(lz); at lz = 0
     they flatten to the RLT planes z <= y and z <= x.
     """
+    return (_side_cone(lz, uz, TangentFamily.SIDE_X),
+            _side_cone(lz, uz, TangentFamily.SIDE_Y))
+
+
+def _side_cone(lz: float, uz: float, family: TangentFamily) -> SocConstraint:
+    """One of the soc_sides cones, built alone."""
     if not 0.0 <= lz < uz <= 1.0:
         raise DegenerateBounds("need 0 <= lz < uz <= 1")
     m1, m2 = side_quadratic_forms(lz, uz)
-    side_x = _hat_cone(m1, (1.0, -1.0), (uz, -1.0), (uz, 1.0, -2.0),
-                       TangentFamily.SIDE_X, {"lz": lz, "uz": uz})
-    side_y = _hat_cone(m2, (uz, -1.0), (1.0, -1.0), (1.0, uz, -2.0),
-                       TangentFamily.SIDE_Y, {"lz": lz, "uz": uz})
-    return side_x, side_y
+    if family is TangentFamily.SIDE_X:
+        return _hat_cone(m1, (1.0, -1.0), (uz, -1.0), (uz, 1.0, -2.0),
+                         family, {"lz": lz, "uz": uz})
+    return _hat_cone(m2, (uz, -1.0), (1.0, -1.0), (1.0, uz, -2.0),
+                     family, {"lz": lz, "uz": uz})
 
 
 def soc_upper_general(lx: float, ly: float, uz: float) -> SocConstraint:
@@ -387,31 +388,6 @@ def _projection_alpha(x, y, lower: Point3, upper: Point3) -> float:
         return 0.0
     a = ((upper.x - x) * dx + (upper.y - y) * dy) / denom
     return min(max(a, 0.0), 1.0)
-
-
-def _wedge_result(b: NormalizedBounds, x, y, family: TangentFamily | None = None):
-    """Supporting plane in the flat wedges where a linear row binds: the
-    lower of the two upper RLT planes plus the extreme fan segment lying in
-    it, with alpha the clamped projection parameter of (x, y).
-
-    The segment's family is the side fan ending in the plane's far corner
-    (SideX for (1, uz), SideY for (uz, 1)) unless the caller names one.
-    """
-    lx, ly, lz, uz = b.lx, b.ly, b.lz, b.uz
-    if ly * x + y - ly <= x + lx * y - lx:
-        ineq = LinearInequality(-ly, ly, 1.0, -1.0, label="rlt_upper_y")
-        corner = (lz / ly, ly) if (not b.lower_trivial and ly > 0.0) else (lx, ly)
-        upper = Point3(1.0, uz, uz)
-        side_family = TangentFamily.SIDE_X
-    else:
-        ineq = LinearInequality(-lx, 1.0, lx, -1.0, label="rlt_upper_x")
-        corner = (lx, lz / lx) if (not b.lower_trivial and lx > 0.0) else (lx, ly)
-        upper = Point3(uz, 1.0, uz)
-        side_family = TangentFamily.SIDE_Y
-    lower = Point3(corner[0], corner[1], lz)
-    return ineq, TangentSegment(lower, upper,
-                                _projection_alpha(x, y, lower, upper),
-                                side_family if family is None else family)
 
 
 def __getattr__(name):

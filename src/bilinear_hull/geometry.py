@@ -100,6 +100,12 @@ class Scaling:
     def to_raw(self, p: Point3) -> Point3:
         return Point3(p.x * self.sx, p.y * self.sy, p.z * self.sz)
 
+    def inequality_to_raw(self, q):
+        """The inequality a0 + ax*x + ay*y + az*z >= 0 (a LinearInequality)
+        over normalized points, restated over raw points."""
+        return type(q)(q.a0, q.ax / self.sx, q.ay / self.sy, q.az / self.sz,
+                       q.label)
+
     def compose(self, inner: "Scaling") -> "Scaling":
         """Scaling equivalent to applying self first, then `inner`."""
         return Scaling(self.sx * inner.sx, self.sy * inner.sy)

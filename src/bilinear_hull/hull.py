@@ -1,17 +1,20 @@
 """Piecewise hull descriptions: case analysis, membership, separation.
 
 A description is the conjunction of the four RLT planes, the product bounds
-on z, the box, and a short list of pieces.  A piece is a cone constraint
-together with the half-plane predicate that carves out the part of the box
-where the cone is the binding upper boundary; outside its predicate a piece
-imposes nothing.  Only some pieces are valid over the whole box, so the
-predicates are part of the description, not an optimization.
+on z, the box, and a short list of pieces.  The linear part is one table of
+ten rows (HullDescription.rows) that membership, worst_violation, separate,
+the tangent wedges and the disjunctive blocks all read.  A piece is a cone
+constraint together with the half-plane predicate that carves out the part
+of the box where the cone is the binding upper boundary; outside its
+predicate a piece imposes nothing.  Only some pieces are valid over the
+whole box, so the predicates are part of the description, not an
+optimization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -24,7 +27,7 @@ from .constraints import (
     TangentSegment,
     _projection_alpha,
     _segment_inequality,
-    _wedge_result,
+    _side_cone,
     rlt,
     soc_center,
     soc_lower,
@@ -150,12 +153,33 @@ class HullPiece:
 
 @dataclass(frozen=True)
 class HullDescription:
+    """The hull as linear rows plus pieces.
+
+    `rows` is derived from the other fields: the RLT planes, then z >= zlo,
+    z <= zhi, x >= lx, x <= 1, y >= ly, y <= 1.  Every membership and
+    separation query reads it, so a description rebuilt with other planes
+    (dataclasses.replace) is queried with exactly those planes.
+    """
+
     bounds: NormalizedBounds
     case: CaseTag
     rlt: tuple[LinearInequality, ...]
     zlo: float
     zhi: float
     pieces: tuple[HullPiece, ...]
+    rows: tuple[LinearInequality, ...] = field(init=False, repr=False,
+                                               compare=False)
+
+    def __post_init__(self) -> None:
+        b = self.bounds
+        object.__setattr__(self, "rows", tuple(self.rlt) + (
+            LinearInequality(-self.zlo, 0.0, 0.0, 1.0, label="z_lower"),
+            LinearInequality(self.zhi, 0.0, 0.0, -1.0, label="z_upper"),
+            LinearInequality(-b.lx, 1.0, 0.0, 0.0, label="x_lower"),
+            LinearInequality(1.0, -1.0, 0.0, 0.0, label="x_upper"),
+            LinearInequality(-b.ly, 0.0, 1.0, 0.0, label="y_lower"),
+            LinearInequality(1.0, 0.0, -1.0, 0.0, label="y_upper"),
+        ))
 
     def to_dict(self) -> dict:
         return {
@@ -223,38 +247,34 @@ def _pieces_zero_corner(lz: float, uz: float) -> tuple[HullPiece, ...]:
 
 def _pieces_region(bb: NormalizedBounds, region: Region) -> tuple[HullPiece, ...]:
     lx, ly, lz, uz = bb.lx, bb.ly, bb.lz, bb.uz
-    center = HullPiece((HalfPlane(0.0, -ly * ly / lz, 1.0),
-                        HalfPlane(0.0, lz / (lx * lx), -1.0)),
-                       soc_center(lz, uz), True)
-    ug_y = HullPiece((HalfPlane(0.0, ly * ly / lz, -1.0),),
-                     soc_upper_general(lz / ly, ly, uz), False)
-    ug_x = HullPiece((HalfPlane(0.0, -lz / (lx * lx), 1.0),),
-                     soc_upper_general(lx, lz / lx, uz), False)
-    side_x, side_y = soc_sides(lz, uz)
-    if region is Region.A:
-        return (center, ug_y, ug_x)
     if region is Region.B:
-        return (
-            HullPiece((HalfPlane(0.0, -uz, 1.0), HalfPlane(0.0, 1.0, -uz)),
-                      soc_center(lz, uz), True),
-            HullPiece((HalfPlane(0.0, uz, -1.0),), side_x, False),
-            HullPiece((HalfPlane(0.0, -1.0, uz),), side_y, False),
-        )
-    if region is Region.C:
-        return (
-            HullPiece((HalfPlane(0.0, -ly * ly / lz, 1.0),
-                       HalfPlane(0.0, 1.0, -uz)),
-                      soc_center(lz, uz), True),
-            ug_y,
-            HullPiece((HalfPlane(0.0, -1.0, uz),), side_y, False),
-        )
+        return _pieces_zero_corner(lz, uz)
+    ug_y = soc_upper_general(lz / ly, ly, uz)
     if region is Region.D:
         line = dline(ly, lz, uz)
         return (
-            HullPiece((HalfPlane(line.intercept, line.slope, -1.0),), ug_y.soc,
+            HullPiece((HalfPlane(line.intercept, line.slope, -1.0),), ug_y,
                       False),
-            HullPiece((HalfPlane(-line.intercept, -line.slope, 1.0),), side_y,
-                      False),
+            HullPiece((HalfPlane(-line.intercept, -line.slope, 1.0),),
+                      _side_cone(lz, uz, TangentFamily.SIDE_Y), False),
+        )
+    center_lo = HalfPlane(0.0, -ly * ly / lz, 1.0)
+    ug_y_piece = HullPiece((HalfPlane(0.0, ly * ly / lz, -1.0),), ug_y, False)
+    if region is Region.A:
+        return (
+            HullPiece((center_lo, HalfPlane(0.0, lz / (lx * lx), -1.0)),
+                      soc_center(lz, uz), True),
+            ug_y_piece,
+            HullPiece((HalfPlane(0.0, -lz / (lx * lx), 1.0),),
+                      soc_upper_general(lx, lz / lx, uz), False),
+        )
+    if region is Region.C:
+        return (
+            HullPiece((center_lo, HalfPlane(0.0, 1.0, -uz)),
+                      soc_center(lz, uz), True),
+            ug_y_piece,
+            HullPiece((HalfPlane(0.0, -1.0, uz),),
+                      _side_cone(lz, uz, TangentFamily.SIDE_Y), False),
         )
     raise AssertionError(region)  # pragma: no cover
 
@@ -294,6 +314,33 @@ def hull_from_raw(raw: RawBounds, tol: Tolerance = DEFAULT_TOLERANCE
     return describe(tb, tol), sc2.compose(sc1)
 
 
+def _scan(d: HullDescription, p: Point3, tol: Tolerance
+          ) -> tuple[float, LinearInequality, float, HullPiece | None]:
+    """(residual, row) of the most violated linear row at p, and (residual,
+    piece) of the most violated applicable piece, (inf, None) if none.
+
+    Ties go to the earlier row (RLT planes, then bounds) and, among pieces,
+    to the lower family rank, then the lower piece index.  A point with a
+    non-finite coordinate raises OutOfDomain.
+    """
+    x, y, z = p.x, p.y, p.z
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise OutOfDomain("query point must have finite coordinates")
+    row_res, row = math.inf, d.rows[0]
+    for q in d.rows:
+        r = q.residual(x, y, z)
+        if r < row_res:
+            row_res, row = r, q
+    cone_key, cone = (math.inf,), None
+    for i, piece in enumerate(d.pieces):
+        if piece.applicable(x, y, tol.boundary_tol):
+            key = (float(piece.soc.residual(x, y, z)),
+                   _FAMILY_RANK[piece.soc.family], i)
+            if key < cone_key:
+                cone_key, cone = key, piece
+    return float(row_res), row, cone_key[0], cone
+
+
 def membership(d: HullDescription, p: Point3,
                tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Whether p lies in the described hull, within feas_tol.
@@ -302,32 +349,32 @@ def membership(d: HullDescription, p: Point3,
     the pieces on both sides.  A point with a non-finite coordinate raises
     OutOfDomain.
     """
-    b = d.bounds
-    ft = tol.feas_tol
-    x, y, z = p.x, p.y, p.z
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise OutOfDomain("query point must have finite coordinates")
-    if not (b.lx - ft <= x <= 1.0 + ft and b.ly - ft <= y <= 1.0 + ft):
-        return False
-    if not (d.zlo - ft <= z <= d.zhi + ft):
-        return False
-    for q in d.rlt:
-        if q.residual(x, y, z) < -ft:
-            return False
-    for piece in d.pieces:
-        if piece.applicable(x, y, tol.boundary_tol):
-            if piece.soc.residual(x, y, z) < -ft:
-                return False
-    return True
+    row_res, _, cone_res, _ = _scan(d, p, tol)
+    return min(row_res, cone_res) >= -tol.feas_tol
+
+
+def _row_values(q: LinearInequality, x, y, z):
+    """q.residual(x, y, z) over arrays without its zero terms and unit
+    products: the same values (up to the sign of a zero) in fewer passes."""
+    out = q.a0
+    for c, v in ((q.ax, x), (q.ay, y), (q.az, z)):
+        if c == 1.0:
+            out = out + v
+        elif c == -1.0:
+            out = out - v
+        elif c != 0.0:
+            out = out + c * v
+    return out
 
 
 def membership_mask(d: HullDescription, x, y, z,
                     tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     """Vectorized membership over equally shaped coordinate arrays.
 
-    Any non-finite coordinate raises OutOfDomain, as in membership().
+    It reads the same rows and pieces with the same arithmetic as
+    membership(), so the two agree point by point.  Any non-finite
+    coordinate raises OutOfDomain.
     """
-    b = d.bounds
     ft = tol.feas_tol
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -335,10 +382,9 @@ def membership_mask(d: HullDescription, x, y, z,
     if not (np.isfinite(x).all() and np.isfinite(y).all()
             and np.isfinite(z).all()):
         raise OutOfDomain("query points must have finite coordinates")
-    ok = (x >= b.lx - ft) & (x <= 1.0 + ft) & (y >= b.ly - ft) & (y <= 1.0 + ft)
-    ok &= (z >= d.zlo - ft) & (z <= d.zhi + ft)
-    for q in d.rlt:
-        ok &= q.residual(x, y, z) >= -ft
+    ok = np.ones(np.broadcast(x, y, z).shape, dtype=bool)
+    for q in d.rows:
+        ok &= _row_values(q, x, y, z) >= -ft
     for piece in d.pieces:
         app = piece.applicable(x, y, tol.boundary_tol)
         bad = app & (piece.soc.residual(x, y, z) < -ft)
@@ -462,9 +508,7 @@ def _tangent(d: HullDescription, x: float, y: float, tol: Tolerance
     b = d.bounds
     zmax, piece = _binding(d, x, y, tol)
     if piece is None:
-        one_sided = d.case.region in (Region.UPPER_ONLY, Region.LOWER_ONLY)
-        return _wedge_result(b, x, y,
-                             d.pieces[0].soc.family if one_sided else None)
+        return _wedge(d, x, y)
     fam = piece.soc.family
     plane = _soc_linearization(piece.soc, Point3(x, y, zmax))
     if fam in _UPPER_FORM:
@@ -482,6 +526,34 @@ def _tangent(d: HullDescription, x: float, y: float, tol: Tolerance
         upper = _touch(plane, b.uz)
     seg = TangentSegment(lower, upper, _projection_alpha(x, y, lower, upper), fam)
     return _segment_inequality(seg, b.lz, b.uz), seg
+
+
+def _wedge(d: HullDescription, x: float, y: float
+           ) -> tuple[LinearInequality, TangentSegment]:
+    """Supporting plane where a linear row binds: the lower of the
+    description's two upper RLT planes (rlt_upper_y on a tie) with the
+    extreme fan segment lying in it, alpha the clamped projection of (x, y).
+
+    The segment's family is the side fan ending in the plane's far corner
+    (SideX for (1, uz), SideY for (uz, 1)); in the one-sided cases it is
+    the family of the single piece.
+    """
+    b = d.bounds
+    lx, ly, lz, uz = b.lx, b.ly, b.lz, b.uz
+    _, _, upper_x, upper_y = d.rlt
+    if ly * x + y - ly <= x + lx * y - lx:
+        ineq, family = upper_y, TangentFamily.SIDE_X
+        corner = (lz / ly, ly) if (not b.lower_trivial and ly > 0.0) else (lx, ly)
+        upper = Point3(1.0, uz, uz)
+    else:
+        ineq, family = upper_x, TangentFamily.SIDE_Y
+        corner = (lx, lz / lx) if (not b.lower_trivial and lx > 0.0) else (lx, ly)
+        upper = Point3(uz, 1.0, uz)
+    if d.case.region in (Region.UPPER_ONLY, Region.LOWER_ONLY):
+        family = d.pieces[0].soc.family
+    lower = Point3(corner[0], corner[1], lz)
+    return ineq, TangentSegment(lower, upper,
+                                _projection_alpha(x, y, lower, upper), family)
 
 
 def lifted_tangent(b: NormalizedBounds, x: float, y: float,
@@ -509,32 +581,6 @@ def lifted_tangent(b: NormalizedBounds, x: float, y: float,
     return _tangent(describe(b, tol), x, y, tol)
 
 
-def _candidates(d: HullDescription, p: Point3, tol: Tolerance
-                ) -> list[tuple[float, int, int, object]]:
-    b = d.bounds
-    x, y, z = p.x, p.y, p.z
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise OutOfDomain("query point must have finite coordinates")
-    out: list[tuple[float, int, int, object]] = []
-    for i, q in enumerate(d.rlt):
-        out.append((float(q.residual(x, y, z)), 0, i, q))
-    bound_rows = [
-        LinearInequality(-d.zlo, 0.0, 0.0, 1.0, label="z_lower"),
-        LinearInequality(d.zhi, 0.0, 0.0, -1.0, label="z_upper"),
-        LinearInequality(-b.lx, 1.0, 0.0, 0.0, label="x_lower"),
-        LinearInequality(1.0, -1.0, 0.0, 0.0, label="x_upper"),
-        LinearInequality(-b.ly, 0.0, 1.0, 0.0, label="y_lower"),
-        LinearInequality(1.0, 0.0, -1.0, 0.0, label="y_upper"),
-    ]
-    for i, q in enumerate(bound_rows):
-        out.append((float(q.residual(x, y, z)), 1, i, q))
-    for i, piece in enumerate(d.pieces):
-        if piece.applicable(x, y, tol.boundary_tol):
-            out.append((float(piece.soc.residual(x, y, z)),
-                        _FAMILY_RANK[piece.soc.family], i, piece))
-    return out
-
-
 def worst_violation(d: HullDescription, p: Point3,
                     tol: Tolerance = DEFAULT_TOLERANCE
                     ) -> tuple[float, dict | None]:
@@ -542,14 +588,13 @@ def worst_violation(d: HullDescription, p: Point3,
     feas_tol, a short identification of the violated constraint.  A point
     with a non-finite coordinate raises OutOfDomain.
     """
-    worst = min(_candidates(d, p, tol), key=lambda t: (t[0], t[1], t[2]))
-    res = worst[0]
+    row_res, row, cone_res, cone = _scan(d, p, tol)
+    res = min(row_res, cone_res)
     if res >= -tol.feas_tol:
         return res, None
-    obj = worst[3]
-    if isinstance(obj, LinearInequality):
-        return res, {"kind": "linear", "label": obj.label}
-    return res, {"kind": "soc", "family": obj.soc.family.value}
+    if cone_res < row_res:
+        return res, {"kind": "soc", "family": cone.soc.family.value}
+    return res, {"kind": "linear", "label": row.label}
 
 
 def separate(d: HullDescription, p: Point3,
@@ -564,14 +609,12 @@ def separate(d: HullDescription, p: Point3,
     returned.  A point with a non-finite coordinate raises OutOfDomain.
     """
     b = d.bounds
-    ft = tol.feas_tol
     x, y, z = p.x, p.y, p.z
-    candidates = _candidates(d, p, tol)
-    worst = min(candidates, key=lambda t: (t[0], t[1], t[2]))
-    if worst[0] >= -ft:
+    row_res, row, cone_res, _ = _scan(d, p, tol)
+    if min(row_res, cone_res) >= -tol.feas_tol:
         return None
-    if isinstance(worst[3], LinearInequality):
-        return worst[3]
+    if row_res <= cone_res:
+        return row
 
     # a cone is the most violated constraint: cut with its tangent plane
     width_x = (1.0 - b.lx) * 0.25
@@ -590,34 +633,19 @@ def separate(d: HullDescription, p: Point3,
         cut = _tangent(d, xq, yq, tol)[0]
     if cut is not None and float(cut.residual(x, y, z)) < 0.0:
         return cut
-    lin = [t for t in candidates if isinstance(t[3], LinearInequality)]
-    return min(lin, key=lambda t: (t[0], t[1], t[2]))[3]
-
-
-@dataclass(frozen=True)
-class HomRow:
-    """lam*l + x*cx + y*cy + z*cz >= 0 inside one branch block."""
-
-    l: float
-    cx: float
-    cy: float
-    cz: float
-    label: str = ""
-
-    def value(self, lam, x, y, z):
-        return self.l * lam + self.cx * x + self.cy * y + self.cz * z
+    return row
 
 
 @dataclass(frozen=True)
 class BranchBlock:
     """One disjunct: the piece's constraints homogenized by its weight.
 
-    The cone is interpreted with its constant parts multiplied by lam:
-    ||A v_i + b*lam_i|| <= c'v_i + d*lam_i.
+    Rows and cone are interpreted with their constant parts multiplied by
+    lam: a0*lam_i + a'v_i >= 0 and ||A v_i + b*lam_i|| <= c'v_i + d*lam_i.
     """
 
     index: int
-    rows: tuple[HomRow, ...]
+    rows: tuple[LinearInequality, ...]
     soc: SocConstraint | None
 
     def soc_residual(self, lam, x, y, z) -> float:
@@ -633,8 +661,8 @@ class BranchBlock:
     def feasible(self, lam, x, y, z, tol: float = 1e-9) -> bool:
         if lam < -tol:
             return False
-        for row in self.rows:
-            if row.value(lam, x, y, z) < -tol:
+        for q in self.rows:
+            if q.a0 * lam + q.ax * x + q.ay * y + q.az * z < -tol:
                 return False
         return self.soc_residual(lam, x, y, z) >= -tol
 
@@ -664,40 +692,21 @@ class ExtendedFormulation:
         return tuple(names)
 
 
-def _block_rows(d: HullDescription, piece: HullPiece | None) -> tuple[HomRow, ...]:
-    b = d.bounds
-    rows = [
-        HomRow(-d.zlo, 0.0, 0.0, 1.0, "z_lower"),
-        HomRow(d.zhi, 0.0, 0.0, -1.0, "z_upper"),
-    ]
-    for q in d.rlt:
-        rows.append(HomRow(q.a0, q.ax, q.ay, q.az, q.label))
-    rows += [
-        HomRow(-b.lx, 1.0, 0.0, 0.0, "x_lower"),
-        HomRow(1.0, -1.0, 0.0, 0.0, "x_upper"),
-        HomRow(-b.ly, 0.0, 1.0, 0.0, "y_lower"),
-        HomRow(1.0, 0.0, -1.0, 0.0, "y_upper"),
-    ]
-    if piece is not None:
-        for hp in piece.predicate:
-            rows.append(HomRow(hp.a0, hp.ax, hp.ay, 0.0, "predicate"))
-    return tuple(rows)
-
-
 def disjunctive(d: HullDescription) -> ExtendedFormulation:
     """The branch-block formulation of a description.
 
-    With no curved pieces the hull is already polyhedral; a single block
-    carrying just the linear rows is returned so the aggregation shape is
-    uniform.
+    Each block holds the description's rows plus its piece's predicate
+    half-planes.  With no curved pieces the hull is already polyhedral; a
+    single block carrying just the rows is returned so the aggregation
+    shape is uniform.
     """
     if not d.pieces:
-        return ExtendedFormulation((BranchBlock(0, _block_rows(d, None), None),))
-    blocks = tuple(
-        BranchBlock(i, _block_rows(d, piece), piece.soc)
-        for i, piece in enumerate(d.pieces)
-    )
-    return ExtendedFormulation(blocks)
+        return ExtendedFormulation((BranchBlock(0, d.rows, None),))
+    return ExtendedFormulation(tuple(
+        BranchBlock(i, d.rows + tuple(
+            LinearInequality(hp.a0, hp.ax, hp.ay, 0.0, label="predicate")
+            for hp in piece.predicate), piece.soc)
+        for i, piece in enumerate(d.pieces)))
 
 
 def region_map_polylines(lz: float, uz: float, n: int = 65) -> dict[str, np.ndarray]:

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hull import HullDescription, envelope_grid, membership_mask
+from .hull import HullDescription, Region, envelope_grid, membership_mask
 
 _MC_CHUNK = 65536
 _SIXTH = 1.0 / 6.0
@@ -56,6 +56,19 @@ def vol_removed(side: Side, b: float) -> float:
     if side is Side.UPPER:
         return b * b * (b - 1.0 - math.log(b)) / 3.0
     return b * (1.0 - b) * (b - 1.0 - math.log(b)) / 3.0
+
+
+def vol_closed(d: HullDescription) -> float | None:
+    """vol_hull for the descriptions it covers: a single product bound
+    with the lower corner at zero; None for every other description."""
+    b = d.bounds
+    if b.lx != 0.0 or b.ly != 0.0:
+        return None
+    if d.case.region is Region.UPPER_ONLY:
+        return vol_hull(Side.UPPER, b.uz)
+    if d.case.region is Region.LOWER_ONLY:
+        return vol_hull(Side.LOWER, b.lz)
+    return None
 
 
 def vol_numeric(d: HullDescription, grid_n: int = 512) -> tuple[float, float]:

@@ -15,7 +15,6 @@ from bilinear_hull import (
     Psd2,
     RawBounds,
     TangentFamily,
-    envelope_z,
     evaluate,
     hull_from_raw,
     lifted_tangent,
@@ -128,17 +127,17 @@ def test_psd2_cholesky_reconstructs():
 
 def test_envelope_pins():
     # lower cone at (0.6, 0.6), lz = 0.2: (1.2 - sqrt(0.128))/2
-    v = envelope_z(soc_lower(0.2), 0.6, 0.6)
+    v = soc_lower(0.2).envelope_z(0.6, 0.6)
     assert abs(v - (1.2 - math.sqrt(0.128)) / 2) <= 1e-15
     assert abs(v - 0.4211145618000168) <= 1e-12
 
     # center cone at the (1, 1) corner
-    v = envelope_z(soc_center(0.2, 0.7), 1.0, 1.0)
+    v = soc_center(0.2, 0.7).envelope_z(1.0, 1.0)
     expect = math.sqrt(0.2) + math.sqrt(0.7) - math.sqrt(0.14)
     assert abs(v - expect) <= 1e-15
     assert abs(v - 0.9097078834) <= 1e-9
 
-    v = envelope_z(soc_upper_zero(0.4), 0.5, 0.5)
+    v = soc_upper_zero(0.4).envelope_z(0.5, 0.5)
     assert abs(v - math.sqrt(0.4 * 0.25)) <= 1e-15
 
 
@@ -161,7 +160,7 @@ def test_envelope_solves_the_cone_equation():
             x = rng.uniform(*xwin)
             ylo, yhi = ywin(x)
             y = rng.uniform(ylo, yhi)
-            zs = envelope_z(c, x, y)
+            zs = c.envelope_z(x, y)
             assert abs(c.residual(x, y, zs)) <= 1e-12
             # all families cap z from above: slack below, violated above
             assert c.residual(x, y, zs - 1e-6) > 0
@@ -170,7 +169,7 @@ def test_envelope_solves_the_cone_equation():
 
 def test_envelope_rejects_negative_discriminant():
     with pytest.raises(NegativeDiscriminant):
-        envelope_z(soc_upper_zero(0.4), -0.5, 0.5)
+        soc_upper_zero(0.4).envelope_z(-0.5, 0.5)
 
 
 def test_upper_general_matches_product_inequality():

@@ -501,6 +501,43 @@ def test_block_soc_scales_homogeneously():
             assert abs(scaled - lam * full) <= 1e-12
 
 
+ROW_LABELS = ["rlt_lower_ones", "rlt_lower_corner", "rlt_upper_x",
+              "rlt_upper_y", "z_lower", "z_upper", "x_lower", "x_upper",
+              "y_lower", "y_upper"]
+
+
+def test_disjunctive_blocks_are_the_rows_plus_predicates():
+    rng = np.random.default_rng(107)
+    for raw in [RawBounds(0, 0, 0, 1, 1, 1), RawBounds(0, 0, 0, 1, 1, 0.4),
+                RawBounds(0, 0, 0.2, 1, 1, 0.7),
+                RawBounds(0.32, 0.28, 0.1, 1, 1, 0.7),
+                RawBounds(0.14, 0.3, 0.1, 1, 1, 0.7),
+                RawBounds(0.5, 0.14, 0.1, 1, 1, 0.7)]:
+        d, _ = hull_from_raw(raw)
+        b = d.bounds
+        assert [q.label for q in d.rows] == ROW_LABELS
+        ef = disjunctive(d)
+        for blk, piece in zip(ef.blocks, d.pieces or (None,)):
+            assert blk.rows[:10] == d.rows
+            preds = piece.predicate if piece is not None else ()
+            assert [(q.a0, q.ax, q.ay, q.az) for q in blk.rows[10:]] == [
+                (hp.a0, hp.ax, hp.ay, 0.0) for hp in preds]
+        # feasibility is positively homogeneous, on random points, box
+        # faces, z bounds and surface points alike
+        seen = set()
+        for _ in range(300):
+            x = rng.choice([b.lx, 1.0, rng.uniform(b.lx - 0.05, 1.05)])
+            y = rng.choice([b.ly, 1.0, rng.uniform(b.ly - 0.05, 1.05)])
+            z = rng.choice([d.zlo, d.zhi, x * y,
+                            rng.uniform(d.zlo - 0.05, d.zhi + 0.05)])
+            lam = rng.uniform(0.05, 1.0)
+            for blk in ef.blocks:
+                f = blk.feasible(1.0, x, y, z)
+                assert f == blk.feasible(lam, lam * x, lam * y, lam * z)
+                seen.add(f)
+        assert seen == {True, False}
+
+
 # ------------------------------------------------------- region map plotting
 
 

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bilinear_hull import (
+    DEFAULT_TOLERANCE,
     NormalizedBounds,
     Point3,
     RawBounds,
@@ -20,7 +21,9 @@ from bilinear_hull import (
     hull_from_raw,
     lifted_tangent,
     membership,
+    membership_mask,
     separate,
+    worst_violation,
 )
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
@@ -143,22 +146,36 @@ def test_lifted_tangent_properties(b, queries):
 edge = st.one_of(st.sampled_from([0.0, 1.0]), unit)
 # None: z anywhere in a band around [zlo, zhi]; else this far above zmax
 lift = st.sampled_from([None, None, 1e-10, 1e-8, 1e-6, 1e-3])
+# a shift of one coordinate by feas_tol, which puts a point drawn on a box
+# face or a z bound exactly at the membership threshold
+FT = DEFAULT_TOLERANCE.feas_tol
+shift = st.sampled_from([0.0, 0.0, FT, -FT])
 
 
 @SETTINGS
 @given(b=any_bounds, points=st.lists(
-    st.tuples(edge, edge, st.floats(-0.1, 1.1), lift), min_size=1, max_size=8))
+    st.tuples(edge, edge, st.one_of(st.sampled_from([0.0, 1.0]),
+                                    st.floats(-0.1, 1.1)),
+              lift, st.tuples(shift, shift, shift)),
+    min_size=1, max_size=8))
 def test_separate_cuts_exactly_the_non_members(b, points):
     d = describe(b)
     cloud = _surface_cloud(b)
-    for u, v, w, above in points:
+    pts = []
+    for u, v, w, above, (sx, sy, sz) in points:
         x, y = b.lx + u * (1.0 - b.lx), b.ly + v * (1.0 - b.ly)
         z = d.zlo + w * (d.zhi - d.zlo)
         if above is not None:
             z = envelopes(d, x, y)[1] + above
-        p = Point3(x, y, z)
+        p = Point3(x + sx, y + sy, z + sz)
+        pts.append(p)
         cut = separate(d, p)
-        assert (cut is None) == membership(d, p)
+        member = membership(d, p)
+        assert (cut is None) == member
+        assert (worst_violation(d, p)[1] is None) == member
         if cut is not None:
             assert float(cut.residual(p.x, p.y, p.z)) < 0.0
             assert _valid_on(cut, cloud)
+    mask = membership_mask(d, *(np.array(c) for c in zip(*(
+        p.astuple() for p in pts))))
+    assert mask.tolist() == [membership(d, p) for p in pts]

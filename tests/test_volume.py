@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from bilinear_hull import (
+    NormalizedBounds,
     RawBounds,
+    Region,
     Side,
+    describe,
     hull_from_raw,
     optimal_branch,
     vol_hull,
@@ -16,6 +19,7 @@ from bilinear_hull import (
     vol_removed,
     vol_rlt_cut,
 )
+from bilinear_hull.volume import vol_closed
 
 B_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -42,6 +46,20 @@ def test_closed_forms_recomputed():
                    - b * b * (b - 1 - lg) / 3) <= 1e-15
         assert abs(vol_removed(Side.LOWER, b)
                    - b * (1 - b) * (b - 1 - lg) / 3) <= 1e-15
+
+
+def test_vol_closed_covers_one_sided_zero_corner_boxes_only():
+    upper, _ = hull_from_raw(RawBounds(0, 0, 0, 1, 1, 0.4))
+    # untightened: tightening would lift the corner of this box to (lz, lz)
+    lower = describe(NormalizedBounds(0, 0, 0.3, 1))
+    assert vol_closed(upper) == vol_hull(Side.UPPER, 0.4)
+    assert vol_closed(lower) == vol_hull(Side.LOWER, 0.3)
+    # a one-sided box with a nonzero lower corner, and a region box
+    corner, _ = hull_from_raw(RawBounds(0.5, 0.3, 0.3, 1, 1, 1))
+    region, _ = hull_from_raw(RawBounds(0.14, 0.3, 0.1, 1, 1, 0.7))
+    assert corner.case.region is Region.LOWER_ONLY
+    assert vol_closed(corner) is None
+    assert vol_closed(region) is None
 
 
 def test_volume_identities():
