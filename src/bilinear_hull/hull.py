@@ -314,31 +314,34 @@ def hull_from_raw(raw: RawBounds, tol: Tolerance = DEFAULT_TOLERANCE
     return describe(tb, tol), sc2.compose(sc1)
 
 
-def _scan(d: HullDescription, p: Point3, tol: Tolerance
-          ) -> tuple[float, LinearInequality, float, HullPiece | None]:
-    """(residual, row) of the most violated linear row at p, and (residual,
-    piece) of the most violated applicable piece, (inf, None) if none.
-
-    Ties go to the earlier row (RLT planes, then bounds) and, among pieces,
-    to the lower family rank, then the lower piece index.  A point with a
-    non-finite coordinate raises OutOfDomain.
-    """
+def _worst_row(d: HullDescription, p: Point3) -> tuple[float, LinearInequality]:
+    """The smallest row residual at p and its row, the earlier row (RLT
+    planes, then bounds) on a tie.  A point with a non-finite coordinate
+    raises OutOfDomain."""
     x, y, z = p.x, p.y, p.z
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise OutOfDomain("query point must have finite coordinates")
-    row_res, row = math.inf, d.rows[0]
+    res, row = math.inf, d.rows[0]
     for q in d.rows:
         r = q.residual(x, y, z)
-        if r < row_res:
-            row_res, row = r, q
-    cone_key, cone = (math.inf,), None
+        if r < res:
+            res, row = r, q
+    return float(res), row
+
+
+def _worst_piece(d: HullDescription, p: Point3, tol: Tolerance
+                 ) -> tuple[float, HullPiece | None]:
+    """The smallest cone residual at p over the pieces that apply there and
+    its piece, ties going to the lower family rank (center, side, corner
+    cones), then the lower piece index; (inf, None) when none applies."""
+    key, worst = (math.inf,), None
     for i, piece in enumerate(d.pieces):
-        if piece.applicable(x, y, tol.boundary_tol):
-            key = (float(piece.soc.residual(x, y, z)),
-                   _FAMILY_RANK[piece.soc.family], i)
-            if key < cone_key:
-                cone_key, cone = key, piece
-    return float(row_res), row, cone_key[0], cone
+        if piece.applicable(p.x, p.y, tol.boundary_tol):
+            k = (float(piece.soc.residual(p.x, p.y, p.z)),
+                 _FAMILY_RANK[piece.soc.family], i)
+            if k < key:
+                key, worst = k, piece
+    return key[0], worst
 
 
 def membership(d: HullDescription, p: Point3,
@@ -349,8 +352,8 @@ def membership(d: HullDescription, p: Point3,
     the pieces on both sides.  A point with a non-finite coordinate raises
     OutOfDomain.
     """
-    row_res, _, cone_res, _ = _scan(d, p, tol)
-    return min(row_res, cone_res) >= -tol.feas_tol
+    ft = tol.feas_tol
+    return _worst_row(d, p)[0] >= -ft and _worst_piece(d, p, tol)[0] >= -ft
 
 
 def _row_values(q: LinearInequality, x, y, z):
@@ -588,13 +591,14 @@ def worst_violation(d: HullDescription, p: Point3,
     feas_tol, a short identification of the violated constraint.  A point
     with a non-finite coordinate raises OutOfDomain.
     """
-    row_res, row, cone_res, cone = _scan(d, p, tol)
+    row_res, row = _worst_row(d, p)
+    cone_res, piece = _worst_piece(d, p, tol)
     res = min(row_res, cone_res)
     if res >= -tol.feas_tol:
         return res, None
-    if cone_res < row_res:
-        return res, {"kind": "soc", "family": cone.soc.family.value}
-    return res, {"kind": "linear", "label": row.label}
+    if row_res <= cone_res:
+        return res, {"kind": "linear", "label": row.label}
+    return res, {"kind": "soc", "family": piece.soc.family.value}
 
 
 def separate(d: HullDescription, p: Point3,
@@ -610,7 +614,8 @@ def separate(d: HullDescription, p: Point3,
     """
     b = d.bounds
     x, y, z = p.x, p.y, p.z
-    row_res, row, cone_res, _ = _scan(d, p, tol)
+    row_res, row = _worst_row(d, p)
+    cone_res, _ = _worst_piece(d, p, tol)
     if min(row_res, cone_res) >= -tol.feas_tol:
         return None
     if row_res <= cone_res:

@@ -146,8 +146,8 @@ def test_lifted_tangent_properties(b, queries):
 edge = st.one_of(st.sampled_from([0.0, 1.0]), unit)
 # None: z anywhere in a band around [zlo, zhi]; else this far above zmax
 lift = st.sampled_from([None, None, 1e-10, 1e-8, 1e-6, 1e-3])
-# a shift of one coordinate by feas_tol, which puts a point drawn on a box
-# face or a z bound exactly at the membership threshold
+# coordinate shifts by feas_tol: they put a point drawn on a box face or a
+# z bound exactly at the membership threshold
 FT = DEFAULT_TOLERANCE.feas_tol
 shift = st.sampled_from([0.0, 0.0, FT, -FT])
 
@@ -176,6 +176,5 @@ def test_separate_cuts_exactly_the_non_members(b, points):
         if cut is not None:
             assert float(cut.residual(p.x, p.y, p.z)) < 0.0
             assert _valid_on(cut, cloud)
-    mask = membership_mask(d, *(np.array(c) for c in zip(*(
-        p.astuple() for p in pts))))
+    mask = membership_mask(d, *np.array([p.astuple() for p in pts]).T)
     assert mask.tolist() == [membership(d, p) for p in pts]
