@@ -111,9 +111,6 @@ class Scaling:
         return Scaling(self.sx * inner.sx, self.sy * inner.sy)
 
 
-IDENTITY_SCALING = Scaling(1.0, 1.0)
-
-
 @dataclass(frozen=True)
 class NormalizedBounds:
     """Bounds in canonical form: ux = uy = 1, 0 <= lz < uz <= 1, lx*ly <= lz."""
@@ -142,10 +139,6 @@ class NormalizedBounds:
 
     def swapped(self) -> "NormalizedBounds":
         return NormalizedBounds(self.ly, self.lx, self.lz, self.uz)
-
-    def box_contains(self, x: float, y: float, slack: float = 0.0) -> bool:
-        return (self.lx - slack <= x <= 1.0 + slack
-                and self.ly - slack <= y <= 1.0 + slack)
 
     def is_tightened(self, slack: float = 1e-12) -> bool:
         """Whether the implied-bound conditions already hold."""
