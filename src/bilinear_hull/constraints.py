@@ -217,6 +217,11 @@ def evaluate(c, p) -> float:
     return float(c.residual(x, y, z))
 
 
+# the RLT plane anchored at (1, 1) does not depend on the bounds
+_RLT_LOWER_ONES = LinearInequality(1.0, -1.0, -1.0, 1.0,
+                                   label="rlt_lower_ones")
+
+
 def rlt(b: NormalizedBounds) -> list[LinearInequality]:
     """The four McCormick planes for the canonical box, in fixed order.
 
@@ -224,7 +229,7 @@ def rlt(b: NormalizedBounds) -> list[LinearInequality]:
     two upper planes z <= x + lx*y - lx and z <= ly*x + y - ly.
     """
     return [
-        LinearInequality(1.0, -1.0, -1.0, 1.0, label="rlt_lower_ones"),
+        _RLT_LOWER_ONES,
         LinearInequality(b.lx * b.ly, -b.ly, -b.lx, 1.0, label="rlt_lower_corner"),
         LinearInequality(-b.lx, 1.0, b.lx, -1.0, label="rlt_upper_x"),
         LinearInequality(-b.ly, b.ly, 1.0, -1.0, label="rlt_upper_y"),

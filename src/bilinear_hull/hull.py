@@ -58,6 +58,10 @@ class Region(Enum):
     D = "RegionD"
 
 
+# elements per block of the array kernels (membership_mask, envelope_grid):
+# a few block-sized temporaries fit in a core's L2 cache
+_BLOCK = 1 << 14
+
 _REGION_LETTER = {Region.A: "A", Region.B: "B", Region.C: "C", Region.D: "D"}
 _SWAPPED_LETTER = {Region.C: "E", Region.D: "F"}
 
@@ -151,6 +155,12 @@ class HullPiece:
                 "soc": self.soc.to_dict(), "global": self.globally_valid}
 
 
+# the box's upper bounds are 1 in every normalized frame, so all
+# descriptions share these two rows
+_X_UPPER = LinearInequality(1.0, -1.0, 0.0, 0.0, label="x_upper")
+_Y_UPPER = LinearInequality(1.0, 0.0, -1.0, 0.0, label="y_upper")
+
+
 @dataclass(frozen=True)
 class HullDescription:
     """The hull as linear rows plus pieces.
@@ -176,9 +186,9 @@ class HullDescription:
             LinearInequality(-self.zlo, 0.0, 0.0, 1.0, label="z_lower"),
             LinearInequality(self.zhi, 0.0, 0.0, -1.0, label="z_upper"),
             LinearInequality(-b.lx, 1.0, 0.0, 0.0, label="x_lower"),
-            LinearInequality(1.0, -1.0, 0.0, 0.0, label="x_upper"),
+            _X_UPPER,
             LinearInequality(-b.ly, 0.0, 1.0, 0.0, label="y_lower"),
-            LinearInequality(1.0, 0.0, -1.0, 0.0, label="y_upper"),
+            _Y_UPPER,
         ))
 
     def to_dict(self) -> dict:
@@ -372,27 +382,35 @@ def _row_values(q: LinearInequality, x, y, z):
 
 def membership_mask(d: HullDescription, x, y, z,
                     tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Vectorized membership over equally shaped coordinate arrays.
+    """Vectorized membership over coordinate arrays of one broadcast shape.
 
     It reads the same rows and pieces with the same arithmetic as
-    membership(), so the two agree point by point.  Any non-finite
-    coordinate raises OutOfDomain.
+    membership(), so the two agree point by point.  The points are walked
+    in blocks of _BLOCK, so temporaries stay block-sized whatever the input
+    size, and a cone is evaluated only at the points that pass every row
+    and lie where its piece applies.  Any non-finite coordinate raises
+    OutOfDomain.
     """
-    ft = tol.feas_tol
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()
-            and np.isfinite(z).all()):
-        raise OutOfDomain("query points must have finite coordinates")
-    ok = np.ones(np.broadcast(x, y, z).shape, dtype=bool)
-    for q in d.rows:
-        ok &= _row_values(q, x, y, z) >= -ft
-    for piece in d.pieces:
-        app = piece.applicable(x, y, tol.boundary_tol)
-        bad = app & (piece.soc.residual(x, y, z) < -ft)
-        ok &= ~bad
-    return ok
+    ft, bt = tol.feas_tol, tol.boundary_tol
+    ops = tuple(np.asarray(v, dtype=float) for v in (x, y, z))
+    out = np.empty(np.broadcast(*ops).shape, dtype=bool)
+    with np.nditer(ops + (out,),
+                   flags=("external_loop", "buffered", "zerosize_ok"),
+                   op_flags=[["readonly"]] * 3 + [["writeonly"]],
+                   buffersize=_BLOCK) as blocks:
+        for xb, yb, zb, ok in blocks:
+            if not (np.isfinite(xb).all() and np.isfinite(yb).all()
+                    and np.isfinite(zb).all()):
+                raise OutOfDomain("query points must have finite coordinates")
+            ok[...] = True
+            for q in d.rows:
+                ok &= _row_values(q, xb, yb, zb) >= -ft
+            for piece in d.pieces:
+                idx = np.flatnonzero(ok & piece.applicable(xb, yb, bt))
+                if idx.size:
+                    res = piece.soc.residual(xb[idx], yb[idx], zb[idx])
+                    ok[idx[res < -ft]] = False
+    return out
 
 
 def envelopes(d: HullDescription, x: float, y: float,
@@ -430,38 +448,52 @@ def envelope_grid(d: HullDescription, xs: np.ndarray, ys: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (zmin, zmax, piece_id) over the tensor grid xs x ys.
 
-    piece_id holds the index of the piece whose envelope attains zmax, or
-    -1 where a linear constraint (RLT plane or z bound) is the binding one.
-    Grid values are clipped to the box before evaluation.
+    piece_id holds the index of the piece whose envelope attains zmax (the
+    lowest index on a tie), or -1 where a linear constraint (RLT plane or z
+    bound) is the binding one.  Grid values are clipped to the box before
+    evaluation.  The grid is walked in blocks of about _BLOCK nodes, so
+    temporaries stay block-sized, and a piece's envelope is evaluated only
+    at the nodes where the piece applies: outside its predicate the
+    discriminant can go negative (general upper cones).
     """
     b = d.bounds
+    bt = tol.boundary_tol
     x = np.clip(np.asarray(xs, dtype=float), b.lx, 1.0)[:, None]
     y = np.clip(np.asarray(ys, dtype=float), b.ly, 1.0)[None, :]
     shape = np.broadcast(x, y).shape
-    zmin = np.maximum(x + y - 1.0, b.ly * x + b.lx * y - b.lx * b.ly)
-    zmin = np.maximum(zmin, d.zlo)
-    lin = np.minimum(x + b.lx * y - b.lx, b.ly * x + y - b.ly)
-    lin = np.minimum(lin, np.full(shape, d.zhi))
-    if d.pieces:
-        envs = np.full((len(d.pieces),) + shape, np.inf)
+    zmin, zmax = np.empty(shape), np.empty(shape)
+    piece_id = np.empty(shape, dtype=int)
+    step = max(1, _BLOCK // max(1, shape[1]))
+    for lo in range(0, shape[0], step):
+        rows = slice(lo, lo + step)
+        xb = x[rows]
+        lower = np.maximum(xb + y - 1.0, b.ly * xb + b.lx * y - b.lx * b.ly)
+        np.maximum(lower, d.zlo, out=zmin[rows])
+        lin = np.minimum(xb + b.lx * y - b.lx, b.ly * xb + y - b.ly)
+        lin = np.minimum(lin, d.zhi)
+        # running minimum over the pieces; the strict < keeps the lowest
+        # piece index on a tie
+        best = np.full(lin.shape, np.inf)
+        pid = piece_id[rows]
+        flat_best, flat_pid = best.reshape(-1), pid.reshape(-1)
         for i, piece in enumerate(d.pieces):
-            app = np.broadcast_to(piece.applicable(x, y, tol.boundary_tol),
-                                  shape)
-            # evaluate the curved cap only where the piece applies; the
-            # discriminant can go negative outside (general upper cones),
-            # so (1, 1), inside every family's domain, stands in elsewhere
-            xe = np.where(app, np.broadcast_to(x, shape), 1.0)
-            ye = np.where(app, np.broadcast_to(y, shape), 1.0)
-            ex = np.asarray(piece.soc.envelope_z(xe, ye))
-            envs[i] = np.where(app, ex, np.inf)
-        best = np.min(envs, axis=0)
-        piece_id = np.argmin(envs, axis=0)
-        zmax = np.minimum(lin, best)
-        piece_id = np.where(best <= lin, piece_id, -1)
-    else:
-        zmax = lin
-        piece_id = np.full(shape, -1)
-    return zmin, zmax, piece_id.astype(int)
+            if not piece.predicate:
+                env = piece.soc.envelope_z(xb, y)
+                win = env < best
+                best[win] = env[win]
+                pid[win] = i
+                continue
+            app = piece.applicable(xb, y, bt)
+            idx = np.flatnonzero(app)
+            if idx.size:
+                env = piece.soc.envelope_z(np.broadcast_to(xb, app.shape)[app],
+                                           np.broadcast_to(y, app.shape)[app])
+                win = env < flat_best[idx]
+                flat_best[idx[win]] = env[win]
+                flat_pid[idx[win]] = i
+        np.minimum(lin, best, out=zmax[rows])
+        pid[~(best <= lin)] = -1
+    return zmin, zmax, piece_id
 
 
 _FAMILY_RANK = {

@@ -9,7 +9,6 @@ regardless of worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,13 +59,18 @@ def vol_removed(side: Side, b: float) -> float:
 
 def vol_closed(d: HullDescription) -> float | None:
     """vol_hull for the descriptions it covers: a single product bound
-    with the lower corner at zero; None for every other description."""
+    over a box whose lower corner can be taken as zero; None for every
+    other description.
+
+    An upper-only box needs lx = ly = 0.  A lower-only box needs only
+    max(lx, ly) <= lz: xy >= lz with x, y <= 1 already forces x, y >= lz,
+    so the hull is that of the zero-corner box (tightening lifts the zero
+    corner to (lz, lz)).
+    """
     b = d.bounds
-    if b.lx != 0.0 or b.ly != 0.0:
-        return None
-    if d.case.region is Region.UPPER_ONLY:
+    if d.case.region is Region.UPPER_ONLY and b.lx == 0.0 and b.ly == 0.0:
         return vol_hull(Side.UPPER, b.uz)
-    if d.case.region is Region.LOWER_ONLY:
+    if d.case.region is Region.LOWER_ONLY and max(b.lx, b.ly) <= b.lz:
         return vol_hull(Side.LOWER, b.lz)
     return None
 
@@ -123,6 +127,9 @@ def vol_mc(d: HullDescription, n_samples: int, seed: int = 0,
         done += take
         k += 1
     if workers is not None and workers > 1:
+        # imported here: concurrent.futures pulls in logging, a cost every
+        # import of the package would pay
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(lambda ck: _mc_chunk(d, seed, ck[0], ck[1]),
                                 chunks))

@@ -127,6 +127,14 @@ def test_volume_closed_and_raw_scaling():
     assert abs(out["volume_raw"] - 0.113797828 * 16) <= 2e-7
 
 
+def test_volume_closed_on_lower_only_zero_corner_box():
+    out = run_json("volume", "--lz", "0.3", "--method", "closed")
+    assert out["bounds"]["lx"] == out["bounds"]["ly"] == 0.3
+    assert abs(out["volume"] - 0.0218885704) <= 1e-10
+    num = run_json("volume", "--lz", "0.3", "--method", "numeric")
+    assert abs(num["volume"] - out["volume"]) <= 1e-8
+
+
 def test_volume_methods_agree():
     closed = run_json("volume", "--uz", "0.4", "--method", "closed")["volume"]
     num = run_json("volume", "--uz", "0.4", "--method", "numeric")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bilinear_hull import (
+    DEFAULT_TOLERANCE,
     DegenerateBounds,
     NormalizedBounds,
     OutOfDomain,
@@ -29,6 +30,7 @@ from bilinear_hull import (
     tighten,
     worst_violation,
 )
+from bilinear_hull.hull import _BLOCK, _binding
 
 S1 = math.sqrt(0.1 * 0.7)   # inner threshold for lz=0.1, uz=0.7
 S2 = math.sqrt(0.1 / 0.7)   # outer threshold
@@ -594,3 +596,143 @@ def test_globally_valid_pieces_hold_everywhere():
             if pc.globally_valid:
                 r = pc.soc.residual(sx, sy, sx * sy)
                 assert float(np.min(r)) >= -1e-12
+
+
+# ------------------------------------------------- blocked array kernels
+
+BLOCK_SIZES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
+
+
+def _points_near_hull(rng, d, n):
+    """n points around the hull: box points over a z band a little wider
+    than [zlo, zhi], half of them lifted to just off the upper envelope's
+    surface, so that rows and cones both decide."""
+    b = d.bounds
+    x = rng.uniform(b.lx - 0.02, 1.02, n)
+    y = rng.uniform(b.ly - 0.02, 1.02, n)
+    z = rng.uniform(d.zlo - 0.02, d.zhi + 0.02, n)
+    near = rng.random(n) < 0.5
+    z[near] = (x * y)[near] + rng.normal(0.0, 0.01, int(near.sum()))
+    return x, y, z
+
+
+def _membership_each(d, x, y, z):
+    return [membership(d, Point3(*p))
+            for p in zip(np.ravel(x).tolist(), np.ravel(y).tolist(),
+                         np.ravel(z).tolist())]
+
+
+def test_membership_mask_agrees_across_block_boundaries():
+    rng = np.random.default_rng(113)
+    d, _ = hull_from_raw(RawBounds(0.14, 0.3, 0.1, 1, 1, 0.7))
+    for n in BLOCK_SIZES:
+        x, y, z = _points_near_hull(rng, d, n)
+        mask = membership_mask(d, x, y, z)
+        assert mask.shape == (n,) and mask.dtype == bool
+        assert mask.tolist() == _membership_each(d, x, y, z)
+
+
+def test_membership_mask_shapes():
+    rng = np.random.default_rng(127)
+    for raw in (RawBounds(0.14, 0.3, 0.1, 1, 1, 0.7),
+                RawBounds(0, 0, 0.2, 1, 1, 1)):
+        d, _ = hull_from_raw(raw)
+        # 2-D, more points than one block
+        x, y, z = (a.reshape(130, 131)
+                   for a in _points_near_hull(rng, d, 130 * 131))
+        mask = membership_mask(d, x, y, z)
+        assert mask.shape == (130, 131)
+        assert mask.ravel().tolist() == _membership_each(d, x, y, z)
+        # broadcast (n, 1) x (1, m) against a full z
+        xc, yr = x[:, :1], y[:1, :]
+        mask = membership_mask(d, xc, yr, z)
+        full = np.broadcast_arrays(xc, yr, z)
+        assert mask.shape == (130, 131)
+        assert mask.ravel().tolist() == _membership_each(d, *full)
+        # 0-d
+        for p in (Point3(0.5, 0.5, 0.2), Point3(0.5, 0.5, 0.9)):
+            one = membership_mask(d, p.x, p.y, np.float64(p.z))
+            assert np.ndim(one) == 0 and bool(one) == membership(d, p)
+        # empty
+        for shape in ((0,), (0, 3)):
+            none = membership_mask(d, np.empty(shape), np.empty(shape),
+                                   np.empty(shape))
+            assert none.shape == shape and none.dtype == bool
+
+
+def _on_predicate_lines(d, xs):
+    """ys such that (x, y) lies exactly on a predicate line of d for every
+    x in xs, kept where it falls inside the box."""
+    b = d.bounds
+    ys = [np.linspace(b.ly, 1.0, 9)]
+    for piece in d.pieces:
+        for hp in piece.predicate:
+            if hp.ay in (1.0, -1.0):
+                # value() = (a0 + ax*x) + ay*y, exactly 0 at this y
+                ys.append(-hp.ay * (hp.a0 + hp.ax * xs))
+    ys = np.concatenate(ys)
+    return np.unique(ys[(ys >= b.ly) & (ys <= 1.0)])
+
+
+def _assert_grid_matches_scalar(d, xs, ys):
+    """envelope_grid against envelopes/_binding node by node; returns the
+    grid and the number of nodes where pieces tie."""
+    tol = DEFAULT_TOLERANCE
+    zmin, zmax, pid = envelope_grid(d, xs, ys)
+    assert zmin.shape == zmax.shape == pid.shape == (len(xs), len(ys))
+    ties = 0
+    for i, x in enumerate(xs.tolist()):
+        for j, y in enumerate(ys.tolist()):
+            lo, hi = envelopes(d, x, y)
+            top, piece = _binding(d, x, y, tol)
+            assert abs(zmin[i, j] - lo) <= 1e-14
+            assert abs(zmax[i, j] - hi) <= 1e-14
+            if piece is None:
+                assert pid[i, j] == -1
+                continue
+            # _binding keeps the last of tied pieces, the grid the first
+            tied = [k for k, pc in enumerate(d.pieces)
+                    if pc.applicable(x, y, tol.boundary_tol)
+                    and float(pc.soc.envelope_z(x, y)) == top]
+            assert pid[i, j] == tied[0]
+            ties += len(tied) > 1
+    return (zmin, zmax, pid), ties
+
+
+def test_envelope_grid_agrees_across_block_boundaries():
+    # (rows, columns) with _BLOCK - 1, _BLOCK, _BLOCK + 1 and 3*_BLOCK + 7
+    # nodes: one block, a full block, and blocks with a short last one
+    shapes = ((3, 5461), (128, 128), (5, 3277), (11, 4469))
+    assert tuple(r * c for r, c in shapes) == BLOCK_SIZES
+    d, _ = hull_from_raw(RawBounds(0.14, 0.2, 0.1, 1, 1, 0.7))
+    b = d.bounds
+    rng = np.random.default_rng(131)
+    for rows, cols in shapes:
+        xs = rng.uniform(b.lx, 1.0, rows)
+        ys = rng.uniform(b.ly, 1.0, cols)
+        _assert_grid_matches_scalar(d, xs, ys)
+
+
+def test_envelope_grid_on_predicate_lines_and_row_by_row():
+    ties = 0
+    for raw in ALL_RAW:
+        d, _ = hull_from_raw(raw)
+        b = d.bounds
+        xs = np.linspace(b.lx, 1.0, 23)
+        ys = _on_predicate_lines(d, xs)
+        grid, n = _assert_grid_matches_scalar(d, xs, ys)
+        ties += n
+        # a grid is the stack of its one-row grids, bit for bit
+        rows = [envelope_grid(d, xs[i:i + 1], ys) for i in range(len(xs))]
+        for k in range(3):
+            assert np.array_equal(grid[k],
+                                  np.concatenate([r[k] for r in rows]))
+    assert ties > 0
+
+
+def test_envelope_grid_empty_axes():
+    d, _ = hull_from_raw(RawBounds(0.14, 0.3, 0.1, 1, 1, 0.7))
+    for xs, ys in ((np.empty(0), np.linspace(0.3, 1, 4)),
+                   (np.linspace(0.3, 1, 4), np.empty(0))):
+        out = envelope_grid(d, xs, ys)
+        assert [a.shape for a in out] == [(len(xs), len(ys))] * 3

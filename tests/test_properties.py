@@ -2,7 +2,8 @@
 
 Boxes are drawn per structural case (one-sided bands, zero-corner bands and
 the four lettered regions, mirrored or not), with lower corners at zero and
-coordinates snapped onto or next to the region thresholds.
+coordinates snapped onto or next to the region thresholds, and half of them
+are scaled to an extreme raw box and normalized back.
 """
 
 import math
@@ -89,7 +90,22 @@ def band_bounds(draw):
     return hull_from_raw(raw)[0].bounds
 
 
-any_bounds = st.one_of(region_bounds(), band_bounds())
+@st.composite
+def scaled(draw, bounds):
+    """Bounds as drawn, or put through a raw box scaled by 1e-6 to 1e6 per
+    axis and brought back by hull_from_raw (normalize and tighten)."""
+    b = draw(bounds)
+    exps = draw(st.one_of(st.none(), st.tuples(st.floats(-6.0, 6.0),
+                                               st.floats(-6.0, 6.0))))
+    if exps is None:
+        return b
+    sx, sy = 10.0 ** exps[0], 10.0 ** exps[1]
+    raw = RawBounds(b.lx * sx, b.ly * sy, b.lz * (sx * sy), sx, sy,
+                    b.uz * (sx * sy))
+    return hull_from_raw(raw)[0].bounds
+
+
+any_bounds = scaled(st.one_of(region_bounds(), band_bounds()))
 
 
 def _surface_cloud(b, n=400):

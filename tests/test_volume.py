@@ -1,6 +1,8 @@
 """Volumes of hulls and cut bodies, and the optimal branching point."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +62,29 @@ def test_vol_closed_covers_one_sided_zero_corner_boxes_only():
     assert corner.case.region is Region.LOWER_ONLY
     assert vol_closed(corner) is None
     assert vol_closed(region) is None
+
+
+def test_vol_closed_on_tightened_lower_only_zero_corner_box():
+    # tightening lifts the zero corner to (lz, lz); xy >= lz already forces
+    # x, y >= lz there, so the hull and its closed-form volume are unchanged
+    d, _ = hull_from_raw(RawBounds(0, 0, 0.3, 1, 1, 1))
+    assert (d.bounds.lx, d.bounds.ly) == (0.3, 0.3)
+    assert vol_closed(d) == vol_hull(Side.LOWER, 0.3)
+    assert abs(vol_numeric(d, 512)[0] - vol_closed(d)) <= 1e-8
+    # the lifted corner of an upper-only box changes the hull
+    upper = describe(NormalizedBounds(0.1, 0.0, 0.0, 0.4))
+    assert upper.case.region is Region.UPPER_ONLY
+    assert vol_closed(upper) is None
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # vol_mc imports concurrent.futures (and logging with it) only when it
+    # runs workers, so a plain import does not pay for them
+    code = ("import sys, bilinear_hull; "
+            "assert 'concurrent.futures' not in sys.modules")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_volume_identities():
