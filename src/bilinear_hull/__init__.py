@@ -2,7 +2,12 @@
 
 The working frame is the normalized box [lx, 1] x [ly, 1] with product
 bounds lz <= z <= uz; geometry maps raw boxes into it and back.
+
+The oracle and volume names load their modules, and with them numpy, on
+first access (PEP 562), so scalar use of the package never imports numpy.
 """
+
+import importlib
 
 from .constraints import (
     LinearInequality,
@@ -61,25 +66,29 @@ from .hull import (
     separate,
     worst_violation,
 )
-from .oracle import (
-    SurfaceSample,
-    oracle_envelope,
-    oracle_envelope_many,
-    oracle_membership,
-    sample_surface,
-)
-from .volume import (
-    BranchReport,
-    Side,
-    optimal_branch,
-    vol_hull,
-    vol_mc,
-    vol_numeric,
-    vol_removed,
-    vol_rlt_cut,
-)
 
 __version__ = "0.1.0"
+
+# name -> submodule that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(("SurfaceSample", "oracle_envelope", "oracle_envelope_many",
+                     "oracle_membership", "sample_surface"), "oracle"),
+    **dict.fromkeys(("BranchReport", "Side", "optimal_branch", "vol_hull",
+                     "vol_mc", "vol_numeric", "vol_removed", "vol_rlt_cut"),
+                    "volume"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _LAZY[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "BilinearHullError",

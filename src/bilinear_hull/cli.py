@@ -11,9 +11,9 @@ Exit codes: 0 ok, 1 package error, 2 bad arguments, 3 infeasible bounds.
 from __future__ import annotations
 
 import argparse
+import math
+import numbers
 import sys
-
-import numpy as np
 
 from .errors import BilinearHullError, Infeasible, InfeasibleBounds
 from .geometry import Point3, RawBounds
@@ -27,8 +27,9 @@ from .hull import (
     separate,
     worst_violation,
 )
-from .oracle import oracle_envelope, oracle_membership, sample_surface
-from .volume import optimal_branch, vol_closed, vol_mc, vol_numeric
+
+# numpy, and the volume and oracle modules that need it, are imported only
+# by the commands that use them: the scalar commands are bound by start-up
 
 
 def _g(v) -> str:
@@ -36,6 +37,18 @@ def _g(v) -> str:
     if v == 0.0:
         v = 0.0  # canonicalize -0.0
     return "%.9g" % v
+
+
+def _builtin(obj):
+    """obj, with numpy's integer and float scalars as int and float.
+
+    numpy registers its scalar types with the numbers ABCs, so they are
+    recognised without importing numpy; the builtin types are tested first
+    because an ABC test costs several times as much.
+    """
+    if isinstance(obj, (int, float, str)) or not isinstance(obj, numbers.Real):
+        return obj
+    return int(obj) if isinstance(obj, numbers.Integral) else float(obj)
 
 
 def _json(obj) -> str:
@@ -49,9 +62,10 @@ def _json(obj) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
+    obj = _builtin(obj)
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         f = float(obj)
         if f != f:
             return "null"
@@ -71,13 +85,14 @@ def _flat_csv(obj, prefix="", rows=None) -> list[str]:
             _flat_csv(v, prefix + str(i) + ".", rows)
         return rows
     key = prefix[:-1]
+    obj = _builtin(obj)
     if isinstance(obj, bool):
         rows.append("%s,%s" % (key, "true" if obj else "false"))
     elif obj is None:
         rows.append("%s," % key)
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         rows.append("%s,%d" % (key, int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         rows.append("%s,%s" % (key, _g(obj)))
     else:
         rows.append("%s,%s" % (key, obj))
@@ -200,30 +215,33 @@ def _cmd_envelope(args) -> str:
 def _grid_table(args, raw: RawBounds, d, sc, with_piece_id: bool) -> str:
     """The envelopes on an args.grid x args.grid tensor grid over the box,
     in the raw frame, with the id of the binding piece if asked for."""
-    sz = sc.sz
+    import numpy as np
     n = args.grid
     xs = np.linspace(d.bounds.lx, 1.0, n)
     ys = np.linspace(d.bounds.ly, 1.0, n)
     zmin, zmax, pid = envelope_grid(d, xs, ys)
+    # elementwise products round as the node-by-node ones do; the per-node
+    # loop below then reads Python floats
+    rx, ry = (xs * sc.sx).tolist(), (ys * sc.sy).tolist()
+    lo, hi = (zmin * sc.sz).tolist(), (zmax * sc.sz).tolist()
+    ids = pid.tolist()
     columns = ["x", "y", "zmin", "zmax"]
     if with_piece_id:
         columns.append("piece_id")
-    lines = _header_csv_lines(raw, d, sc) + [",".join(columns)]
     rows = []
     for i in range(n):
         for j in range(n):
-            vals = (xs[i] * sc.sx, ys[j] * sc.sy,
-                    zmin[i, j] * sz, zmax[i, j] * sz)
-            row = [float(v) for v in vals]
-            line = ",".join(_g(v) for v in vals)
+            row = [rx[i], ry[j], lo[i][j], hi[i][j]]
             if with_piece_id:
-                row.append(int(pid[i, j]))
-                line += ",%d" % pid[i, j]
+                row.append(ids[i][j])
             rows.append(row)
-            lines.append(line)
     out = _header(raw, d, sc)
     out["columns"] = columns
     out["rows"] = rows
+    lines = None
+    if args.format == "csv":
+        lines = _header_csv_lines(raw, d, sc) + [",".join(columns)]
+        lines += [",".join(map(_g, row)) for row in rows]
     return _render(args, out, csv_lines=lines)
 
 
@@ -255,6 +273,7 @@ def _cmd_tangent(args) -> str:
 
 
 def _cmd_volume(args) -> str:
+    from .volume import vol_closed, vol_mc, vol_numeric
     raw = _raw_bounds(args)
     d, sc = hull_from_raw(raw)
     scale = (sc.sx * sc.sy) ** 2  # dx dy dz picks up sx*sy*sz
@@ -277,6 +296,8 @@ def _cmd_volume(args) -> str:
 
 
 def _cmd_branch(args) -> str:
+    import numpy as np
+    from .volume import optimal_branch
     rep = optimal_branch(np.linspace(0.01, 0.99, args.grid))
     header = ["b,upper_ratio,lower_ratio,total_ratio"]
     lines = header + [
@@ -312,8 +333,8 @@ def _cmd_regions(args) -> str:
                 csv_lines.append("%s,%s,%s" % (name, _g(row[0]), _g(row[1])))
     out["letter"] = letter
     out["thresholds"] = {
-        "s_lo": float(np.sqrt(b.lz * b.uz)) if b.lz > 0 else None,
-        "s_hi": float(np.sqrt(b.lz / b.uz)) if b.lz > 0 else None,
+        "s_lo": math.sqrt(b.lz * b.uz) if b.lz > 0 else None,
+        "s_hi": math.sqrt(b.lz / b.uz) if b.lz > 0 else None,
     }
     out["polylines"] = polys
     return _render(args, out, csv_lines=csv_lines)
@@ -326,6 +347,7 @@ def _cmd_mesh(args) -> str:
 
 
 def _cmd_oracle(args) -> str:
+    from .oracle import oracle_envelope, oracle_membership, sample_surface
     raw = _raw_bounds(args)
     d, sc = hull_from_raw(raw)
     s = sample_surface(d.bounds, args.samples)
@@ -431,14 +453,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(args) -> str | None:
+    """What makes parsed arguments unusable, beyond what argparse checks
+    flag by flag (counts the command cannot use, a missing query), or
+    None."""
+    if args.command == "oracle":
+        if args.at is None and args.point is None:
+            return "oracle needs --at or --point"
+        if args.samples < 2:
+            return "--samples must be at least 2"
+    elif args.command == "volume":
+        if args.method == "numeric" and (args.grid < 8 or args.grid % 2):
+            return "--grid must be even and at least 8 for --method numeric"
+        if args.method == "mc" and args.samples < 1:
+            return "--samples must be at least 1 for --method mc"
+    elif getattr(args, "grid", 0) < 0:
+        return "--grid must not be negative"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if args.command == "oracle" and args.at is None and args.point is None:
-        print("oracle needs --at or --point", file=sys.stderr)
+    problem = _usage_error(args)
+    if problem is not None:
+        print("error: %s" % problem, file=sys.stderr)
         return 2
     try:
         text = args.func(args)

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DegenerateBounds, NegativeDiscriminant
 from .geometry import NormalizedBounds, Point3
 
@@ -33,10 +31,14 @@ DISC_CLAMP = -1e-12
 def _clamped_sqrt(d):
     """sqrt with the documented negative-roundoff clamp at DISC_CLAMP.
 
-    A float stays a float (scalar queries skip numpy's per-call overhead);
-    anything else is evaluated as an array.
+    A float stays a float, through math; anything else is evaluated as an
+    array, and only then is numpy imported.
     """
-    low = d if isinstance(d, float) else np.min(d, initial=np.inf)
+    if isinstance(d, float):
+        low = d
+    else:
+        import numpy as np
+        low = np.min(d, initial=np.inf)
     if low < DISC_CLAMP:
         raise NegativeDiscriminant(
             "discriminant %g below clamp threshold %g" % (float(low), DISC_CLAMP)
@@ -135,11 +137,18 @@ class SocConstraint:
     params: dict
 
     def residual(self, x, y, z):
-        """(c'v + d) - ||A v + b||; >= 0 iff the constraint holds."""
+        """(c'v + d) - ||A v + b||; >= 0 iff the constraint holds.
+
+        Three floats give a float, through math; anything else is
+        evaluated as an array.
+        """
         (a11, a12, a13), (a21, a22, a23) = self.A
         r1 = a11 * x + a12 * y + a13 * z + self.b[0]
         r2 = a21 * x + a22 * y + a23 * z + self.b[1]
         rhs = self.c[0] * x + self.c[1] * y + self.c[2] * z + self.d
+        if isinstance(x, float) and isinstance(y, float) and isinstance(z, float):
+            return rhs - math.hypot(r1, r2)
+        import numpy as np
         return rhs - np.hypot(r1, r2)
 
     def envelope_z(self, x, y):
@@ -148,7 +157,9 @@ class SocConstraint:
         Raises NegativeDiscriminant when evaluated far outside the region
         on which the family's formula is real (beyond the -1e-12 clamp).
         """
-        if not (isinstance(x, float) and isinstance(y, float)):
+        scalar = isinstance(x, float) and isinstance(y, float)
+        if not scalar:
+            import numpy as np
             x = np.asarray(x, dtype=float)
             y = np.asarray(y, dtype=float)
         f = self.family
@@ -177,7 +188,7 @@ class SocConstraint:
             out = (ly * x + lx * y + _clamped_sqrt(disc)) / 2.0
         else:  # pragma: no cover - enum is closed
             raise AssertionError(f)
-        if np.ndim(out) == 0:
+        if scalar or np.ndim(out) == 0:
             return float(out)
         return out
 

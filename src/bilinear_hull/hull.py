@@ -9,6 +9,10 @@ of the box where the cone is the binding upper boundary; outside its
 predicate a piece imposes nothing.  Only some pieces are valid over the
 whole box, so the predicates are part of the description, not an
 optimization.
+
+The scalar queries evaluate floats through math.  Only the array kernels
+(membership_mask, envelope_grid, region_map_polylines) and array input to
+the shared ones import numpy, so scalar use never loads it.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constraints import (
     _UPPER_FORM,
@@ -45,6 +48,9 @@ from .geometry import (
     normalize,
     tighten_with_scaling,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Region(Enum):
@@ -137,7 +143,12 @@ class HullPiece:
     globally_valid: bool
 
     def applicable(self, x, y, slack: float = 0.0):
+        """Whether (x, y) lies where the piece binds: a bool for scalar x,
+        else a boolean array of the broadcast shape."""
         if not self.predicate:
+            if isinstance(x, (int, float)):
+                return True
+            import numpy as np
             if np.ndim(x) == 0:
                 return True
             return np.ones(np.broadcast(x, y).shape, dtype=bool)
@@ -391,6 +402,7 @@ def membership_mask(d: HullDescription, x, y, z,
     and lie where its piece applies.  Any non-finite coordinate raises
     OutOfDomain.
     """
+    import numpy as np
     ft, bt = tol.feas_tol, tol.boundary_tol
     ops = tuple(np.asarray(v, dtype=float) for v in (x, y, z))
     out = np.empty(np.broadcast(*ops).shape, dtype=bool)
@@ -456,6 +468,7 @@ def envelope_grid(d: HullDescription, xs: np.ndarray, ys: np.ndarray,
     at the nodes where the piece applies: outside its predicate the
     discriminant can go negative (general upper cones).
     """
+    import numpy as np
     b = d.bounds
     bt = tol.boundary_tol
     x = np.clip(np.asarray(xs, dtype=float), b.lx, 1.0)[:, None]
@@ -755,6 +768,7 @@ def region_map_polylines(lz: float, uz: float, n: int = 65) -> dict[str, np.ndar
     """
     if not 0.0 < lz < uz <= 1.0:
         raise DegenerateBounds("need 0 < lz < uz <= 1")
+    import numpy as np
     s_lo = math.sqrt(lz * uz)
     s_hi = math.sqrt(lz / uz)
     out: dict[str, np.ndarray] = {}

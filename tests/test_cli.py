@@ -5,6 +5,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "bilinear_hull", *args],
@@ -202,3 +204,21 @@ def test_exit_codes():
     assert run_cli("check", "--lz", "0.9", "--uz", "0.2",
                    "--point", "0,0,0").returncode == 3
     assert run_cli("envelope", "--uz", "0.4", "--at", "2.0,0.5").returncode == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--method", "numeric", "--grid", "9"],
+    ["volume", "--method", "numeric", "--grid", "1"],
+    ["volume", "--method", "mc", "--samples", "0"],
+    ["oracle", "--samples", "1", "--at", "0.5,0.5"],
+    ["mesh", "--grid", "-1"],
+    ["envelope", "--grid", "-1"],
+    ["branch", "--grid", "-1"],
+    ["regions", "--lz", "0.1", "--uz", "0.5", "--grid", "-1"],
+], ids=lambda a: "-".join(a))
+def test_bad_counts_exit_2_with_one_error_line(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr

@@ -736,3 +736,40 @@ def test_envelope_grid_empty_axes():
                    (np.linspace(0.3, 1, 4), np.empty(0))):
         out = envelope_grid(d, xs, ys)
         assert [a.shape for a in out] == [(len(xs), len(ys))] * 3
+
+
+def test_scalar_and_array_branches_agree():
+    # float input goes through math, arrays and 0-d input through numpy;
+    # math.hypot and np.hypot may round one ulp apart
+    rng = np.random.default_rng(137)
+    bt = DEFAULT_TOLERANCE.boundary_tol
+    for raw in ALL_RAW:
+        d, _ = hull_from_raw(raw)
+        b = d.bounds
+        x, y, z = _points_near_hull(rng, d, 200)
+        inside = (x >= b.lx) & (x <= 1.0) & (y >= b.ly) & (y <= 1.0)
+        for piece in d.pieces:
+            c = piece.soc
+            res = c.residual(x, y, z)
+            norm = c.c[0] * x + c.c[1] * y + c.c[2] * z + c.d - res
+            app = piece.applicable(x, y, bt)
+            env_at = app & inside
+            env = c.envelope_z(x[env_at], y[env_at])
+            k = 0
+            for i, p in enumerate(zip(x.tolist(), y.tolist(), z.tolist())):
+                r = c.residual(*p)
+                assert type(r) is float
+                ulps = np.spacing(abs(norm[i])) + np.spacing(abs(res[i]))
+                assert abs(r - res[i]) <= ulps
+                assert c.residual(*map(np.array, p)) == res[i]
+                a = piece.applicable(p[0], p[1], bt)
+                assert type(a) is bool and a == app[i]
+                assert piece.applicable(np.array(p[0]), np.array(p[1]), bt) \
+                    == app[i]
+                if env_at[i]:
+                    for e in (c.envelope_z(p[0], p[1]),
+                              c.envelope_z(np.array(p[0]), np.array(p[1]))):
+                        assert type(e) is float
+                        assert abs(e - env[k]) <= np.spacing(abs(env[k]))
+                    k += 1
+            assert k == len(env)

@@ -1,0 +1,83 @@
+"""What importing the package loads: the scalar API and the scalar CLI
+commands run without numpy, and the lazily loaded names still resolve."""
+
+import subprocess
+import sys
+
+import pytest
+
+import bilinear_hull
+
+# each check runs in a fresh interpreter, the way one CLI call does, and
+# ends by writing whether numpy was loaded to stderr
+_CLI = """
+import runpy, sys
+sys.argv = ["bilinear-hull"] + %r
+try:
+    runpy.run_module("bilinear_hull", run_name="__main__")
+except SystemExit as e:
+    assert not e.code, e.code
+print("numpy" in sys.modules, file=sys.stderr)
+"""
+
+_SCALAR_API = """
+import sys
+import bilinear_hull as bh
+d, sc = bh.hull_from_raw(bh.RawBounds(0.14, 0.3, 0.1, 1.0, 1.0, 0.7))
+assert bh.membership(d, bh.Point3(0.5, 0.5, 0.3))
+assert bh.separate(d, bh.Point3(0.6, 0.6, 0.6)) is not None
+bh.lifted_tangent(d.bounds, 0.5, 0.5)
+print("numpy" in sys.modules, file=sys.stderr)
+"""
+
+# before any other access: dir() lists the lazy names, and a star import
+# resolves them (which loads numpy, through volume and oracle)
+_NAMES = """
+import sys
+import bilinear_hull as bh
+assert set(bh.__all__) <= set(dir(bh)), sorted(set(bh.__all__) - set(dir(bh)))
+ns = {}
+exec("from bilinear_hull import *", ns)
+assert set(ns) - {"__builtins__"} == set(bh.__all__)
+print("numpy" in sys.modules, file=sys.stderr)
+"""
+
+BOX = ["--lx", "0.14", "--ly", "0.3", "--lz", "0.1", "--uz", "0.7"]
+
+
+def _loads_numpy(code: str) -> bool:
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stderr.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    ["describe", *BOX],
+    ["describe", *BOX, "--format", "csv"],
+    ["check", *BOX, "--point", "0.6,0.6,0.5"],
+    ["separate", *BOX, "--point", "0.6,0.6,0.6"],
+    ["tangent", *BOX, "--at", "0.5,0.5"],
+    ["envelope", *BOX, "--at", "0.5,0.5"],
+], ids=["describe", "describe-csv", "check", "separate", "tangent",
+        "envelope-at"])
+def test_scalar_commands_do_not_import_numpy(argv):
+    assert not _loads_numpy(_CLI % argv)
+
+
+def test_grid_command_still_imports_numpy():
+    # the check above can fail: a command that uses arrays reports numpy
+    assert _loads_numpy(_CLI % ["mesh", *BOX, "--grid", "3"])
+
+
+def test_scalar_api_does_not_import_numpy():
+    assert not _loads_numpy(_SCALAR_API)
+
+
+def test_every_public_name_resolves():
+    assert _loads_numpy(_NAMES)
+    from bilinear_hull import oracle, volume
+    assert bilinear_hull.vol_mc is volume.vol_mc
+    assert bilinear_hull.sample_surface is oracle.sample_surface
+    with pytest.raises(AttributeError):
+        bilinear_hull.no_such_name
