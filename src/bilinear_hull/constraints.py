@@ -12,8 +12,8 @@ family here carries three interchangeable views:
     which the cone is tight.
 
 The helpers at the end turn a tangent segment into its lifted inequality;
-hull.lifted_tangent() reads the binding piece of a description and uses
-them to emit the supporting plane above a query point.
+hull.lifted_tangent() runs the binding piece's segment from its fan's
+anchor through the query point to the curve, and lifts it with them.
 """
 
 from __future__ import annotations

@@ -519,27 +519,17 @@ _FAMILY_RANK = {
 }
 
 
-def _soc_linearization(c: SocConstraint, p: Point3) -> LinearInequality:
-    # supporting plane of the cone at the dual direction through p
-    (a11, a12, a13), (a21, a22, a23) = c.A
-    r1 = a11 * p.x + a12 * p.y + a13 * p.z + c.b[0]
-    r2 = a21 * p.x + a22 * p.y + a23 * p.z + c.b[1]
-    nrm = math.hypot(r1, r2)
-    if nrm <= 0.0:
-        u1 = u2 = 0.0
-    else:
-        u1, u2 = r1 / nrm, r2 / nrm
-    return LinearInequality(c.d - u1 * c.b[0] - u2 * c.b[1],
-                            c.c[0] - u1 * a11 - u2 * a21,
-                            c.c[1] - u1 * a12 - u2 * a22,
-                            c.c[2] - u1 * a13 - u2 * a23,
-                            label="soc_support")
-
-
-def _touch(plane: LinearInequality, c: float) -> Point3:
-    # where the plane meets the curve xy = c at height z = c tangentially
-    return Point3(math.sqrt(c * plane.ay / plane.ax),
-                  math.sqrt(c * plane.ax / plane.ay), c)
+def _fan_anchor(b: NormalizedBounds, soc: SocConstraint) -> tuple[float, float]:
+    """The end that every segment of the cone's fan shares: a box corner,
+    the cone's lower corner (lx, ly), or the center cone's origin."""
+    fam = soc.family
+    if fam is TangentFamily.LOWER:
+        return 1.0, 1.0
+    if fam is TangentFamily.SIDE_X:
+        return 1.0, b.uz
+    if fam is TangentFamily.SIDE_Y:
+        return b.uz, 1.0
+    return soc.params.get("lx", 0.0), soc.params.get("ly", 0.0)
 
 
 def _tangent(d: HullDescription, x: float, y: float, tol: Tolerance
@@ -547,31 +537,39 @@ def _tangent(d: HullDescription, x: float, y: float, tol: Tolerance
     """Supporting plane of the concave envelope zmax above (x, y), with the
     surface segment along which it touches the hull.
 
-    The plane is the tangent of the binding piece's cone at (x, y, zmax).
-    Each segment end is where that plane touches xy = lz or xy = uz, or
-    the family's fixed anchor: the fan corner (1, 1), (1, uz) or (uz, 1)
-    above, the cone's lower corner below for the upper families.  Where a
-    linear row binds the plane is the upper RLT plane of the wedge.
+    The segment is the binding piece's fan segment through (x, y): from the
+    fan's anchor at z = uz down to xy = lz (lower and side fans), from the
+    anchor at z = lz up to xy = uz (upper fans), or along the origin's ray
+    between the curves (center fan).  A point just outside the predicate,
+    whose lines pass through the anchor, takes the segment along the line.
+    Where a linear row binds the plane is the upper RLT plane of the wedge.
     """
     b = d.bounds
-    zmax, piece = _binding(d, x, y, tol)
+    _, piece = _binding(d, x, y, tol)
     if piece is None:
         return _wedge(d, x, y)
     fam = piece.soc.family
-    plane = _soc_linearization(piece.soc, Point3(x, y, zmax))
-    if fam in _UPPER_FORM:
-        lower = Point3(piece.soc.params.get("lx", 0.0),
-                       piece.soc.params.get("ly", 0.0), b.lz)
+    ax, ay = _fan_anchor(b, piece.soc)
+    dx, dy = x - ax, y - ay
+    # toward the fan's curve along a predicate line (none has negative slope)
+    s = 1.0 if fam in _UPPER_FORM or fam is TangentFamily.CENTER else -1.0
+    for hp in piece.predicate:
+        if hp.ax * dx + hp.ay * dy < 0.0:
+            dx, dy = s * abs(hp.ay), s * abs(hp.ax)
+
+    def end(c: float) -> Point3:
+        # where the ray first meets xy = c: the root of dx*dy*t^2 + m*t + k,
+        # in the form that does not cancel
+        m, k = ax * dy + ay * dx, ax * ay - c
+        t = 2.0 * abs(k) / (abs(m) + math.sqrt(m * m - 4.0 * dx * dy * k))
+        return Point3(ax + t * dx, ay + t * dy, c)
+
+    if fam is TangentFamily.CENTER:
+        lower, upper = end(b.lz), end(b.uz)
+    elif fam in _UPPER_FORM:
+        lower, upper = Point3(ax, ay, b.lz), end(b.uz)
     else:
-        lower = _touch(plane, b.lz)
-    if fam is TangentFamily.LOWER:
-        upper = Point3(1.0, 1.0, b.uz)
-    elif fam is TangentFamily.SIDE_X:
-        upper = Point3(1.0, b.uz, b.uz)
-    elif fam is TangentFamily.SIDE_Y:
-        upper = Point3(b.uz, 1.0, b.uz)
-    else:
-        upper = _touch(plane, b.uz)
+        lower, upper = end(b.lz), Point3(ax, ay, b.uz)
     seg = TangentSegment(lower, upper, _projection_alpha(x, y, lower, upper), fam)
     return _segment_inequality(seg, b.lz, b.uz), seg
 
@@ -667,6 +665,7 @@ def separate(d: HullDescription, p: Point3,
         return row
 
     # a cone is the most violated constraint: cut with its tangent plane
+    # at a point nudged off the box edges, as the cut below divides by xq*yq
     width_x = (1.0 - b.lx) * 0.25
     width_y = (1.0 - b.ly) * 0.25
     nudge_x = min(max(tol.boundary_tol, 1e-12), width_x)

@@ -82,6 +82,15 @@ def test_separate_reports_example_cut():
     assert out["cut_raw"] == cut
 
 
+def test_separate_at_lower_cone_apex_is_symmetric():
+    # (1, 1) is the apex of the Lower cone; the box and the point are
+    # symmetric in x and y, and so is the cut
+    out = run_json("separate", "--lx", "0.5", "--ly", "0.3", "--lz", "0.3",
+                   "--point", "1,1,1.05")
+    cut = out["cut"]
+    assert cut["ax"] == cut["ay"] == 0.547722558  # sqrt(0.3)
+
+
 def test_tangent_command():
     out = run_json("tangent", "--uz", "0.4", "--at", "0.5,0.5")
     assert out["family"] == "UpperZero"

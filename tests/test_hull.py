@@ -30,7 +30,7 @@ from bilinear_hull import (
     tighten,
     worst_violation,
 )
-from bilinear_hull.hull import _BLOCK, _binding
+from bilinear_hull.hull import _BLOCK, _binding, _fan_anchor
 
 S1 = math.sqrt(0.1 * 0.7)   # inner threshold for lz=0.1, uz=0.7
 S2 = math.sqrt(0.1 / 0.7)   # outer threshold
@@ -562,6 +562,27 @@ def test_region_map_polylines():
     assert np.allclose(np.asarray(pl["frame_ly"])[:, 1], lz, atol=1e-15)
 
 
+def test_cut_next_to_a_side_fan_corner_stays_valid():
+    # Region B after tightening; (1, 0.75) is the SideX anchor (1, uz).
+    # separate takes the tangent 1e-12 inside the box, just outside the
+    # SideX wedge y <= uz*x: the segment must run along the wedge's edge
+    d, _ = hull_from_raw(RawBounds(0, 0, 0.5, 1, 1, 0.75))
+    b = d.bounds
+    g = np.linspace(b.lx, 1.0, 301)
+    x, y = (a.ravel() for a in np.meshgrid(g, g))
+    band = (b.lz <= x * y) & (x * y <= b.uz)
+    x, y = x[band], y[band]
+    p = Point3(1.0, 0.75, 0.75000001)
+    cut = separate(d, p)
+    assert cut is not None and evaluate(cut, p) < 0.0
+    assert float(np.min(cut.residual(x, y, x * y))) >= -1e-12
+    plane, seg = lifted_tangent(b, 1.0 - 1e-12, 0.75)
+    assert seg.family is TangentFamily.SIDE_X
+    lo = seg.lower
+    assert abs(lo.x * lo.y - b.lz) <= 1e-14 and abs(lo.y - b.uz * lo.x) <= 1e-14
+    assert float(np.min(plane.residual(x, y, x * y))) >= -1e-12
+
+
 # ------------------------------------------------- piece validity boundaries
 
 
@@ -596,6 +617,20 @@ def test_globally_valid_pieces_hold_everywhere():
             if pc.globally_valid:
                 r = pc.soc.residual(sx, sy, sx * sy)
                 assert float(np.min(r)) >= -1e-12
+
+
+def test_predicate_lines_pass_through_the_fan_anchor():
+    """Each piece's wedge has its apex at the anchor of the piece's fan and
+    edges of nonnegative slope, so a tangent query just outside the wedge
+    can be turned onto its edge, toward the fan's curve."""
+    for raw in ALL_RAW + [RawBounds(r.ly, r.lx, r.lz, r.uy, r.ux, r.uz)
+                          for r in ALL_RAW]:
+        d, _ = hull_from_raw(raw)
+        for pc in d.pieces:
+            ax, ay = _fan_anchor(d.bounds, pc.soc)
+            for hp in pc.predicate:
+                assert abs(hp.value(ax, ay)) <= 1e-15, (raw, pc.soc.family)
+                assert hp.ax * hp.ay <= 0.0, (raw, pc.soc.family)
 
 
 # ------------------------------------------------- blocked array kernels

@@ -26,6 +26,7 @@ from bilinear_hull import (
     separate,
     worst_violation,
 )
+from bilinear_hull.hull import _fan_anchor
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None,
@@ -157,6 +158,25 @@ def test_lifted_tangent_properties(b, queries):
         if cut.label == "lifted_tangent":
             p = seg.point_at(seg.alpha)
             assert abs(p.x - x) <= 1e-9 and abs(p.y - y) <= 1e-9
+
+
+@SETTINGS
+@given(b=any_bounds)
+def test_predicate_lines_pass_through_the_fan_anchor(b):
+    for pc in describe(b).pieces:
+        ax, ay = _fan_anchor(b, pc.soc)
+        for hp in pc.predicate:
+            assert abs(hp.value(ax, ay)) <= 1e-15
+            assert hp.ax * hp.ay <= 0.0
+
+
+@SETTINGS
+@given(b=any_bounds)
+def test_surface_points_are_members(b):
+    d = describe(b)
+    x, y, z = _surface_cloud(b, n=100)
+    assert membership_mask(d, x, y, z).all()
+    assert all(membership(d, Point3(*p)) for p in zip(x, y, z))
 
 
 edge = st.one_of(st.sampled_from([0.0, 1.0]), unit)
