@@ -33,12 +33,12 @@ from .errors import (
     SolverError,
 )
 from .geometry import (
-    DEFAULT_TOLERANCE,
+    BOUNDARY_TOL,
+    FEAS_TOL,
     NormalizedBounds,
     Point3,
     RawBounds,
     Scaling,
-    Tolerance,
     normalize,
     tighten,
     tighten_with_scaling,
@@ -91,14 +91,15 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
+    "BOUNDARY_TOL",
     "BilinearHullError",
     "BoundaryLine",
     "BranchBlock",
     "BranchReport",
     "CaseTag",
-    "DEFAULT_TOLERANCE",
     "DegenerateBounds",
     "ExtendedFormulation",
+    "FEAS_TOL",
     "HalfPlane",
     "HullDescription",
     "HullPiece",
@@ -119,7 +120,6 @@ __all__ = [
     "SurfaceSample",
     "TangentFamily",
     "TangentSegment",
-    "Tolerance",
     "classify",
     "describe",
     "disjunctive",

@@ -24,19 +24,11 @@ _MAX_TIGHTEN_PASSES = 10
 _NEAR_ONE = 1.0 - 4.0 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numeric tolerances used by feasibility checks and region tests."""
-
-    feas_tol: float = 1e-9
-    boundary_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (self.feas_tol > 0.0 and self.boundary_tol > 0.0):
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOLERANCE = Tolerance()
+# the hull is exact, so these are the only two numerical slacks: a
+# constraint residual down to -FEAS_TOL counts as met, and a point within
+# BOUNDARY_TOL of a threshold or a piece predicate counts as on it
+FEAS_TOL = 1e-9
+BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -140,12 +132,13 @@ class NormalizedBounds:
     def swapped(self) -> "NormalizedBounds":
         return NormalizedBounds(self.ly, self.lx, self.lz, self.uz)
 
-    def is_tightened(self, slack: float = 1e-12) -> bool:
-        """Whether the implied-bound conditions already hold."""
+    def is_tightened(self) -> bool:
+        """Whether the implied-bound conditions already hold, to BOUNDARY_TOL."""
         if self.lz <= 0.0:
             return True
-        return (self.lx >= self.lz - slack and self.ly >= self.lz - slack
-                and self.lx <= self.uz + slack and self.ly <= self.uz + slack)
+        bt = BOUNDARY_TOL
+        return (self.lx >= self.lz - bt and self.ly >= self.lz - bt
+                and self.lx <= self.uz + bt and self.ly <= self.uz + bt)
 
 
 def normalize(b: RawBounds) -> tuple[NormalizedBounds, Scaling]:

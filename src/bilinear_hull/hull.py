@@ -10,6 +10,11 @@ predicate a piece imposes nothing.  Only some pieces are valid over the
 whole box, so the predicates are part of the description, not an
 optimization.
 
+Two pinned tolerances from geometry are the only slack: a constraint
+residual down to -FEAS_TOL (1e-9) counts as met, and a point within
+BOUNDARY_TOL (1e-12) of a case threshold or a predicate line counts as on
+it, so a piece applies on both sides of its boundary.
+
 The scalar queries evaluate floats through math.  Only the array kernels
 (membership_mask, envelope_grid, region_map_polylines) and array input to
 the shared ones import numpy, so scalar use never loads it.
@@ -39,12 +44,12 @@ from .constraints import (
 )
 from .errors import DegenerateBounds, OutOfDomain
 from .geometry import (
-    DEFAULT_TOLERANCE,
+    BOUNDARY_TOL,
+    FEAS_TOL,
     NormalizedBounds,
     Point3,
     RawBounds,
     Scaling,
-    Tolerance,
     normalize,
     tighten_with_scaling,
 )
@@ -105,8 +110,9 @@ class HalfPlane:
     def value(self, x, y):
         return self.a0 + self.ax * x + self.ay * y
 
-    def holds(self, x, y, slack: float = 0.0):
-        return self.value(x, y) >= -slack
+    def holds(self, x, y):
+        """Whether (x, y) satisfies the half-plane to within BOUNDARY_TOL."""
+        return self.value(x, y) >= -BOUNDARY_TOL
 
     def mirrored(self) -> "HalfPlane":
         return HalfPlane(self.a0, self.ay, self.ax)
@@ -125,9 +131,6 @@ class BoundaryLine:
     intercept: float
     slope: float
 
-    def y_at(self, x):
-        return self.intercept + self.slope * x
-
 
 def dline(ly: float, lz: float, uz: float) -> BoundaryLine:
     den = uz * ly - lz
@@ -142,9 +145,10 @@ class HullPiece:
     soc: SocConstraint
     globally_valid: bool
 
-    def applicable(self, x, y, slack: float = 0.0):
-        """Whether (x, y) lies where the piece binds: a bool for scalar x,
-        else a boolean array of the broadcast shape."""
+    def applicable(self, x, y):
+        """Whether (x, y) lies where the piece binds, allowing BOUNDARY_TOL
+        outside each predicate line: a bool for scalar x, else a boolean
+        array of the broadcast shape."""
         if not self.predicate:
             if isinstance(x, (int, float)):
                 return True
@@ -152,9 +156,9 @@ class HullPiece:
             if np.ndim(x) == 0:
                 return True
             return np.ones(np.broadcast(x, y).shape, dtype=bool)
-        out = self.predicate[0].holds(x, y, slack)
+        out = self.predicate[0].holds(x, y)
         for hp in self.predicate[1:]:
-            out = out & hp.holds(x, y, slack)
+            out = out & hp.holds(x, y)
         return out
 
     def mirrored(self) -> "HullPiece":
@@ -223,7 +227,7 @@ def _classifiable(b: NormalizedBounds) -> None:
         raise OutOfDomain("bounds must be tightened (or have lx = ly = 0)")
 
 
-def classify(b: NormalizedBounds, tol: Tolerance = DEFAULT_TOLERANCE) -> CaseTag:
+def classify(b: NormalizedBounds) -> CaseTag:
     """Which of the structural cases the bounds fall into.
 
     Mirrored configurations report the canonical region with swapped=True.
@@ -242,7 +246,7 @@ def classify(b: NormalizedBounds, tol: Tolerance = DEFAULT_TOLERANCE) -> CaseTag
         return CaseTag(Region.BOTH_ZERO_LB)
     swapped = b.lx > b.ly
     bb = b.swapped() if swapped else b
-    bt = tol.boundary_tol
+    bt = BOUNDARY_TOL
     s_lo = math.sqrt(bb.lz * bb.uz)
     s_hi = math.sqrt(bb.lz / bb.uz)
     if bb.lx >= s_lo - bt:
@@ -300,14 +304,14 @@ def _pieces_region(bb: NormalizedBounds, region: Region) -> tuple[HullPiece, ...
     raise AssertionError(region)  # pragma: no cover
 
 
-def describe(b: NormalizedBounds, tol: Tolerance = DEFAULT_TOLERANCE) -> HullDescription:
+def describe(b: NormalizedBounds) -> HullDescription:
     """The exact hull description for tightened bounds.
 
     RLT planes are always emitted, even when some are redundant for the
     case at hand.  Pieces come in a fixed order per case so downstream
     piece indices are stable.
     """
-    case = classify(b, tol)
+    case = classify(b)
     planes = tuple(rlt(b))
     region = case.region
     if region is Region.NO_Z_BOUND:
@@ -327,12 +331,11 @@ def describe(b: NormalizedBounds, tol: Tolerance = DEFAULT_TOLERANCE) -> HullDes
                            zlo=b.lz, zhi=b.uz, pieces=pieces)
 
 
-def hull_from_raw(raw: RawBounds, tol: Tolerance = DEFAULT_TOLERANCE
-                  ) -> tuple[HullDescription, Scaling]:
+def hull_from_raw(raw: RawBounds) -> tuple[HullDescription, Scaling]:
     """normalize + tighten + describe; the scaling maps raw to final frame."""
     nb, sc1 = normalize(raw)
     tb, sc2 = tighten_with_scaling(nb)
-    return describe(tb, tol), sc2.compose(sc1)
+    return describe(tb), sc2.compose(sc1)
 
 
 def _worst_row(d: HullDescription, p: Point3) -> tuple[float, LinearInequality]:
@@ -350,14 +353,14 @@ def _worst_row(d: HullDescription, p: Point3) -> tuple[float, LinearInequality]:
     return float(res), row
 
 
-def _worst_piece(d: HullDescription, p: Point3, tol: Tolerance
+def _worst_piece(d: HullDescription, p: Point3
                  ) -> tuple[float, HullPiece | None]:
     """The smallest cone residual at p over the pieces that apply there and
     its piece, ties going to the lower family rank (center, side, corner
     cones), then the lower piece index; (inf, None) when none applies."""
     key, worst = (math.inf,), None
     for i, piece in enumerate(d.pieces):
-        if piece.applicable(p.x, p.y, tol.boundary_tol):
+        if piece.applicable(p.x, p.y):
             k = (float(piece.soc.residual(p.x, p.y, p.z)),
                  _FAMILY_RANK[piece.soc.family], i)
             if k < key:
@@ -365,16 +368,15 @@ def _worst_piece(d: HullDescription, p: Point3, tol: Tolerance
     return key[0], worst
 
 
-def membership(d: HullDescription, p: Point3,
-               tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Whether p lies in the described hull, within feas_tol.
+def membership(d: HullDescription, p: Point3) -> bool:
+    """Whether p lies in the described hull, within FEAS_TOL.
 
-    Points within boundary_tol of a predicate boundary are checked against
+    Points within BOUNDARY_TOL of a predicate boundary are checked against
     the pieces on both sides.  A point with a non-finite coordinate raises
     OutOfDomain.
     """
-    ft = tol.feas_tol
-    return _worst_row(d, p)[0] >= -ft and _worst_piece(d, p, tol)[0] >= -ft
+    return (_worst_row(d, p)[0] >= -FEAS_TOL
+            and _worst_piece(d, p)[0] >= -FEAS_TOL)
 
 
 def _row_values(q: LinearInequality, x, y, z):
@@ -391,8 +393,7 @@ def _row_values(q: LinearInequality, x, y, z):
     return out
 
 
-def membership_mask(d: HullDescription, x, y, z,
-                    tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
+def membership_mask(d: HullDescription, x, y, z) -> np.ndarray:
     """Vectorized membership over coordinate arrays of one broadcast shape.
 
     It reads the same rows and pieces with the same arithmetic as
@@ -403,7 +404,6 @@ def membership_mask(d: HullDescription, x, y, z,
     OutOfDomain.
     """
     import numpy as np
-    ft, bt = tol.feas_tol, tol.boundary_tol
     ops = tuple(np.asarray(v, dtype=float) for v in (x, y, z))
     out = np.empty(np.broadcast(*ops).shape, dtype=bool)
     with np.nditer(ops + (out,),
@@ -416,31 +416,30 @@ def membership_mask(d: HullDescription, x, y, z,
                 raise OutOfDomain("query points must have finite coordinates")
             ok[...] = True
             for q in d.rows:
-                ok &= _row_values(q, xb, yb, zb) >= -ft
+                ok &= _row_values(q, xb, yb, zb) >= -FEAS_TOL
             for piece in d.pieces:
-                idx = np.flatnonzero(ok & piece.applicable(xb, yb, bt))
+                idx = np.flatnonzero(ok & piece.applicable(xb, yb))
                 if idx.size:
                     res = piece.soc.residual(xb[idx], yb[idx], zb[idx])
-                    ok[idx[res < -ft]] = False
+                    ok[idx[res < -FEAS_TOL]] = False
     return out
 
 
-def envelopes(d: HullDescription, x: float, y: float,
-              tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[float, float]:
+def envelopes(d: HullDescription, x: float, y: float) -> tuple[float, float]:
     """(zmin, zmax) of the described set over the fixed (x, y).
 
     zmin can exceed zmax when (x, y) is outside the projection of the hull
     (the slice is then empty); points outside the box raise OutOfDomain.
     """
     b = d.bounds
-    ft = tol.feas_tol
+    ft = FEAS_TOL
     if not (b.lx - ft <= x <= 1.0 + ft and b.ly - ft <= y <= 1.0 + ft):
         raise OutOfDomain("point outside the box")
     zmin = max(x + y - 1.0, b.ly * x + b.lx * y - b.lx * b.ly, d.zlo)
-    return zmin, _binding(d, x, y, tol)[0]
+    return zmin, _binding(d, x, y)[0]
 
 
-def _binding(d: HullDescription, x: float, y: float, tol: Tolerance
+def _binding(d: HullDescription, x: float, y: float
              ) -> tuple[float, HullPiece | None]:
     """zmax at (x, y) and the piece attaining it; None when only a linear
     row (an upper RLT plane or z <= uz) attains it."""
@@ -448,15 +447,14 @@ def _binding(d: HullDescription, x: float, y: float, tol: Tolerance
     zmax = min(x + b.lx * y - b.lx, b.ly * x + y - b.ly, d.zhi)
     binding = None
     for piece in d.pieces:
-        if piece.applicable(x, y, tol.boundary_tol):
+        if piece.applicable(x, y):
             z = float(piece.soc.envelope_z(x, y))
             if z <= zmax:
                 zmax, binding = z, piece
     return zmax, binding
 
 
-def envelope_grid(d: HullDescription, xs: np.ndarray, ys: np.ndarray,
-                  tol: Tolerance = DEFAULT_TOLERANCE
+def envelope_grid(d: HullDescription, xs: np.ndarray, ys: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (zmin, zmax, piece_id) over the tensor grid xs x ys.
 
@@ -470,7 +468,6 @@ def envelope_grid(d: HullDescription, xs: np.ndarray, ys: np.ndarray,
     """
     import numpy as np
     b = d.bounds
-    bt = tol.boundary_tol
     x = np.clip(np.asarray(xs, dtype=float), b.lx, 1.0)[:, None]
     y = np.clip(np.asarray(ys, dtype=float), b.ly, 1.0)[None, :]
     shape = np.broadcast(x, y).shape
@@ -496,7 +493,7 @@ def envelope_grid(d: HullDescription, xs: np.ndarray, ys: np.ndarray,
                 best[win] = env[win]
                 pid[win] = i
                 continue
-            app = piece.applicable(xb, y, bt)
+            app = piece.applicable(xb, y)
             idx = np.flatnonzero(app)
             if idx.size:
                 env = piece.soc.envelope_z(np.broadcast_to(xb, app.shape)[app],
@@ -532,7 +529,7 @@ def _fan_anchor(b: NormalizedBounds, soc: SocConstraint) -> tuple[float, float]:
     return soc.params.get("lx", 0.0), soc.params.get("ly", 0.0)
 
 
-def _tangent(d: HullDescription, x: float, y: float, tol: Tolerance
+def _tangent(d: HullDescription, x: float, y: float
              ) -> tuple[LinearInequality, TangentSegment]:
     """Supporting plane of the concave envelope zmax above (x, y), with the
     surface segment along which it touches the hull.
@@ -545,7 +542,7 @@ def _tangent(d: HullDescription, x: float, y: float, tol: Tolerance
     Where a linear row binds the plane is the upper RLT plane of the wedge.
     """
     b = d.bounds
-    _, piece = _binding(d, x, y, tol)
+    _, piece = _binding(d, x, y)
     if piece is None:
         return _wedge(d, x, y)
     fam = piece.soc.family
@@ -602,8 +599,7 @@ def _wedge(d: HullDescription, x: float, y: float
                                 _projection_alpha(x, y, lower, upper), family)
 
 
-def lifted_tangent(b: NormalizedBounds, x: float, y: float,
-                   tol: Tolerance = DEFAULT_TOLERANCE
+def lifted_tangent(b: NormalizedBounds, x: float, y: float
                    ) -> tuple[LinearInequality, TangentSegment]:
     """Supporting plane of the hull above the interior point (x, y).
 
@@ -616,36 +612,32 @@ def lifted_tangent(b: NormalizedBounds, x: float, y: float,
     is an RLT plane; that plane is returned with the extreme fan segment it
     contains and alpha replaced by the clamped projection parameter.
     """
-    if not (b.is_tightened() or (b.lx == 0.0 and b.ly == 0.0)):
-        raise OutOfDomain("bounds must be tightened first")
     if not (b.lx < x < 1.0 and b.ly < y < 1.0):
         raise OutOfDomain("point is not strictly inside the box")
     if not b.lz < x * y < b.uz:
         raise OutOfDomain("need lz < x*y < uz")
     if b.lower_trivial and b.upper_trivial:
         raise OutOfDomain("both product bounds are trivial: hull is polyhedral")
-    return _tangent(describe(b, tol), x, y, tol)
+    return _tangent(describe(b), x, y)
 
 
-def worst_violation(d: HullDescription, p: Point3,
-                    tol: Tolerance = DEFAULT_TOLERANCE
+def worst_violation(d: HullDescription, p: Point3
                     ) -> tuple[float, dict | None]:
     """Smallest constraint residual at p and, when negative beyond
-    feas_tol, a short identification of the violated constraint.  A point
+    FEAS_TOL, a short identification of the violated constraint.  A point
     with a non-finite coordinate raises OutOfDomain.
     """
     row_res, row = _worst_row(d, p)
-    cone_res, piece = _worst_piece(d, p, tol)
+    cone_res, piece = _worst_piece(d, p)
     res = min(row_res, cone_res)
-    if res >= -tol.feas_tol:
+    if res >= -FEAS_TOL:
         return res, None
     if row_res <= cone_res:
         return res, {"kind": "linear", "label": row.label}
     return res, {"kind": "soc", "family": piece.soc.family.value}
 
 
-def separate(d: HullDescription, p: Point3,
-             tol: Tolerance = DEFAULT_TOLERANCE) -> LinearInequality | None:
+def separate(d: HullDescription, p: Point3) -> LinearInequality | None:
     """A valid inequality violated by p, or None when p is a member.
 
     Picks the most violated constraint; ties break toward RLT planes, then
@@ -658,8 +650,8 @@ def separate(d: HullDescription, p: Point3,
     b = d.bounds
     x, y, z = p.x, p.y, p.z
     row_res, row = _worst_row(d, p)
-    cone_res, _ = _worst_piece(d, p, tol)
-    if min(row_res, cone_res) >= -tol.feas_tol:
+    cone_res, _ = _worst_piece(d, p)
+    if min(row_res, cone_res) >= -FEAS_TOL:
         return None
     if row_res <= cone_res:
         return row
@@ -668,8 +660,8 @@ def separate(d: HullDescription, p: Point3,
     # at a point nudged off the box edges, as the cut below divides by xq*yq
     width_x = (1.0 - b.lx) * 0.25
     width_y = (1.0 - b.ly) * 0.25
-    nudge_x = min(max(tol.boundary_tol, 1e-12), width_x)
-    nudge_y = min(max(tol.boundary_tol, 1e-12), width_y)
+    nudge_x = min(BOUNDARY_TOL, width_x)
+    nudge_y = min(BOUNDARY_TOL, width_y)
     xq = min(max(x, b.lx + nudge_x), 1.0 - nudge_x)
     yq = min(max(y, b.ly + nudge_y), 1.0 - nudge_y)
     cut: LinearInequality | None = None
@@ -679,7 +671,7 @@ def separate(d: HullDescription, p: Point3,
         cut = LinearInequality(-2.0 * d.zlo, yq * s, xq * s, 0.0,
                                label="product_lower_tangent")
     elif xq * yq < d.zhi:
-        cut = _tangent(d, xq, yq, tol)[0]
+        cut = _tangent(d, xq, yq)[0]
     if cut is not None and float(cut.residual(x, y, z)) < 0.0:
         return cut
     return row
@@ -707,13 +699,14 @@ class BranchBlock:
         rhs = c.c[0] * x + c.c[1] * y + c.c[2] * z + c.d * lam
         return float(rhs - math.hypot(r1, r2))
 
-    def feasible(self, lam, x, y, z, tol: float = 1e-9) -> bool:
-        if lam < -tol:
+    def feasible(self, lam, x, y, z) -> bool:
+        """Whether (lam, x, y, z) meets the block to within FEAS_TOL."""
+        if lam < -FEAS_TOL:
             return False
         for q in self.rows:
-            if q.a0 * lam + q.ax * x + q.ay * y + q.az * z < -tol:
+            if q.a0 * lam + q.ax * x + q.ay * y + q.az * z < -FEAS_TOL:
                 return False
-        return self.soc_residual(lam, x, y, z) >= -tol
+        return self.soc_residual(lam, x, y, z) >= -FEAS_TOL
 
 
 @dataclass(frozen=True)

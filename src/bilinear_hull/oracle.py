@@ -22,6 +22,8 @@ from .geometry import NormalizedBounds, Point3
 
 _RC_TOL = 1e-11
 _PIVOT_TOL = 1e-11
+# the same value as geometry.FEAS_TOL, kept apart so the oracle shares
+# nothing with the closed forms it checks
 _FEAS_TOL = 1e-9
 _MAX_ITER = 20000
 _REFACTOR_EVERY = 16  # eta updates between two fresh basis inverses
@@ -259,16 +261,16 @@ class _Simplex:
             raise SolverError("simplex iteration limit hit")
         return self._vertex(basis, rhs, signs)
 
-    def phase1(self, rhs: np.ndarray, tol: float = _FEAS_TOL) -> _Vertex:
-        """A basis whose solution meets A w = rhs within `tol`; it may still
-        hold artificials at (near) zero.  Raises Infeasible when the
-        phase-1 optimum, the least total artificial, exceeds `tol`.
+    def phase1(self, rhs: np.ndarray) -> _Vertex:
+        """A basis whose solution meets A w = rhs within _FEAS_TOL; it may
+        still hold artificials at (near) zero.  Raises Infeasible when the
+        phase-1 optimum, the least total artificial, exceeds _FEAS_TOL.
         """
         m, n = self.m, self.n
         signs = np.where(rhs < 0.0, -1.0, 1.0)
         start = _Vertex(list(range(n, n + m)), np.diag(signs), np.abs(rhs))
-        v = self._iterate(rhs, self._zero, start, signs, good_enough=tol)
-        if sum(x for j, x in zip(v.basis, v.xb.tolist()) if j >= n) > tol:
+        v = self._iterate(rhs, self._zero, start, signs, good_enough=_FEAS_TOL)
+        if sum(x for j, x in zip(v.basis, v.xb.tolist()) if j >= n) > _FEAS_TOL:
             raise Infeasible("point outside the sampled hull")
         return v
 
@@ -355,16 +357,17 @@ def oracle_envelope_many(s: SurfaceSample, xs: np.ndarray, ys: np.ndarray
     return out
 
 
-def oracle_membership(s: SurfaceSample, p: Point3, tol: float = _FEAS_TOL) -> bool:
+def oracle_membership(s: SurfaceSample, p: Point3) -> bool:
     """Whether p is a convex combination of the surface samples.
 
     False only when phase 1 certifies that no combination comes within
-    `tol` (total artificial) of p; a solver breakdown raises SolverError.
+    _FEAS_TOL (total artificial) of p; a solver breakdown raises
+    SolverError.
     """
     a = np.vstack([s.x, s.y, s.z, np.ones_like(s.x)])
     rhs = np.array([p.x, p.y, p.z, 1.0])
     try:
-        _Simplex(a).phase1(rhs, tol)
+        _Simplex(a).phase1(rhs)
     except Infeasible:
         return False
     return True

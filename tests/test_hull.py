@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bilinear_hull import (
-    DEFAULT_TOLERANCE,
+    BOUNDARY_TOL,
     DegenerateBounds,
     NormalizedBounds,
     OutOfDomain,
@@ -480,7 +480,7 @@ def test_block_at_unit_weight_matches_membership():
         z = x * y
         # the surface point is feasible in the block whose region holds it
         feas = [blk.feasible(1.0, x, y, z) for blk in ef.blocks]
-        applic = [pc.applicable(x, y, 1e-12) for pc in d.pieces]
+        applic = [pc.applicable(x, y) for pc in d.pieces]
         for f, a in zip(feas, applic):
             if a:
                 assert f
@@ -633,6 +633,45 @@ def test_predicate_lines_pass_through_the_fan_anchor():
                 assert hp.ax * hp.ay <= 0.0, (raw, pc.soc.family)
 
 
+def test_pieces_apply_within_the_pinned_boundary_slack():
+    """applicable() allows BOUNDARY_TOL outside each predicate line and no
+    more, for float, 0-d and array input."""
+    checked = 0
+    for raw in ALL_RAW + [RawBounds(r.ly, r.lx, r.lz, r.uy, r.ux, r.uz)
+                          for r in ALL_RAW]:
+        d, _ = hull_from_raw(raw)
+        b = d.bounds
+        for pc in d.pieces:
+            ax, ay = _fan_anchor(b, pc.soc)
+            for hp in pc.predicate:
+                # a point on the line, inside the box and well inside the
+                # piece's other predicate lines
+                others = [q for q in pc.predicate if q is not hp]
+                on = [(ax - t * hp.ay, ay + t * hp.ax)
+                      for t in np.linspace(-2.0, 2.0, 81).tolist()]
+                on = [(x, y) for x, y in on
+                      if b.lx < x < 1.0 and b.ly < y < 1.0
+                      and all(q.value(x, y) > 1e-3 for q in others)]
+                x0, y0 = on[len(on) // 2]
+                n2 = hp.ax * hp.ax + hp.ay * hp.ay
+                pts = []
+                for k in (0.5, 2.0):
+                    s = (-k * BOUNDARY_TOL - hp.value(x0, y0)) / n2
+                    x, y = x0 + s * hp.ax, y0 + s * hp.ay
+                    assert abs(hp.value(x, y) + k * BOUNDARY_TOL) \
+                        <= 0.1 * BOUNDARY_TOL
+                    pts.append((x, y))
+                (xi, yi), (xo, yo) = pts
+                assert pc.applicable(xi, yi) is True
+                assert pc.applicable(xo, yo) is False
+                assert pc.applicable(np.array(xi), np.array(yi))
+                assert not pc.applicable(np.array(xo), np.array(yo))
+                got = pc.applicable(np.array([xi, xo]), np.array([yi, yo]))
+                assert got.tolist() == [True, False]
+                checked += 1
+    assert checked >= 20
+
+
 # ------------------------------------------------- blocked array kernels
 
 BLOCK_SIZES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
@@ -712,14 +751,13 @@ def _on_predicate_lines(d, xs):
 def _assert_grid_matches_scalar(d, xs, ys):
     """envelope_grid against envelopes/_binding node by node; returns the
     grid and the number of nodes where pieces tie."""
-    tol = DEFAULT_TOLERANCE
     zmin, zmax, pid = envelope_grid(d, xs, ys)
     assert zmin.shape == zmax.shape == pid.shape == (len(xs), len(ys))
     ties = 0
     for i, x in enumerate(xs.tolist()):
         for j, y in enumerate(ys.tolist()):
             lo, hi = envelopes(d, x, y)
-            top, piece = _binding(d, x, y, tol)
+            top, piece = _binding(d, x, y)
             assert abs(zmin[i, j] - lo) <= 1e-14
             assert abs(zmax[i, j] - hi) <= 1e-14
             if piece is None:
@@ -727,7 +765,7 @@ def _assert_grid_matches_scalar(d, xs, ys):
                 continue
             # _binding keeps the last of tied pieces, the grid the first
             tied = [k for k, pc in enumerate(d.pieces)
-                    if pc.applicable(x, y, tol.boundary_tol)
+                    if pc.applicable(x, y)
                     and float(pc.soc.envelope_z(x, y)) == top]
             assert pid[i, j] == tied[0]
             ties += len(tied) > 1
@@ -777,7 +815,6 @@ def test_scalar_and_array_branches_agree():
     # float input goes through math, arrays and 0-d input through numpy;
     # math.hypot and np.hypot may round one ulp apart
     rng = np.random.default_rng(137)
-    bt = DEFAULT_TOLERANCE.boundary_tol
     for raw in ALL_RAW:
         d, _ = hull_from_raw(raw)
         b = d.bounds
@@ -787,7 +824,7 @@ def test_scalar_and_array_branches_agree():
             c = piece.soc
             res = c.residual(x, y, z)
             norm = c.c[0] * x + c.c[1] * y + c.c[2] * z + c.d - res
-            app = piece.applicable(x, y, bt)
+            app = piece.applicable(x, y)
             env_at = app & inside
             env = c.envelope_z(x[env_at], y[env_at])
             k = 0
@@ -797,9 +834,9 @@ def test_scalar_and_array_branches_agree():
                 ulps = np.spacing(abs(norm[i])) + np.spacing(abs(res[i]))
                 assert abs(r - res[i]) <= ulps
                 assert c.residual(*map(np.array, p)) == res[i]
-                a = piece.applicable(p[0], p[1], bt)
+                a = piece.applicable(p[0], p[1])
                 assert type(a) is bool and a == app[i]
-                assert piece.applicable(np.array(p[0]), np.array(p[1]), bt) \
+                assert piece.applicable(np.array(p[0]), np.array(p[1])) \
                     == app[i]
                 if env_at[i]:
                     for e in (c.envelope_z(p[0], p[1]),

@@ -1,6 +1,8 @@
 """What importing the package loads: the scalar API and the scalar CLI
-commands run without numpy, and the lazily loaded names still resolve."""
+commands run without numpy, the lazily loaded names still resolve, and
+the public names take no tolerance argument."""
 
+import inspect
 import subprocess
 import sys
 
@@ -81,3 +83,26 @@ def test_every_public_name_resolves():
     assert bilinear_hull.sample_surface is oracle.sample_surface
     with pytest.raises(AttributeError):
         bilinear_hull.no_such_name
+
+
+def test_tolerances_are_pinned_constants():
+    # the hull is exact: two fixed slacks, and no call takes another
+    assert bilinear_hull.FEAS_TOL == 1e-9
+    assert bilinear_hull.BOUNDARY_TOL == 1e-12
+    found = []
+    for name in bilinear_hull.__all__:
+        obj = getattr(bilinear_hull, name)
+        if not callable(obj):
+            continue
+        calls = [(name, obj)]
+        if inspect.isclass(obj):
+            calls += [("%s.%s" % (name, attr), fn)
+                      for attr, fn in vars(obj).items()
+                      if not attr.startswith("_") and callable(fn)]
+        for label, fn in calls:
+            try:
+                params = inspect.signature(fn).parameters
+            except (TypeError, ValueError):  # builtins without a signature
+                continue
+            found += [(label, p) for p in params if p in ("tol", "slack")]
+    assert not found, found

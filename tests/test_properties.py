@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bilinear_hull import (
-    DEFAULT_TOLERANCE,
+    FEAS_TOL,
     NormalizedBounds,
     Point3,
     RawBounds,
@@ -182,9 +182,9 @@ def test_surface_points_are_members(b):
 edge = st.one_of(st.sampled_from([0.0, 1.0]), unit)
 # None: z anywhere in a band around [zlo, zhi]; else this far above zmax
 lift = st.sampled_from([None, None, 1e-10, 1e-8, 1e-6, 1e-3])
-# coordinate shifts by feas_tol: they put a point drawn on a box face or a
+# coordinate shifts by FEAS_TOL: they put a point drawn on a box face or a
 # z bound exactly at the membership threshold
-FT = DEFAULT_TOLERANCE.feas_tol
+FT = FEAS_TOL
 shift = st.sampled_from([0.0, 0.0, FT, -FT])
 
 
