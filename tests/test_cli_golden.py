@@ -3,7 +3,9 @@
 test_output_is_byte_stable only compares one run with the next; this file
 compares every run with bytes recorded once, so a refactor that changes
 what the CLI prints fails here.  Three boxes: upper-only, Region B, and a
-Region D box mirrored (lx > ly) with a non-unit raw scaling.
+Region D box mirrored (lx > ly) with a non-unit raw scaling.  Every
+command is recorded, in JSON and in CSV, including the flat key,value CSV
+of the non-tabular commands; branch, which takes no box, once in each.
 
 Regenerate (only when an output change is intended) with
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -49,6 +51,17 @@ def _commands():
         yield name, ["mesh", *box, "--grid", "3"]
         yield name, ["regions", *box, "--grid", "5"]
         yield name, ["volume", *box, "--method", "closed"]
+    # appended after the first 48 records so their order stays as recorded
+    for name, (box, at1, _, cone_pt, _) in BOXES.items():
+        yield name, ["check", *box, "--point", cone_pt, "--format", "csv"]
+        yield name, ["regions", *box, "--grid", "5", "--format", "csv"]
+        yield name, ["volume", *box, "--method", "numeric", "--grid", "16"]
+        yield name, ["volume", *box, "--method", "mc", "--samples", "4096",
+                     "--seed", "3"]
+        yield name, ["oracle", *box, "--at", at1, "--samples", "15"]
+        yield name, ["oracle", *box, "--point", cone_pt, "--samples", "15"]
+    yield None, ["branch", "--grid", "5"]
+    yield None, ["branch", "--grid", "5", "--format", "csv"]
 
 
 def _run(argv):
