@@ -1,18 +1,29 @@
 """Command line front end.
 
-Every command accepts raw box bounds, normalizes and tightens them, and
-reports both the raw and the working (normalized) frames in its output
-header.  Floats are printed through one %.9g formatter so repeated runs
-are byte-identical; tabular commands switch to CSV with --format csv.
+Every command but `branch` takes raw box bounds.  `main` builds the hull
+description from them once, starts the output record with a header that
+reports both the raw and the working (normalized) frames, and hands the
+record to the command, which adds its own fields.  The record is then
+rendered once, in one of three forms:
 
-Exit codes: 0 ok, 1 package error, 2 bad arguments, 3 infeasible bounds.
+- JSON (the default);
+- with --format csv, a tabular command (the `envelope` grid, `mesh`,
+  `regions`, `branch`) prints its table under two `#` lines that carry
+  the header;
+- with --format csv, any other command prints the record as flat
+  `key,value` lines.
+
+Floats are printed through one %.9g formatter, so repeated runs are
+byte-identical.
+
+Exit codes: 0 ok, 1 package error, 2 bad arguments or an --out file that
+cannot be written, 3 infeasible bounds.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import numbers
 import sys
 
 from .errors import BilinearHullError, Infeasible, InfeasibleBounds
@@ -39,18 +50,6 @@ def _g(v) -> str:
     return "%.9g" % v
 
 
-def _builtin(obj):
-    """obj, with numpy's integer and float scalars as int and float.
-
-    numpy registers its scalar types with the numbers ABCs, so they are
-    recognised without importing numpy; the builtin types are tested first
-    because an ABC test costs several times as much.
-    """
-    if isinstance(obj, (int, float, str)) or not isinstance(obj, numbers.Real):
-        return obj
-    return int(obj) if isinstance(obj, numbers.Integral) else float(obj)
-
-
 def _json(obj) -> str:
     """Deterministic JSON: insertion order kept, floats through %.9g."""
     if isinstance(obj, dict):
@@ -62,14 +61,10 @@ def _json(obj) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    obj = _builtin(obj)
     if isinstance(obj, int):
-        return str(int(obj))
+        return str(obj)
     if isinstance(obj, float):
-        f = float(obj)
-        if f != f:
-            return "null"
-        return _g(f)
+        return "null" if obj != obj else _g(obj)
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
@@ -85,13 +80,12 @@ def _flat_csv(obj, prefix="", rows=None) -> list[str]:
             _flat_csv(v, prefix + str(i) + ".", rows)
         return rows
     key = prefix[:-1]
-    obj = _builtin(obj)
     if isinstance(obj, bool):
         rows.append("%s,%s" % (key, "true" if obj else "false"))
     elif obj is None:
         rows.append("%s," % key)
     elif isinstance(obj, int):
-        rows.append("%s,%d" % (key, int(obj)))
+        rows.append("%s,%d" % (key, obj))
     elif isinstance(obj, float):
         rows.append("%s,%s" % (key, _g(obj)))
     else:
@@ -99,28 +93,35 @@ def _flat_csv(obj, prefix="", rows=None) -> list[str]:
     return rows
 
 
-def _point(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected x,y,z")
-    try:
-        return tuple(float(t) for t in parts)  # type: ignore[return-value]
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e))
+def _text(fmt: str, out: dict, table) -> str:
+    """The record `out` as JSON, or as CSV: the command's table lines under
+    the header's two `#` lines (a command without a box has none), or else
+    the flat key,value lines."""
+    if fmt == "json":
+        return _json(out) + "\n"
+    if table is None:
+        return "\n".join(_flat_csv(out)) + "\n"
+    head = []
+    if "raw_bounds" in out:
+        def fields(name):
+            return name + "".join(" %s=%s" % (k, _g(v))
+                                  for k, v in out[name].items())
+        head = ["# " + fields("raw_bounds"),
+                "# %s %s" % (fields("bounds"), fields("scaling"))]
+    return "\n".join([*head, *table]) + "\n"
 
 
-def _pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected x,y")
-    try:
-        return tuple(float(t) for t in parts)  # type: ignore[return-value]
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e))
-
-
-def _raw_bounds(args) -> RawBounds:
-    return RawBounds(args.lx, args.ly, args.lz, args.ux, args.uy, args.uz)
+def _floats(n: int, name: str):
+    """An argparse type for n comma-separated floats, spelled `name`."""
+    def parse(text: str) -> tuple[float, ...]:
+        parts = text.split(",")
+        if len(parts) != n:
+            raise argparse.ArgumentTypeError("expected " + name)
+        try:
+            return tuple(float(t) for t in parts)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e))
+    return parse
 
 
 def _header(raw: RawBounds, d, sc) -> dict:
@@ -133,90 +134,62 @@ def _header(raw: RawBounds, d, sc) -> dict:
     }
 
 
-def _header_csv_lines(raw: RawBounds, d, sc) -> list[str]:
-    return [
-        "# raw_bounds lx=%s ly=%s lz=%s ux=%s uy=%s uz=%s"
-        % tuple(_g(v) for v in (raw.lx, raw.ly, raw.lz, raw.ux, raw.uy, raw.uz)),
-        "# bounds lx=%s ly=%s lz=%s uz=%s scaling sx=%s sy=%s"
-        % tuple(_g(v) for v in (d.bounds.lx, d.bounds.ly, d.bounds.lz,
-                                d.bounds.uz, sc.sx, sc.sy)),
-    ]
+def _csv_table(out: dict):
+    """The column line, then one line per row of the record; lazily, as
+    only --format csv reads them."""
+    yield ",".join(out["columns"])
+    for row in out["rows"]:
+        yield ",".join(map(_g, row))
 
 
-def _render(args, obj, csv_lines=None) -> str:
-    if args.format == "csv":
-        if csv_lines is not None:
-            return "\n".join(csv_lines) + "\n"
-        return "\n".join(_flat_csv(obj)) + "\n"
-    return _json(obj) + "\n"
-
-
-def _cmd_describe(args) -> str:
-    raw = _raw_bounds(args)
-    d, sc = hull_from_raw(raw)
-    out = _header(raw, d, sc)
+def _cmd_describe(args, d, sc, out):
     body = d.to_dict()
     del body["bounds"]  # already in the header
     out.update(body)
-    return _render(args, out)
 
 
-def _cmd_check(args) -> str:
-    raw = _raw_bounds(args)
-    d, sc = hull_from_raw(raw)
+def _cmd_check(args, d, sc, out):
     p = sc.to_normalized(Point3(*args.point))
     res, violated = worst_violation(d, p)
-    out = _header(raw, d, sc)
     out.update({
-        "point": {"x": args.point[0], "y": args.point[1], "z": args.point[2]},
+        "point": dict(zip("xyz", args.point)),
         "member": membership(d, p),
         "worst_residual": res,
         "violated": violated,
     })
-    return _render(args, out)
 
 
-def _cmd_separate(args) -> str:
-    raw = _raw_bounds(args)
-    d, sc = hull_from_raw(raw)
+def _cmd_separate(args, d, sc, out):
     p = sc.to_normalized(Point3(*args.point))
     cut = separate(d, p)
-    out = _header(raw, d, sc)
-    out["point"] = {"x": args.point[0], "y": args.point[1], "z": args.point[2]}
-    if cut is None:
-        out["inside"] = True
-        out["cut"] = None
-    else:
-        out["inside"] = False
+    out["point"] = dict(zip("xyz", args.point))
+    out["inside"] = cut is None
+    out["cut"] = None
+    if cut is not None:
         out["cut"] = cut.to_dict()
         out["cut_raw"] = sc.inequality_to_raw(cut).to_dict()
         out["violation"] = -float(cut.residual(p.x, p.y, p.z))
-    return _render(args, out)
 
 
-def _cmd_envelope(args) -> str:
-    raw = _raw_bounds(args)
-    d, sc = hull_from_raw(raw)
-    if args.at is not None:
-        sz = sc.sz
-        xn, yn = args.at[0] / sc.sx, args.at[1] / sc.sy
-        zmin, zmax = envelopes(d, xn, yn)
-        out = _header(raw, d, sc)
-        out.update({
-            "at": {"x": args.at[0], "y": args.at[1]},
-            "normalized": {"x": xn, "y": yn, "zmin": zmin, "zmax": zmax},
-            "zmin": zmin * sz,
-            "zmax": zmax * sz,
-        })
-        return _render(args, out)
-    return _grid_table(args, raw, d, sc, with_piece_id=False)
+def _cmd_envelope(args, d, sc, out):
+    if args.at is None:
+        return _grid_table(args, d, sc, out)
+    xn, yn = args.at[0] / sc.sx, args.at[1] / sc.sy
+    zmin, zmax = envelopes(d, xn, yn)
+    out.update({
+        "at": dict(zip("xy", args.at)),
+        "normalized": {"x": xn, "y": yn, "zmin": zmin, "zmax": zmax},
+        "zmin": zmin * sc.sz,
+        "zmax": zmax * sc.sz,
+    })
 
 
-def _grid_table(args, raw: RawBounds, d, sc, with_piece_id: bool) -> str:
+def _grid_table(args, d, sc, out):
     """The envelopes on an args.grid x args.grid tensor grid over the box,
-    in the raw frame, with the id of the binding piece if asked for."""
+    in the raw frame; `mesh` adds the id of the binding piece."""
     import numpy as np
     n = args.grid
+    with_piece_id = args.command == "mesh"
     xs = np.linspace(d.bounds.lx, 1.0, n)
     ys = np.linspace(d.bounds.ly, 1.0, n)
     zmin, zmax, pid = envelope_grid(d, xs, ys)
@@ -225,59 +198,38 @@ def _grid_table(args, raw: RawBounds, d, sc, with_piece_id: bool) -> str:
     rx, ry = (xs * sc.sx).tolist(), (ys * sc.sy).tolist()
     lo, hi = (zmin * sc.sz).tolist(), (zmax * sc.sz).tolist()
     ids = pid.tolist()
-    columns = ["x", "y", "zmin", "zmax"]
+    out["columns"] = ["x", "y", "zmin", "zmax"]
     if with_piece_id:
-        columns.append("piece_id")
-    rows = []
+        out["columns"].append("piece_id")
+    rows = out["rows"] = []
     for i in range(n):
         for j in range(n):
             row = [rx[i], ry[j], lo[i][j], hi[i][j]]
             if with_piece_id:
                 row.append(ids[i][j])
             rows.append(row)
-    out = _header(raw, d, sc)
-    out["columns"] = columns
-    out["rows"] = rows
-    lines = None
-    if args.format == "csv":
-        lines = _header_csv_lines(raw, d, sc) + [",".join(columns)]
-        lines += [",".join(map(_g, row)) for row in rows]
-    return _render(args, out, csv_lines=lines)
+    return _csv_table(out)
 
 
-def _cmd_tangent(args) -> str:
-    raw = _raw_bounds(args)
-    d, sc = hull_from_raw(raw)
+def _cmd_tangent(args, d, sc, out):
     xn, yn = args.at[0] / sc.sx, args.at[1] / sc.sy
     ineq, seg = lifted_tangent(d.bounds, xn, yn)
-    sz = sc.sz
-    out = _header(raw, d, sc)
     out.update({
-        "at": {"x": args.at[0], "y": args.at[1]},
+        "at": dict(zip("xy", args.at)),
         "family": seg.family.value,
         "alpha": seg.alpha,
         "inequality": ineq.to_dict(),
         "inequality_raw": sc.inequality_to_raw(ineq).to_dict(),
-        "segment": {
-            "lower": [seg.lower.x, seg.lower.y, seg.lower.z],
-            "upper": [seg.upper.x, seg.upper.y, seg.upper.z],
-        },
-        "segment_raw": {
-            "lower": [seg.lower.x * sc.sx, seg.lower.y * sc.sy,
-                      seg.lower.z * sz],
-            "upper": [seg.upper.x * sc.sx, seg.upper.y * sc.sy,
-                      seg.upper.z * sz],
-        },
+        "segment": {"lower": seg.lower.astuple(),
+                    "upper": seg.upper.astuple()},
+        "segment_raw": {"lower": sc.to_raw(seg.lower).astuple(),
+                        "upper": sc.to_raw(seg.upper).astuple()},
     })
-    return _render(args, out)
 
 
-def _cmd_volume(args) -> str:
+def _cmd_volume(args, d, sc, out):
     from .volume import vol_closed, vol_mc, vol_numeric
-    raw = _raw_bounds(args)
-    d, sc = hull_from_raw(raw)
     scale = (sc.sx * sc.sy) ** 2  # dx dy dz picks up sx*sy*sz
-    out = _header(raw, d, sc)
     out["method"] = args.method
     if args.method == "closed":
         v = vol_closed(d)
@@ -292,66 +244,44 @@ def _cmd_volume(args) -> str:
         out.update({"volume": v, "halfwidth_3sigma": half,
                     "volume_raw": v * scale, "samples": args.samples,
                     "seed": args.seed})
-    return _render(args, out)
 
 
-def _cmd_branch(args) -> str:
+def _cmd_branch(args, d, sc, out):
     import numpy as np
     from .volume import optimal_branch
     rep = optimal_branch(np.linspace(0.01, 0.99, args.grid))
-    header = ["b,upper_ratio,lower_ratio,total_ratio"]
-    lines = header + [
-        ",".join(_g(v) for v in row)
-        for row in zip(rep.grid, rep.upper_ratio, rep.lower_ratio,
-                       rep.total_ratio)
-    ]
-    out = {
+    out.update({
         "b_star": rep.b_star,
         "sum_ratio": rep.sum_ratio,
         "reduction_percent": 100.0 * (1.0 - rep.sum_ratio),
         "columns": ["b", "upper_ratio", "lower_ratio", "total_ratio"],
-        "rows": [[float(a), float(b), float(c), float(t)]
-                 for a, b, c, t in zip(rep.grid, rep.upper_ratio,
-                                       rep.lower_ratio, rep.total_ratio)],
-    }
-    return _render(args, out, csv_lines=lines)
+        "rows": np.column_stack((rep.grid, rep.upper_ratio, rep.lower_ratio,
+                                 rep.total_ratio)).tolist(),
+    })
+    return _csv_table(out)
 
 
-def _cmd_regions(args) -> str:
-    raw = _raw_bounds(args)
-    d, sc = hull_from_raw(raw)
+def _cmd_regions(args, d, sc, out) -> list[str]:
     b = d.bounds
-    letter = d.case.letter
-    out = _header(raw, d, sc)
     out["case"] = d.case.to_dict()
     polys = {}
-    csv_lines = _header_csv_lines(raw, d, sc) + ["polyline,x,y"]
     if not (b.lower_trivial or b.upper_trivial):
-        for name, arr in region_map_polylines(b.lz, b.uz, args.grid).items():
-            polys[name] = [[float(v) for v in row] for row in arr]
-            for row in arr:
-                csv_lines.append("%s,%s,%s" % (name, _g(row[0]), _g(row[1])))
-    out["letter"] = letter
+        polys = {name: arr.tolist() for name, arr
+                 in region_map_polylines(b.lz, b.uz, args.grid).items()}
+    out["letter"] = d.case.letter
     out["thresholds"] = {
         "s_lo": math.sqrt(b.lz * b.uz) if b.lz > 0 else None,
         "s_hi": math.sqrt(b.lz / b.uz) if b.lz > 0 else None,
     }
     out["polylines"] = polys
-    return _render(args, out, csv_lines=csv_lines)
+    return ["polyline,x,y"] + ["%s,%s,%s" % (name, _g(x), _g(y))
+                               for name, pts in polys.items()
+                               for x, y in pts]
 
 
-def _cmd_mesh(args) -> str:
-    raw = _raw_bounds(args)
-    d, sc = hull_from_raw(raw)
-    return _grid_table(args, raw, d, sc, with_piece_id=True)
-
-
-def _cmd_oracle(args) -> str:
+def _cmd_oracle(args, d, sc, out):
     from .oracle import oracle_envelope, oracle_membership, sample_surface
-    raw = _raw_bounds(args)
-    d, sc = hull_from_raw(raw)
     s = sample_surface(d.bounds, args.samples)
-    out = _header(raw, d, sc)
     out["samples"] = len(s)
     if args.at is not None:
         xn, yn = args.at[0] / sc.sx, args.at[1] / sc.sy
@@ -361,7 +291,7 @@ def _cmd_oracle(args) -> str:
         except Infeasible:
             oz = None
         out.update({
-            "at": {"x": args.at[0], "y": args.at[1]},
+            "at": dict(zip("xy", args.at)),
             "analytic_zmax": zmax,
             "oracle_zmax": oz,
             "gap": None if oz is None else zmax - oz,
@@ -369,23 +299,10 @@ def _cmd_oracle(args) -> str:
     else:
         p = sc.to_normalized(Point3(*args.point))
         out.update({
-            "point": {"x": args.point[0], "y": args.point[1],
-                      "z": args.point[2]},
+            "point": dict(zip("xyz", args.point)),
             "analytic_member": membership(d, p),
             "oracle_member": oracle_membership(s, p),
         })
-    return _render(args, out)
-
-
-def _add_common(sub) -> None:
-    sub.add_argument("--lx", type=float, default=0.0)
-    sub.add_argument("--ly", type=float, default=0.0)
-    sub.add_argument("--lz", type=float, default=0.0)
-    sub.add_argument("--ux", type=float, default=1.0)
-    sub.add_argument("--uy", type=float, default=1.0)
-    sub.add_argument("--uz", type=float, default=1.0)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None, help="write output to a file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,72 +311,68 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convex hull of a bounded bilinear product term.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("describe", help="piecewise hull description")
-    _add_common(p)
-    p.set_defaults(func=_cmd_describe)
+    def command(name, func, help, box=True):
+        """A subcommand with the box flags (unless `box` is false) and the
+        output flags."""
+        p = subs.add_parser(name, help=help)
+        if box:
+            for flag, default in (("--lx", 0.0), ("--ly", 0.0), ("--lz", 0.0),
+                                  ("--ux", 1.0), ("--uy", 1.0), ("--uz", 1.0)):
+                p.add_argument(flag, type=float, default=default)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", default=None, help="write output to a file")
+        p.set_defaults(func=func)
+        return p
 
-    p = subs.add_parser("check", help="membership test for a point")
-    _add_common(p)
-    p.add_argument("--point", type=_point, required=True)
-    p.set_defaults(func=_cmd_check)
+    point, pair = _floats(3, "x,y,z"), _floats(2, "x,y")
 
-    p = subs.add_parser("separate", help="violated valid inequality, if any")
-    _add_common(p)
-    p.add_argument("--point", type=_point, required=True)
-    p.set_defaults(func=_cmd_separate)
+    command("describe", _cmd_describe, "piecewise hull description")
 
-    p = subs.add_parser("envelope", help="zmin/zmax at a point or on a grid")
-    _add_common(p)
-    p.add_argument("--at", type=_pair, default=None)
+    p = command("check", _cmd_check, "membership test for a point")
+    p.add_argument("--point", type=point, required=True)
+
+    p = command("separate", _cmd_separate,
+                "violated valid inequality, if any")
+    p.add_argument("--point", type=point, required=True)
+
+    p = command("envelope", _cmd_envelope, "zmin/zmax at a point or on a grid")
+    p.add_argument("--at", type=pair, default=None)
     p.add_argument("--grid", type=int, default=41)
-    p.set_defaults(func=_cmd_envelope)
 
-    p = subs.add_parser("tangent", help="lifted tangent plane at (x, y)")
-    _add_common(p)
-    p.add_argument("--at", type=_pair, required=True)
-    p.set_defaults(func=_cmd_tangent)
+    p = command("tangent", _cmd_tangent, "lifted tangent plane at (x, y)")
+    p.add_argument("--at", type=pair, required=True)
 
-    p = subs.add_parser("volume", help="hull volume by several methods")
-    _add_common(p)
+    p = command("volume", _cmd_volume, "hull volume by several methods")
     p.add_argument("--method", choices=("closed", "numeric", "mc"),
                    default="numeric")
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_volume)
 
-    p = subs.add_parser("branch", help="optimal product branching point")
-    _add_common(p)
+    # the branching point is computed on the unit box: no box flags
+    p = command("branch", _cmd_branch, "optimal product branching point",
+                box=False)
     p.add_argument("--grid", type=int, default=99)
-    p.set_defaults(func=_cmd_branch)
 
-    p = subs.add_parser("regions", help="case letter and region map data")
-    _add_common(p)
+    p = command("regions", _cmd_regions, "case letter and region map data")
     p.add_argument("--grid", type=int, default=65)
-    p.set_defaults(func=_cmd_regions)
 
-    p = subs.add_parser("mesh", help="envelope mesh with active piece ids")
-    _add_common(p)
+    p = command("mesh", _grid_table, "envelope mesh with active piece ids")
     p.add_argument("--grid", type=int, default=41)
-    p.set_defaults(func=_cmd_mesh)
 
-    p = subs.add_parser("oracle", help="LP cross-checks of the description")
-    _add_common(p)
-    p.add_argument("--at", type=_pair, default=None)
-    p.add_argument("--point", type=_point, default=None)
+    p = command("oracle", _cmd_oracle, "LP cross-checks of the description")
+    query = p.add_mutually_exclusive_group(required=True)
+    query.add_argument("--at", type=pair)
+    query.add_argument("--point", type=point)
     p.add_argument("--samples", type=int, default=101)
-    p.set_defaults(func=_cmd_oracle)
 
     return parser
 
 
 def _usage_error(args) -> str | None:
     """What makes parsed arguments unusable, beyond what argparse checks
-    flag by flag (counts the command cannot use, a missing query), or
-    None."""
+    flag by flag (counts the command cannot use), or None."""
     if args.command == "oracle":
-        if args.at is None and args.point is None:
-            return "oracle needs --at or --point"
         if args.samples < 2:
             return "--samples must be at least 2"
     elif args.command == "volume":
@@ -482,19 +395,32 @@ def main(argv=None) -> int:
     if problem is not None:
         print("error: %s" % problem, file=sys.stderr)
         return 2
+    d = sc = None
+    out = {}
     try:
-        text = args.func(args)
+        if hasattr(args, "lx"):  # every command but branch takes a box
+            raw = RawBounds(args.lx, args.ly, args.lz,
+                            args.ux, args.uy, args.uz)
+            d, sc = hull_from_raw(raw)
+            out = _header(raw, d, sc)
+        table = args.func(args, d, sc, out)
     except InfeasibleBounds as e:
         print("infeasible bounds: %s" % e, file=sys.stderr)
         return 3
     except BilinearHullError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    if args.out:
+    text = _text(args.format, out, table)
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        print("error: cannot write %s: %s" % (args.out, e.strerror or e),
+              file=sys.stderr)
+        return 2
     return 0
 
 

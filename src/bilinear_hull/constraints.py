@@ -404,12 +404,3 @@ def _projection_alpha(x, y, lower: Point3, upper: Point3) -> float:
         return 0.0
     a = ((upper.x - x) * dx + (upper.y - y) * dy) / denom
     return min(max(a, 0.0), 1.0)
-
-
-def __getattr__(name):
-    # lifted_tangent reads a hull description, so it lives in hull (which
-    # imports this module); resolving it lazily keeps this import path
-    if name == "lifted_tangent":
-        from .hull import lifted_tangent
-        return lifted_tangent
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -19,6 +19,7 @@ from bilinear_hull import (
     Side,
     envelope_grid,
     hull_from_raw,
+    lifted_tangent,
     membership,
     membership_mask,
     optimal_branch,
@@ -32,7 +33,6 @@ from bilinear_hull import (
 )
 from bilinear_hull.constraints import (
     TangentFamily,
-    lifted_tangent,
     soc_center,
     soc_lower,
     soc_sides,

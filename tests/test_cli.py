@@ -187,12 +187,29 @@ def test_oracle_cross_checks():
     assert out["oracle_member"] is False
 
 
-def test_out_flag_writes_the_same_bytes(tmp_path):
-    target = tmp_path / "d.json"
-    r = run_cli("describe", "--uz", "0.4")
-    r2 = run_cli("describe", "--uz", "0.4", "--out", str(target))
+@pytest.mark.parametrize("argv", [
+    ["describe", "--uz", "0.4"],
+    ["mesh", "--uz", "0.4", "--grid", "3", "--format", "csv"],
+    ["branch", "--grid", "5"],
+], ids=lambda a: a[0])
+def test_out_flag_writes_the_same_bytes(tmp_path, argv):
+    target = tmp_path / "out.txt"
+    r = run_cli(*argv)
+    r2 = run_cli(*argv, "--out", str(target))
     assert r2.returncode == 0
+    assert r2.stdout == ""
     assert target.read_text() == r.stdout
+
+
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    r = run_cli("describe", "--uz", "0.4", "--out", str(target))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write ")
+    assert not target.exists()
 
 
 def test_csv_fallback_is_flat_key_value():
@@ -210,6 +227,11 @@ def test_csv_fallback_is_flat_key_value():
 def test_exit_codes():
     assert run_cli("check", "--point", "bad").returncode == 2
     assert run_cli("oracle", "--uz", "0.4").returncode == 2
+    # --at and --point are exclusive: one query per call
+    assert run_cli("oracle", "--uz", "0.4", "--at", "0.5,0.5",
+                   "--point", "0.5,0.5,0.35").returncode == 2
+    # branch works on the unit box and takes no box flags
+    assert run_cli("branch", "--lz", "0.2").returncode == 2
     assert run_cli("check", "--lz", "0.9", "--uz", "0.2",
                    "--point", "0,0,0").returncode == 3
     assert run_cli("envelope", "--uz", "0.4", "--at", "2.0,0.5").returncode == 1
