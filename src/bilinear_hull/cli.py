@@ -13,11 +13,14 @@ rendered once, in one of three forms:
 - with --format csv, any other command prints the record as flat
   `key,value` lines.
 
-Floats are printed through one %.9g formatter, so repeated runs are
-byte-identical.
+Every float is printed as %.9g, with -0 printed as 0, so repeated runs
+are byte-identical.  Scalars go through `_g`.  A table adds 0.0 to its
+numpy columns, which turns -0.0 into 0.0, and formats each row with one
+%-format; the grid tables format each x and y axis value once, not once
+per node.
 
-Exit codes: 0 ok, 1 package error, 2 bad arguments or an --out file that
-cannot be written, 3 infeasible bounds.
+Exit codes: 0 ok, 1 package error, 2 bad arguments (a NaN or inf number
+among them) or an --out file that cannot be written, 3 infeasible bounds.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import repeat
 
 from .errors import BilinearHullError, Infeasible, InfeasibleBounds
 from .geometry import Point3, RawBounds
@@ -111,16 +115,25 @@ def _text(fmt: str, out: dict, table) -> str:
     return "\n".join([*head, *table]) + "\n"
 
 
+def _finite(text: str) -> float:
+    """An argparse type for one float; NaN and inf are bad arguments."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError("not a finite number: %r" % text)
+    return v
+
+
 def _floats(n: int, name: str):
-    """An argparse type for n comma-separated floats, spelled `name`."""
+    """An argparse type for n comma-separated finite floats, spelled
+    `name`."""
     def parse(text: str) -> tuple[float, ...]:
         parts = text.split(",")
         if len(parts) != n:
             raise argparse.ArgumentTypeError("expected " + name)
-        try:
-            return tuple(float(t) for t in parts)
-        except ValueError as e:
-            raise argparse.ArgumentTypeError(str(e))
+        return tuple(map(_finite, parts))
     return parse
 
 
@@ -132,14 +145,6 @@ def _header(raw: RawBounds, d, sc) -> dict:
                    "lz": d.bounds.lz, "uz": d.bounds.uz},
         "scaling": {"sx": sc.sx, "sy": sc.sy},
     }
-
-
-def _csv_table(out: dict):
-    """The column line, then one line per row of the record; lazily, as
-    only --format csv reads them."""
-    yield ",".join(out["columns"])
-    for row in out["rows"]:
-        yield ",".join(map(_g, row))
 
 
 def _cmd_describe(args, d, sc, out):
@@ -186,29 +191,34 @@ def _cmd_envelope(args, d, sc, out):
 
 def _grid_table(args, d, sc, out):
     """The envelopes on an args.grid x args.grid tensor grid over the box,
-    in the raw frame; `mesh` adds the id of the binding piece."""
+    in the raw frame; `mesh` adds the id of the binding piece.  The JSON
+    rows and the CSV lines read the same Python floats."""
     import numpy as np
     n = args.grid
-    with_piece_id = args.command == "mesh"
     xs = np.linspace(d.bounds.lx, 1.0, n)
     ys = np.linspace(d.bounds.ly, 1.0, n)
     zmin, zmax, pid = envelope_grid(d, xs, ys)
-    # elementwise products round as the node-by-node ones do; the per-node
-    # loop below then reads Python floats
-    rx, ry = (xs * sc.sx).tolist(), (ys * sc.sy).tolist()
-    lo, hi = (zmin * sc.sz).tolist(), (zmax * sc.sz).tolist()
-    ids = pid.tolist()
+    # elementwise products round as the node-by-node ones do; + 0.0 turns
+    # -0.0 into 0.0, as _g does, so the lines below can format floats as is
+    rx, ry = (xs * sc.sx + 0.0).tolist(), (ys * sc.sy + 0.0).tolist()
+    per_x = [(zmin * sc.sz + 0.0).tolist(), (zmax * sc.sz + 0.0).tolist()]
     out["columns"] = ["x", "y", "zmin", "zmax"]
-    if with_piece_id:
+    fmt = "%s,%s,%.9g,%.9g"
+    if args.command == "mesh":
         out["columns"].append("piece_id")
+        per_x.append(pid.tolist())
+        fmt += ",%d"
     rows = out["rows"] = []
-    for i in range(n):
-        for j in range(n):
-            row = [rx[i], ry[j], lo[i][j], hi[i][j]]
-            if with_piece_id:
-                row.append(ids[i][j])
-            rows.append(row)
-    return _csv_table(out)
+    for i, x in enumerate(rx):
+        rows.extend(zip(repeat(x, n), ry, *(c[i] for c in per_x)))
+
+    def lines():  # lazily, as only --format csv reads them
+        yield ",".join(out["columns"])
+        sy = ["%.9g" % y for y in ry]
+        for i, x in enumerate(rx):
+            for row in zip(repeat("%.9g" % x, n), sy, *(c[i] for c in per_x)):
+                yield fmt % row
+    return lines()
 
 
 def _cmd_tangent(args, d, sc, out):
@@ -255,10 +265,11 @@ def _cmd_branch(args, d, sc, out):
         "sum_ratio": rep.sum_ratio,
         "reduction_percent": 100.0 * (1.0 - rep.sum_ratio),
         "columns": ["b", "upper_ratio", "lower_ratio", "total_ratio"],
-        "rows": np.column_stack((rep.grid, rep.upper_ratio, rep.lower_ratio,
-                                 rep.total_ratio)).tolist(),
+        "rows": (np.column_stack((rep.grid, rep.upper_ratio, rep.lower_ratio,
+                                  rep.total_ratio)) + 0.0).tolist(),
     })
-    return _csv_table(out)
+    return [",".join(out["columns"])] + ["%.9g,%.9g,%.9g,%.9g" % tuple(row)
+                                         for row in out["rows"]]
 
 
 def _cmd_regions(args, d, sc, out) -> list[str]:
@@ -266,7 +277,7 @@ def _cmd_regions(args, d, sc, out) -> list[str]:
     out["case"] = d.case.to_dict()
     polys = {}
     if not (b.lower_trivial or b.upper_trivial):
-        polys = {name: arr.tolist() for name, arr
+        polys = {name: (arr + 0.0).tolist() for name, arr
                  in region_map_polylines(b.lz, b.uz, args.grid).items()}
     out["letter"] = d.case.letter
     out["thresholds"] = {
@@ -274,7 +285,7 @@ def _cmd_regions(args, d, sc, out) -> list[str]:
         "s_hi": math.sqrt(b.lz / b.uz) if b.lz > 0 else None,
     }
     out["polylines"] = polys
-    return ["polyline,x,y"] + ["%s,%s,%s" % (name, _g(x), _g(y))
+    return ["polyline,x,y"] + ["%s,%.9g,%.9g" % (name, x, y)
                                for name, pts in polys.items()
                                for x, y in pts]
 
@@ -318,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         if box:
             for flag, default in (("--lx", 0.0), ("--ly", 0.0), ("--lz", 0.0),
                                   ("--ux", 1.0), ("--uy", 1.0), ("--uz", 1.0)):
-                p.add_argument(flag, type=float, default=default)
+                p.add_argument(flag, type=_finite, default=default)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write output to a file")
         p.set_defaults(func=func)

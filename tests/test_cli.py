@@ -1,5 +1,7 @@
 """Command-line interface: output shapes, pinned values, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -125,6 +127,49 @@ def test_mesh_csv_layout():
     assert len(lines) == 3 + 16
     last = lines[-1].split(",")
     assert float(last[0]) == 1.0 and float(last[1]) == 1.0
+
+
+@pytest.mark.parametrize("command", ["mesh", "envelope"])
+def test_grid_tables_format_values_as_g_and_json_do(monkeypatch, command):
+    # no real box puts -0.0 or NaN in a grid, so the envelopes are faked:
+    # each CSV line must read as _g prints the row, and the JSON rows as
+    # _json prints them
+    import numpy as np
+
+    from bilinear_hull import cli
+    from bilinear_hull.geometry import RawBounds
+    from bilinear_hull.hull import hull_from_raw
+
+    special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300,
+               1.0000000005, 0.1]
+    zmin = np.array(special * 2).reshape(4, 4)
+    zmax = zmin[::-1, ::-1].copy()
+    pid = np.array([-1, 2] * 8).reshape(4, 4)
+    monkeypatch.setattr(cli, "envelope_grid",
+                        lambda d, xs, ys: (zmin, zmax, pid))
+    box = ["--lx", "1.0", "--ly", "0.56", "--lz", "0.8",
+           "--ux", "2", "--uy", "4", "--uz", "5.6"]
+    d, sc = hull_from_raw(RawBounds(1.0, 0.56, 0.8, 2.0, 4.0, 5.6))
+    xs = np.linspace(d.bounds.lx, 1.0, 4) * sc.sx
+    ys = np.linspace(d.bounds.ly, 1.0, 4) * sc.sy
+    rows = []
+    for i in range(4):
+        for j in range(4):
+            row = [float(xs[i]), float(ys[j]), float(zmin[i, j] * sc.sz),
+                   float(zmax[i, j] * sc.sz)]
+            rows.append(row + [int(pid[i, j])] if command == "mesh" else row)
+
+    def run(*fmt):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main([command, *box, "--grid", "4", *fmt]) == 0
+        return buf.getvalue()
+
+    lines = run("--format", "csv").splitlines()
+    assert lines[3:] == [",".join(map(cli._g, row)) for row in rows]
+    assert math.copysign(1.0, rows[0][2]) < 0  # -0.0 reaches the table
+    assert lines[3].split(",")[2] == "0"
+    assert run().endswith('"rows": %s}\n' % cli._json(rows))
 
 
 def test_volume_closed_and_raw_scaling():
@@ -253,3 +298,20 @@ def test_bad_counts_exit_2_with_one_error_line(argv):
     assert r.stdout == ""
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["describe", "--lx", "nan"],
+    ["volume", "--lx", "inf"],
+    ["check", "--point", "nan,0.5,0.5"],
+    ["tangent", "--at", "nan,0.5"],
+    ["envelope", "--at", "inf,0.5"],
+], ids=lambda a: "-".join(a))
+def test_non_finite_arguments_exit_2(argv):
+    # a NaN or inf flag is a bad argument, not an infeasible box (exit 3)
+    # nor a domain error (exit 1)
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert "finite" in r.stderr
