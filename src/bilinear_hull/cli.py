@@ -17,7 +17,7 @@ Every float is printed as %.9g, with -0 printed as 0, so repeated runs
 are byte-identical.  Scalars go through `_g`.  A table adds 0.0 to its
 numpy columns, which turns -0.0 into 0.0, and formats each row with one
 %-format; the grid tables format each x and y axis value once, not once
-per node.
+per node, and render their JSON rows from the same lines.
 
 Exit codes: 0 ok, 1 package error, 2 bad arguments (a NaN or inf number
 among them) or an --out file that cannot be written, 3 infeasible bounds.
@@ -54,8 +54,14 @@ def _g(v) -> str:
     return "%.9g" % v
 
 
+class _Rendered(str):
+    """JSON text that _json inserts as it is."""
+
+
 def _json(obj) -> str:
     """Deterministic JSON: insertion order kept, floats through %.9g."""
+    if isinstance(obj, _Rendered):
+        return obj
     if isinstance(obj, dict):
         inner = ", ".join('"%s": %s' % (k, _json(v)) for k, v in obj.items())
         return "{" + inner + "}"
@@ -192,7 +198,8 @@ def _cmd_envelope(args, d, sc, out):
 def _grid_table(args, d, sc, out):
     """The envelopes on an args.grid x args.grid tensor grid over the box,
     in the raw frame; `mesh` adds the id of the binding piece.  The JSON
-    rows and the CSV lines read the same Python floats."""
+    rows are the CSV lines with ", " between values, NaN written as null,
+    in brackets."""
     import numpy as np
     n = args.grid
     xs = np.linspace(d.bounds.lx, 1.0, n)
@@ -208,17 +215,18 @@ def _grid_table(args, d, sc, out):
         out["columns"].append("piece_id")
         per_x.append(pid.tolist())
         fmt += ",%d"
-    rows = out["rows"] = []
-    for i, x in enumerate(rx):
-        rows.extend(zip(repeat(x, n), ry, *(c[i] for c in per_x)))
 
-    def lines():  # lazily, as only --format csv reads them
-        yield ",".join(out["columns"])
+    def lines():
         sy = ["%.9g" % y for y in ry]
         for i, x in enumerate(rx):
             for row in zip(repeat("%.9g" % x, n), sy, *(c[i] for c in per_x)):
                 yield fmt % row
-    return lines()
+    if args.format == "csv":
+        return [",".join(out["columns"]), *lines()]
+    # "%.9g" writes a NaN as nan, and no other value holds those letters
+    body = "],[".join(lines())
+    out["rows"] = _Rendered(("[[%s]]" % body if body else "[]")
+                            .replace(",", ", ").replace("nan", "null"))
 
 
 def _cmd_tangent(args, d, sc, out):

@@ -19,11 +19,10 @@ anchor through the query point to the curve, and lifts it with them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateBounds, NegativeDiscriminant
-from .geometry import NormalizedBounds, Point3
+from .geometry import NormalizedBounds, Point3, _Frozen, _set
 
 DISC_CLAMP = -1e-12
 
@@ -63,19 +62,20 @@ _MIRROR_FAMILY = {
 }
 
 
-@dataclass(frozen=True)
-class LinearInequality:
+class LinearInequality(_Frozen):
     """a0 + ax*x + ay*y + az*z >= 0."""
 
-    a0: float
-    ax: float
-    ay: float
-    az: float
-    label: str = ""
+    __slots__ = ("a0", "ax", "ay", "az", "label")
 
-    def __post_init__(self) -> None:
-        if self.ax == 0.0 and self.ay == 0.0 and self.az == 0.0:
+    def __init__(self, a0: float, ax: float, ay: float, az: float,
+                 label: str = "") -> None:
+        if ax == 0.0 and ay == 0.0 and az == 0.0:
             raise ValueError("inequality has no variable coefficients")
+        _set(self, "a0", a0)
+        _set(self, "ax", ax)
+        _set(self, "ay", ay)
+        _set(self, "az", az)
+        _set(self, "label", label)
 
     def residual(self, x, y, z):
         return self.a0 + self.ax * x + self.ay * y + self.az * z
@@ -85,16 +85,16 @@ class LinearInequality:
                 "ay": self.ay, "az": self.az}
 
 
-@dataclass(frozen=True)
-class Psd2:
+class Psd2(_Frozen):
     """Symmetric 2x2 matrix constrained to be positive semidefinite."""
 
-    m11: float
-    m12: float
-    m22: float
+    __slots__ = ("m11", "m12", "m22")
 
-    def __post_init__(self) -> None:
-        if self.m11 < 0.0 or self.m22 < 0.0 or self.det < -1e-12:
+    def __init__(self, m11: float, m12: float, m22: float) -> None:
+        _set(self, "m11", m11)
+        _set(self, "m12", m12)
+        _set(self, "m22", m22)
+        if m11 < 0.0 or m22 < 0.0 or self.det < -1e-12:
             raise ValueError("matrix is not positive semidefinite")
 
     @property
@@ -121,20 +121,24 @@ class Psd2:
         return ((l11, l12), (0.0, l22))
 
 
-@dataclass(frozen=True)
-class SocConstraint:
+class SocConstraint(_Frozen):
     """||A v + b||_2 <= c'v + d over v = (x, y, z), tagged with its family.
 
     A is stored as two row tuples.  params keeps the bound values the
     constraint was built from, in a fixed key order for serialization.
     """
 
-    A: tuple[tuple[float, float, float], tuple[float, float, float]]
-    b: tuple[float, float]
-    c: tuple[float, float, float]
-    d: float
-    family: TangentFamily
-    params: dict
+    __slots__ = ("A", "b", "c", "d", "family", "params")
+
+    def __init__(self, A: tuple[tuple[float, ...], ...], b: tuple[float, float],
+                 c: tuple[float, float, float], d: float,
+                 family: TangentFamily, params: dict) -> None:
+        _set(self, "A", A)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
+        _set(self, "family", family)
+        _set(self, "params", params)
 
     def residual(self, x, y, z):
         """(c'v + d) - ||A v + b||; >= 0 iff the constraint holds.
@@ -356,8 +360,7 @@ def soc_upper_general(lx: float, ly: float, uz: float) -> SocConstraint:
                          {"lx": lx, "ly": ly, "uz": uz})
 
 
-@dataclass(frozen=True)
-class TangentSegment:
+class TangentSegment(_Frozen):
     """Extreme segment certifying tightness of a lifted tangent inequality.
 
     lower sits on the curve xy = lz (or is the lower box corner), upper on
@@ -366,10 +369,14 @@ class TangentSegment:
         (x, y) = alpha*(lower.x, lower.y) + (1-alpha)*(upper.x, upper.y).
     """
 
-    lower: Point3
-    upper: Point3
-    alpha: float
-    family: TangentFamily
+    __slots__ = ("lower", "upper", "alpha", "family")
+
+    def __init__(self, lower: Point3, upper: Point3, alpha: float,
+                 family: TangentFamily) -> None:
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "alpha", alpha)
+        _set(self, "family", family)
 
     def point_at(self, alpha: float) -> Point3:
         t = 1.0 - alpha

@@ -11,7 +11,6 @@ so the tightened form satisfies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 import sys
 
@@ -30,57 +29,93 @@ _NEAR_ONE = 1.0 - 4.0 * sys.float_info.epsilon
 FEAS_TOL = 1e-9
 BOUNDARY_TOL = 1e-12
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Point3:
-    x: float
-    y: float
-    z: float
+
+class _Frozen:
+    """Base of the immutable value types.  A subclass names its fields in
+    __slots__, in order, and sets them in its own __init__ through _set;
+    equality (same class only), hashing, repr and pickling read the fields
+    in that order, as those of a frozen dataclass do."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("cannot assign to or delete field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Point3(_Frozen):
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: float, y: float, z: float) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     def astuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
-class RawBounds:
+class RawBounds(_Frozen):
     """User-facing bounds l <= (x, y, z) <= u with z standing for the product xy.
 
     Feasibility of the surface requires the product range [lx*ly, ux*uy] of the
     box to meet [lz, uz]; violations raise InfeasibleBounds.
     """
 
-    lx: float
-    ly: float
-    lz: float
-    ux: float
-    uy: float
-    uz: float
+    __slots__ = ("lx", "ly", "lz", "ux", "uy", "uz")
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.lx, self.ly, self.lz,
-                                       self.ux, self.uy, self.uz))):
+    def __init__(self, lx: float, ly: float, lz: float,
+                 ux: float, uy: float, uz: float) -> None:
+        if not all(map(math.isfinite, (lx, ly, lz, ux, uy, uz))):
             raise InfeasibleBounds("bounds must be finite numbers")
-        if not (0.0 <= self.lx < self.ux and 0.0 <= self.ly < self.uy):
+        if not (0.0 <= lx < ux and 0.0 <= ly < uy):
             raise InfeasibleBounds("need 0 <= lx < ux and 0 <= ly < uy")
-        if not (0.0 <= self.lz < self.uz):
+        if not (0.0 <= lz < uz):
             raise InfeasibleBounds("need 0 <= lz < uz")
-        if self.lx * self.ly > self.uz or self.lz > self.ux * self.uy:
+        if lx * ly > uz or lz > ux * uy:
             raise InfeasibleBounds(
                 "no surface point: product range [%g, %g] of the box misses [%g, %g]"
-                % (self.lx * self.ly, self.ux * self.uy, self.lz, self.uz)
+                % (lx * ly, ux * uy, lz, uz)
             )
+        _set(self, "lx", lx)
+        _set(self, "ly", ly)
+        _set(self, "lz", lz)
+        _set(self, "ux", ux)
+        _set(self, "uy", uy)
+        _set(self, "uz", uz)
 
 
-@dataclass(frozen=True)
-class Scaling:
+class Scaling(_Frozen):
     """Diagonal change of variables (x, y, z) -> (x/sx, y/sy, z/(sx*sy))."""
 
-    sx: float
-    sy: float
+    __slots__ = ("sx", "sy")
 
-    def __post_init__(self) -> None:
-        if not (self.sx > 0.0 and self.sy > 0.0):
+    def __init__(self, sx: float, sy: float) -> None:
+        if not (sx > 0.0 and sy > 0.0):
             raise ValueError("scale factors must be positive")
+        _set(self, "sx", sx)
+        _set(self, "sy", sy)
 
     @property
     def sz(self) -> float:
@@ -103,22 +138,22 @@ class Scaling:
         return Scaling(self.sx * inner.sx, self.sy * inner.sy)
 
 
-@dataclass(frozen=True)
-class NormalizedBounds:
+class NormalizedBounds(_Frozen):
     """Bounds in canonical form: ux = uy = 1, 0 <= lz < uz <= 1, lx*ly <= lz."""
 
-    lx: float
-    ly: float
-    lz: float
-    uz: float
+    __slots__ = ("lx", "ly", "lz", "uz")
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.lx < 1.0 and 0.0 <= self.ly < 1.0):
+    def __init__(self, lx: float, ly: float, lz: float, uz: float) -> None:
+        if not (0.0 <= lx < 1.0 and 0.0 <= ly < 1.0):
             raise InfeasibleBounds("need 0 <= lx < 1 and 0 <= ly < 1")
-        if not (0.0 <= self.lz < self.uz <= 1.0):
+        if not (0.0 <= lz < uz <= 1.0):
             raise InfeasibleBounds("need 0 <= lz < uz <= 1")
-        if self.lx * self.ly > self.lz + 1e-12:
+        if lx * ly > lz + 1e-12:
             raise InfeasibleBounds("need lx*ly <= lz (raise lz to the corner value)")
+        _set(self, "lx", lx)
+        _set(self, "ly", ly)
+        _set(self, "lz", lz)
+        _set(self, "uz", uz)
 
     @property
     def lower_trivial(self) -> bool:

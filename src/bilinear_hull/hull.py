@@ -50,6 +50,8 @@ from .geometry import (
     Point3,
     RawBounds,
     Scaling,
+    _Frozen,
+    _set,
     normalize,
     tighten_with_scaling,
 )
@@ -77,13 +79,15 @@ _REGION_LETTER = {Region.A: "A", Region.B: "B", Region.C: "C", Region.D: "D"}
 _SWAPPED_LETTER = {Region.C: "E", Region.D: "F"}
 
 
-@dataclass(frozen=True)
-class CaseTag:
+class CaseTag(_Frozen):
     """A region plus the x<->y mirror flag; the mirrors of C and D have no
     region of their own and get the map letters E and F."""
 
-    region: Region
-    swapped: bool = False
+    __slots__ = ("region", "swapped")
+
+    def __init__(self, region: Region, swapped: bool = False) -> None:
+        _set(self, "region", region)
+        _set(self, "swapped", swapped)
 
     @property
     def letter(self) -> str | None:
@@ -99,13 +103,15 @@ class CaseTag:
                 "letter": self.letter}
 
 
-@dataclass(frozen=True)
-class HalfPlane:
+class HalfPlane(_Frozen):
     """a0 + ax*x + ay*y >= 0 in the (x, y) box."""
 
-    a0: float
-    ax: float
-    ay: float
+    __slots__ = ("a0", "ax", "ay")
+
+    def __init__(self, a0: float, ax: float, ay: float) -> None:
+        _set(self, "a0", a0)
+        _set(self, "ax", ax)
+        _set(self, "ay", ay)
 
     def value(self, x, y):
         return self.a0 + self.ax * x + self.ay * y
@@ -121,15 +127,17 @@ class HalfPlane:
         return {"a0": self.a0, "ax": self.ax, "ay": self.ay}
 
 
-@dataclass(frozen=True)
-class BoundaryLine:
+class BoundaryLine(_Frozen):
     """y = intercept + slope*x, the piece boundary for the far-corner case.
 
     Joins the curve endpoint (lz/ly, ly) to the box corner point (uz, 1).
     """
 
-    intercept: float
-    slope: float
+    __slots__ = ("intercept", "slope")
+
+    def __init__(self, intercept: float, slope: float) -> None:
+        _set(self, "intercept", intercept)
+        _set(self, "slope", slope)
 
 
 def dline(ly: float, lz: float, uz: float) -> BoundaryLine:
@@ -139,11 +147,14 @@ def dline(ly: float, lz: float, uz: float) -> BoundaryLine:
     return BoundaryLine((uz * ly * ly - lz) / den, ly * (1.0 - ly) / den)
 
 
-@dataclass(frozen=True)
-class HullPiece:
-    predicate: tuple[HalfPlane, ...]
-    soc: SocConstraint
-    globally_valid: bool
+class HullPiece(_Frozen):
+    __slots__ = ("predicate", "soc", "globally_valid")
+
+    def __init__(self, predicate: tuple[HalfPlane, ...], soc: SocConstraint,
+                 globally_valid: bool) -> None:
+        _set(self, "predicate", predicate)
+        _set(self, "soc", soc)
+        _set(self, "globally_valid", globally_valid)
 
     def applicable(self, x, y):
         """Whether (x, y) lies where the piece binds, allowing BOUNDARY_TOL
@@ -677,17 +688,20 @@ def separate(d: HullDescription, p: Point3) -> LinearInequality | None:
     return row
 
 
-@dataclass(frozen=True)
-class BranchBlock:
+class BranchBlock(_Frozen):
     """One disjunct: the piece's constraints homogenized by its weight.
 
     Rows and cone are interpreted with their constant parts multiplied by
     lam: a0*lam_i + a'v_i >= 0 and ||A v_i + b*lam_i|| <= c'v_i + d*lam_i.
     """
 
-    index: int
-    rows: tuple[LinearInequality, ...]
-    soc: SocConstraint | None
+    __slots__ = ("index", "rows", "soc")
+
+    def __init__(self, index: int, rows: tuple[LinearInequality, ...],
+                 soc: SocConstraint | None) -> None:
+        _set(self, "index", index)
+        _set(self, "rows", rows)
+        _set(self, "soc", soc)
 
     def soc_residual(self, lam, x, y, z) -> float:
         if self.soc is None:
@@ -709,13 +723,15 @@ class BranchBlock:
         return self.soc_residual(lam, x, y, z) >= -FEAS_TOL
 
 
-@dataclass(frozen=True)
-class ExtendedFormulation:
+class ExtendedFormulation(_Frozen):
     """Disjunctive description: one block per piece plus aggregation rows
     x = sum x_i, y = sum y_i, z = sum z_i, sum lam_i = 1, lam >= 0.
     """
 
-    blocks: tuple[BranchBlock, ...]
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[BranchBlock, ...]) -> None:
+        _set(self, "blocks", blocks)
 
     @property
     def num_branch_variables(self) -> int:

@@ -12,6 +12,7 @@ sides can be compared in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 from typing import NamedTuple
 
@@ -42,6 +43,14 @@ class SurfaceSample:
 
     def __len__(self) -> int:
         return self.x.shape[0]
+
+    @cached_property
+    def _membership_lp(self) -> _Simplex:
+        """The solver of every oracle_membership query on this sample: its
+        columns (x, y, z, 1) are built once, and its working set carries
+        over from one query to the next."""
+        return _Simplex(np.vstack([self.x, self.y, self.z,
+                                   np.ones_like(self.x)]))
 
 
 def _surface_parts(b: NormalizedBounds, n: int) -> list[np.ndarray]:
@@ -360,14 +369,15 @@ def oracle_envelope_many(s: SurfaceSample, xs: np.ndarray, ys: np.ndarray
 def oracle_membership(s: SurfaceSample, p: Point3) -> bool:
     """Whether p is a convex combination of the surface samples.
 
-    False only when phase 1 certifies that no combination comes within
-    _FEAS_TOL (total artificial) of p; a solver breakdown raises
-    SolverError.
+    False only when phase 1 certifies, with a pricing pass over every
+    sample, that no combination comes within _FEAS_TOL (total artificial)
+    of p; a solver breakdown raises SolverError.  The queries on one
+    sample share one solver, so each starts from the working set that the
+    earlier ones grew, and two threads must not query one sample at once.
     """
-    a = np.vstack([s.x, s.y, s.z, np.ones_like(s.x)])
     rhs = np.array([p.x, p.y, p.z, 1.0])
     try:
-        _Simplex(a).phase1(rhs)
+        s._membership_lp.phase1(rhs)
     except Infeasible:
         return False
     return True

@@ -106,3 +106,23 @@ def test_tolerances_are_pinned_constants():
                 continue
             found += [(label, p) for p in params if p in ("tol", "slack")]
     assert not found, found
+
+
+_DATACLASSES = """
+import dataclasses, sys
+import bilinear_hull as bh
+bh.hull_from_raw(bh.RawBounds(0.14, 0.3, 0.1, 1.0, 1.0, 0.7))
+found = sorted(name for m in ("geometry", "constraints", "hull")
+               for name, obj in vars(sys.modules["bilinear_hull." + m]).items()
+               if isinstance(obj, type) and dataclasses.is_dataclass(obj))
+print(",".join(found), file=sys.stderr)
+"""
+
+
+def test_hull_description_is_the_only_scalar_dataclass():
+    # the value types are __slots__ classes, whose creation costs far less
+    # at import; HullDescription stays a dataclass for dataclasses.replace
+    r = subprocess.run([sys.executable, "-c", _DATACLASSES],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.splitlines()[-1] == "HullDescription"

@@ -23,6 +23,9 @@ from bilinear_hull import (
     lifted_tangent,
     membership,
     membership_mask,
+    oracle_envelope_many,
+    oracle_membership,
+    sample_surface,
     separate,
     worst_violation,
 )
@@ -214,3 +217,32 @@ def test_separate_cuts_exactly_the_non_members(b, points):
             assert _valid_on(cut, cloud)
     mask = membership_mask(d, *np.array([p.astuple() for p in pts]).T)
     assert mask.tolist() == [membership(d, p) for p in pts]
+
+
+@SETTINGS
+@given(b=any_bounds, n=st.integers(5, 12), seed=st.integers(0, 2**32 - 1))
+def test_small_sample_oracle_agrees_with_closed_forms(b, n, seed):
+    # the sampled hull lies inside the hull: where the oracle's envelope LP
+    # is feasible, its value sits in the closed-form slice; centroids of
+    # samples are members for both; points above zmax for neither
+    d = describe(b)
+    s = sample_surface(b, n)
+    g = np.linspace(0.0, 1.0, 4)
+    xs = np.repeat(b.lx + g * (1.0 - b.lx), 4)
+    ys = np.tile(b.ly + g * (1.0 - b.ly), 4)
+    got = oracle_envelope_many(s, xs, ys)
+    band = d.zhi - d.zlo
+    for x, y, oz in zip(xs.tolist(), ys.tolist(), got.tolist()):
+        if math.isnan(oz):
+            continue
+        zmin, zmax = envelopes(d, x, y)
+        assert zmin - 1e-9 <= oz <= zmax + 1e-9
+        p = Point3(x, y, zmax + 0.05 * band)
+        assert not oracle_membership(s, p) and not membership(d, p)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        k = int(rng.integers(1, min(len(s), 8) + 1))
+        pick = rng.choice(len(s), k, replace=False)
+        p = Point3(float(s.x[pick].mean()), float(s.y[pick].mean()),
+                   float(s.z[pick].mean()))
+        assert oracle_membership(s, p) and membership(d, p)

@@ -115,9 +115,8 @@ def test_equality(case):
     assert v != cls(*other) and not v == cls(*other)
     # never equal to a plain tuple, nor to another type with the same values
     assert v != values and values != v
-    if cls is not Point3:
-        assert v != P and not v == P
-    assert HalfPlane(0.25, 0.5, 0.125) != P
+    twin = HalfPlane(0.25, 0.5, 0.125) if cls is Point3 else P
+    assert v != twin and not v == twin
 
 
 def test_hash(case):
