@@ -253,13 +253,13 @@ def rlt(b: NormalizedBounds) -> list[LinearInequality]:
 
 def _rotated_cone(w_coeffs, w0, p_coeffs, p0, q_coeffs, q0, family, params):
     """p*q >= w^2 with p, q >= 0, rewritten as ||(2w, p-q)|| <= p+q."""
-    a_row1 = tuple(2.0 * t for t in w_coeffs)
-    b1 = 2.0 * w0
-    a_row2 = tuple(pc - qc for pc, qc in zip(p_coeffs, q_coeffs))
-    b2 = p0 - q0
-    c = tuple(pc + qc for pc, qc in zip(p_coeffs, q_coeffs))
-    return SocConstraint(A=(a_row1, a_row2), b=(b1, b2), c=c, d=p0 + q0,
-                         family=family, params=params)
+    wx, wy, wz = w_coeffs
+    px, py, pz = p_coeffs
+    qx, qy, qz = q_coeffs
+    return SocConstraint(((2.0 * wx, 2.0 * wy, 2.0 * wz),
+                          (px - qx, py - qy, pz - qz)),
+                         (2.0 * w0, p0 - q0), (px + qx, py + qy, pz + qz),
+                         p0 + q0, family, params)
 
 
 def soc_upper_zero(uz: float) -> SocConstraint:

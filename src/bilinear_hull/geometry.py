@@ -36,7 +36,8 @@ class _Frozen:
     """Base of the immutable value types.  A subclass names its fields in
     __slots__, in order, and sets them in its own __init__ through _set;
     equality (same class only), hashing, repr and pickling read the fields
-    in that order, as those of a frozen dataclass do."""
+    in that order, as those of a frozen dataclass do.  Slots derived from
+    the fields come last, and the subclass's _fields leaves them out."""
 
     __slots__ = ()
 
@@ -53,7 +54,7 @@ class _Frozen:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+            "%s=%r" % pair for pair in zip(self.__slots__, self._fields())))
 
     def __setattr__(self, name, *value):
         raise AttributeError("cannot assign to or delete field %r" % name)

@@ -17,13 +17,16 @@ it, so a piece applies on both sides of its boundary.
 
 The scalar queries evaluate floats through math.  Only the array kernels
 (membership_mask, envelope_grid, region_map_polylines) and array input to
-the shared ones import numpy, so scalar use never loads it.
+the shared ones import numpy, so scalar use never loads it.  The scalar
+scans (_worst_row, _worst_piece, _binding, membership) write
+LinearInequality.residual and HullPiece.applicable out inline: the same
+expressions in the same order, so the same floats, without a method call
+per row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -187,35 +190,40 @@ _X_UPPER = LinearInequality(1.0, -1.0, 0.0, 0.0, label="x_upper")
 _Y_UPPER = LinearInequality(1.0, 0.0, -1.0, 0.0, label="y_upper")
 
 
-@dataclass(frozen=True)
-class HullDescription:
+class HullDescription(_Frozen):
     """The hull as linear rows plus pieces.
 
     `rows` is derived from the other fields: the RLT planes, then z >= zlo,
     z <= zhi, x >= lx, x <= 1, y >= ly, y <= 1.  Every membership and
-    separation query reads it, so a description rebuilt with other planes
-    (dataclasses.replace) is queried with exactly those planes.
+    separation query reads it, so a description built through this
+    constructor with other planes is queried with exactly those planes.
+    Equality, hashing, repr and pickling read the six other fields.
     """
 
-    bounds: NormalizedBounds
-    case: CaseTag
-    rlt: tuple[LinearInequality, ...]
-    zlo: float
-    zhi: float
-    pieces: tuple[HullPiece, ...]
-    rows: tuple[LinearInequality, ...] = field(init=False, repr=False,
-                                               compare=False)
+    __slots__ = ("bounds", "case", "rlt", "zlo", "zhi", "pieces", "rows")
 
-    def __post_init__(self) -> None:
-        b = self.bounds
-        object.__setattr__(self, "rows", tuple(self.rlt) + (
-            LinearInequality(-self.zlo, 0.0, 0.0, 1.0, label="z_lower"),
-            LinearInequality(self.zhi, 0.0, 0.0, -1.0, label="z_upper"),
-            LinearInequality(-b.lx, 1.0, 0.0, 0.0, label="x_lower"),
+    def __init__(self, bounds: NormalizedBounds, case: CaseTag,
+                 rlt: tuple[LinearInequality, ...], zlo: float, zhi: float,
+                 pieces: tuple[HullPiece, ...]) -> None:
+        _set(self, "bounds", bounds)
+        _set(self, "case", case)
+        _set(self, "rlt", rlt)
+        _set(self, "zlo", zlo)
+        _set(self, "zhi", zhi)
+        _set(self, "pieces", pieces)
+        _set(self, "rows", tuple(rlt) + (
+            LinearInequality(-zlo, 0.0, 0.0, 1.0, label="z_lower"),
+            LinearInequality(zhi, 0.0, 0.0, -1.0, label="z_upper"),
+            LinearInequality(-bounds.lx, 1.0, 0.0, 0.0, label="x_lower"),
             _X_UPPER,
-            LinearInequality(-b.ly, 0.0, 1.0, 0.0, label="y_lower"),
+            LinearInequality(-bounds.ly, 0.0, 1.0, 0.0, label="y_lower"),
             _Y_UPPER,
         ))
+
+    def _fields(self) -> tuple:
+        # rows is derived, so it stays out of equality, repr and pickling
+        return (self.bounds, self.case, self.rlt, self.zlo, self.zhi,
+                self.pieces)
 
     def to_dict(self) -> dict:
         return {
@@ -245,28 +253,34 @@ def classify(b: NormalizedBounds) -> CaseTag:
     Threshold ties resolve toward the region listed first in the region
     scan order (A, then B, then C, then D).
     """
+    return _classify(b)[0]
+
+
+def _classify(b: NormalizedBounds) -> tuple[CaseTag, NormalizedBounds]:
+    """classify(b) and the bounds in the case's canonical frame: b, or its
+    mirror when the case is swapped."""
     _classifiable(b)
     low_triv, up_triv = b.lower_trivial, b.upper_trivial
     if low_triv and up_triv:
-        return CaseTag(Region.NO_Z_BOUND)
+        return CaseTag(Region.NO_Z_BOUND), b
     if low_triv:
-        return CaseTag(Region.UPPER_ONLY)
+        return CaseTag(Region.UPPER_ONLY), b
     if up_triv:
-        return CaseTag(Region.LOWER_ONLY)
+        return CaseTag(Region.LOWER_ONLY), b
     if b.lx == 0.0 and b.ly == 0.0:
-        return CaseTag(Region.BOTH_ZERO_LB)
+        return CaseTag(Region.BOTH_ZERO_LB), b
     swapped = b.lx > b.ly
     bb = b.swapped() if swapped else b
     bt = BOUNDARY_TOL
     s_lo = math.sqrt(bb.lz * bb.uz)
     s_hi = math.sqrt(bb.lz / bb.uz)
     if bb.lx >= s_lo - bt:
-        return CaseTag(Region.A, swapped)
+        return CaseTag(Region.A, swapped), bb
     if bb.ly <= s_lo + bt:
-        return CaseTag(Region.B, swapped)
+        return CaseTag(Region.B, swapped), bb
     if bb.ly <= s_hi + bt:
-        return CaseTag(Region.C, swapped)
-    return CaseTag(Region.D, swapped)
+        return CaseTag(Region.C, swapped), bb
+    return CaseTag(Region.D, swapped), bb
 
 
 def _pieces_zero_corner(lz: float, uz: float) -> tuple[HullPiece, ...]:
@@ -322,7 +336,7 @@ def describe(b: NormalizedBounds) -> HullDescription:
     case at hand.  Pieces come in a fixed order per case so downstream
     piece indices are stable.
     """
-    case = classify(b)
+    case, bb = _classify(b)
     planes = tuple(rlt(b))
     region = case.region
     if region is Region.NO_Z_BOUND:
@@ -334,12 +348,10 @@ def describe(b: NormalizedBounds) -> HullDescription:
     elif region is Region.BOTH_ZERO_LB:
         pieces = _pieces_zero_corner(b.lz, b.uz)
     else:
-        bb = b.swapped() if case.swapped else b
         pieces = _pieces_region(bb, region)
         if case.swapped:
             pieces = tuple(p.mirrored() for p in pieces)
-    return HullDescription(bounds=b, case=case, rlt=planes,
-                           zlo=b.lz, zhi=b.uz, pieces=pieces)
+    return HullDescription(b, case, planes, b.lz, b.uz, pieces)
 
 
 def hull_from_raw(raw: RawBounds) -> tuple[HullDescription, Scaling]:
@@ -358,7 +370,8 @@ def _worst_row(d: HullDescription, p: Point3) -> tuple[float, LinearInequality]:
         raise OutOfDomain("query point must have finite coordinates")
     res, row = math.inf, d.rows[0]
     for q in d.rows:
-        r = q.residual(x, y, z)
+        # the expression of q.residual(x, y, z), so the same float
+        r = q.a0 + q.ax * x + q.ay * y + q.az * z
         if r < res:
             res, row = r, q
     return float(res), row
@@ -369,10 +382,16 @@ def _worst_piece(d: HullDescription, p: Point3
     """The smallest cone residual at p over the pieces that apply there and
     its piece, ties going to the lower family rank (center, side, corner
     cones), then the lower piece index; (inf, None) when none applies."""
+    x, y = p.x, p.y
+    bt = -BOUNDARY_TOL
     key, worst = (math.inf,), None
     for i, piece in enumerate(d.pieces):
-        if piece.applicable(p.x, p.y):
-            k = (float(piece.soc.residual(p.x, p.y, p.z)),
+        # the test of piece.applicable(x, y), so the same answer
+        for hp in piece.predicate:
+            if not hp.a0 + hp.ax * x + hp.ay * y >= bt:
+                break
+        else:
+            k = (float(piece.soc.residual(x, y, p.z)),
                  _FAMILY_RANK[piece.soc.family], i)
             if k < key:
                 key, worst = k, piece
@@ -382,12 +401,20 @@ def _worst_piece(d: HullDescription, p: Point3
 def membership(d: HullDescription, p: Point3) -> bool:
     """Whether p lies in the described hull, within FEAS_TOL.
 
-    Points within BOUNDARY_TOL of a predicate boundary are checked against
-    the pieces on both sides.  A point with a non-finite coordinate raises
-    OutOfDomain.
+    The answer is that of worst_violation(d, p)[1] is None, found with
+    less work: the first row below -FEAS_TOL decides it, and the pieces
+    are read only when every row is met.  Points within BOUNDARY_TOL of a
+    predicate boundary are checked against the pieces on both sides.  A
+    point with a non-finite coordinate raises OutOfDomain.
     """
-    return (_worst_row(d, p)[0] >= -FEAS_TOL
-            and _worst_piece(d, p)[0] >= -FEAS_TOL)
+    x, y, z = p.x, p.y, p.z
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise OutOfDomain("query point must have finite coordinates")
+    ft = -FEAS_TOL
+    for q in d.rows:
+        if q.a0 + q.ax * x + q.ay * y + q.az * z < ft:
+            return False
+    return _worst_piece(d, p)[0] >= ft
 
 
 def _row_values(q: LinearInequality, x, y, z):
@@ -456,9 +483,14 @@ def _binding(d: HullDescription, x: float, y: float
     row (an upper RLT plane or z <= uz) attains it."""
     b = d.bounds
     zmax = min(x + b.lx * y - b.lx, b.ly * x + y - b.ly, d.zhi)
+    bt = -BOUNDARY_TOL
     binding = None
     for piece in d.pieces:
-        if piece.applicable(x, y):
+        # the test of piece.applicable(x, y), so the same answer
+        for hp in piece.predicate:
+            if not hp.a0 + hp.ax * x + hp.ay * y >= bt:
+                break
+        else:
             z = float(piece.soc.envelope_z(x, y))
             if z <= zmax:
                 zmax, binding = z, piece

@@ -9,11 +9,11 @@ regardless of worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .geometry import _Frozen, _set
 from .hull import HullDescription, Region, envelope_grid, membership_mask
 
 _MC_CHUNK = 65536
@@ -141,16 +141,28 @@ def vol_mc(d: HullDescription, n_samples: int, seed: int = 0,
     return p * vbox, half
 
 
-@dataclass(frozen=True)
-class BranchReport:
-    """Optimal single-point spatial branching on the product value."""
+class BranchReport(_Frozen):
+    """Optimal single-point spatial branching on the product value.
 
-    b_star: float
-    sum_ratio: float          # joint hull volume at b_star relative to 1/6
-    grid: np.ndarray
-    upper_ratio: np.ndarray   # hull/rlt_cut for the z <= b side
-    lower_ratio: np.ndarray   # hull/rlt_cut for the z >= b side
-    total_ratio: np.ndarray   # (hull(U)+hull(L)) / (1/6)
+    sum_ratio is the joint hull volume at b_star relative to 1/6; over the
+    grid, upper_ratio is hull/rlt_cut for the z <= b side, lower_ratio the
+    same for the z >= b side, and total_ratio (hull(U)+hull(L)) / (1/6).
+    Comparing two reports compares their arrays, so unless they share the
+    array objects it raises for arrays of more than one element.
+    """
+
+    __slots__ = ("b_star", "sum_ratio", "grid", "upper_ratio", "lower_ratio",
+                 "total_ratio")
+
+    def __init__(self, b_star: float, sum_ratio: float, grid: np.ndarray,
+                 upper_ratio: np.ndarray, lower_ratio: np.ndarray,
+                 total_ratio: np.ndarray) -> None:
+        _set(self, "b_star", b_star)
+        _set(self, "sum_ratio", sum_ratio)
+        _set(self, "grid", grid)
+        _set(self, "upper_ratio", upper_ratio)
+        _set(self, "lower_ratio", lower_ratio)
+        _set(self, "total_ratio", total_ratio)
 
 
 def _stationarity(b: float) -> float:

@@ -7,13 +7,13 @@ if one of these fails, the library is wrong, not the threshold.
 """
 
 import contextlib
-import dataclasses
 import math
 import time
 
 import numpy as np
 
 from bilinear_hull import (
+    HullDescription,
     Point3,
     RawBounds,
     Side,
@@ -307,8 +307,10 @@ def test_criterion_8():
         # the description: the corner product plane never binds
         d, _ = hull_from_raw(RawBounds(0.0, 0.0, 0.2, 1.0, 1.0, 1.0))
         assert d.rlt[0].label == "rlt_lower_ones"
-        kept = dataclasses.replace(d, rlt=(d.rlt[0],))
-        corner_only = dataclasses.replace(d, rlt=(d.rlt[1],))
+        kept = HullDescription(d.bounds, d.case, (d.rlt[0],), d.zlo, d.zhi,
+                               d.pieces)
+        corner_only = HullDescription(d.bounds, d.case, (d.rlt[1],), d.zlo,
+                                      d.zhi, d.pieces)
         rng = np.random.default_rng(20240823)
         x = rng.uniform(0.2, 1.0, 100_000)
         y = rng.uniform(0.2, 1.0, 100_000)

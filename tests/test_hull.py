@@ -7,7 +7,9 @@ import pytest
 
 from bilinear_hull import (
     BOUNDARY_TOL,
+    FEAS_TOL,
     DegenerateBounds,
+    HullDescription,
     NormalizedBounds,
     OutOfDomain,
     Point3,
@@ -30,7 +32,13 @@ from bilinear_hull import (
     tighten,
     worst_violation,
 )
-from bilinear_hull.hull import _BLOCK, _binding, _fan_anchor
+from bilinear_hull.hull import (
+    _BLOCK,
+    _binding,
+    _fan_anchor,
+    _worst_piece,
+    _worst_row,
+)
 
 S1 = math.sqrt(0.1 * 0.7)   # inner threshold for lz=0.1, uz=0.7
 S2 = math.sqrt(0.1 / 0.7)   # outer threshold
@@ -633,12 +641,14 @@ def test_predicate_lines_pass_through_the_fan_anchor():
                 assert hp.ax * hp.ay <= 0.0, (raw, pc.soc.family)
 
 
-def test_pieces_apply_within_the_pinned_boundary_slack():
-    """applicable() allows BOUNDARY_TOL outside each predicate line and no
-    more, for float, 0-d and array input."""
-    checked = 0
-    for raw in ALL_RAW + [RawBounds(r.ly, r.lx, r.lz, r.uy, r.ux, r.uz)
-                          for r in ALL_RAW]:
+MIRRORED_RAW = [RawBounds(r.ly, r.lx, r.lz, r.uy, r.ux, r.uz) for r in ALL_RAW]
+
+
+def _predicate_lines():
+    """(description, piece, line, inside, outside) for every predicate line
+    of the ALL_RAW boxes and their mirrors, where inside and outside are
+    points 0.5*BOUNDARY_TOL and 2*BOUNDARY_TOL outside the line."""
+    for raw in ALL_RAW + MIRRORED_RAW:
         d, _ = hull_from_raw(raw)
         b = d.bounds
         for pc in d.pieces:
@@ -661,15 +671,64 @@ def test_pieces_apply_within_the_pinned_boundary_slack():
                     assert abs(hp.value(x, y) + k * BOUNDARY_TOL) \
                         <= 0.1 * BOUNDARY_TOL
                     pts.append((x, y))
-                (xi, yi), (xo, yo) = pts
-                assert pc.applicable(xi, yi) is True
-                assert pc.applicable(xo, yo) is False
-                assert pc.applicable(np.array(xi), np.array(yi))
-                assert not pc.applicable(np.array(xo), np.array(yo))
-                got = pc.applicable(np.array([xi, xo]), np.array([yi, yo]))
-                assert got.tolist() == [True, False]
-                checked += 1
+                yield d, pc, hp, pts[0], pts[1]
+
+
+def test_pieces_apply_within_the_pinned_boundary_slack():
+    """applicable() allows BOUNDARY_TOL outside each predicate line and no
+    more, for float, 0-d and array input."""
+    checked = 0
+    for _, pc, _, (xi, yi), (xo, yo) in _predicate_lines():
+        assert pc.applicable(xi, yi) is True
+        assert pc.applicable(xo, yo) is False
+        assert pc.applicable(np.array(xi), np.array(yi))
+        assert not pc.applicable(np.array(xo), np.array(yo))
+        got = pc.applicable(np.array([xi, xo]), np.array([yi, yo]))
+        assert got.tolist() == [True, False]
+        checked += 1
     assert checked >= 20
+
+
+def test_scalar_scans_agree_with_the_methods():
+    """The scans write residual() and applicable() out inline.  Just inside
+    and just outside the BOUNDARY_TOL slack of every predicate line:
+    _worst_piece and _binding read a piece exactly where applicable() holds,
+    _worst_row's residual is the least row residual() bit for bit, and
+    membership is worst_violation's verdict."""
+    checked = bound = 0
+    for d, pc, _, inside, outside in _predicate_lines():
+        b = d.bounds
+        # the description with this piece alone, so a piece read is a piece
+        # returned
+        alone = HullDescription(b, d.case, d.rlt, d.zlo, d.zhi, (pc,))
+        for (x, y), app in ((inside, True), (outside, False)):
+            assert pc.applicable(x, y) is app
+            lin = min(x + b.lx * y - b.lx, b.ly * x + y - b.ly, d.zhi)
+            want = (lin, None)
+            if app:
+                env = pc.soc.envelope_z(x, y)
+                if env <= lin:
+                    want = (env, pc)
+            assert _binding(alone, x, y) == want
+            bound += want[1] is pc
+            top = _binding(d, x, y)[0]
+            for z in (top - 2 * FEAS_TOL, top + 0.5 * FEAS_TOL,
+                      top + 2 * FEAS_TOL, d.zlo - 2 * FEAS_TOL,
+                      0.5 * (d.zlo + top)):
+                p = Point3(x, y, z)
+                res, piece = _worst_piece(alone, p)
+                assert (piece is pc) is app
+                if app:
+                    assert res.hex() == pc.soc.residual(x, y, z).hex()
+                row_res, _ = _worst_row(d, p)
+                assert row_res.hex() == min(
+                    q.residual(x, y, z) for q in d.rows).hex()
+                assert membership(d, p) is (worst_violation(d, p)[1] is None)
+        checked += 1
+    assert checked >= 20
+    # the cone binds at most of the points inside, so _binding is seen
+    # reading the piece there
+    assert bound >= checked // 2, (bound, checked)
 
 
 # ------------------------------------------------- blocked array kernels

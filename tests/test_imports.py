@@ -1,7 +1,9 @@
 """What importing the package loads: the scalar API and the scalar CLI
-commands run without numpy, the lazily loaded names still resolve, and
-the public names take no tolerance argument."""
+commands run without numpy, the scalar CLI commands without dataclasses,
+the lazily loaded names still resolve, and the public names take no
+tolerance argument."""
 
+import dataclasses
 import inspect
 import subprocess
 import sys
@@ -11,7 +13,8 @@ import pytest
 import bilinear_hull
 
 # each check runs in a fresh interpreter, the way one CLI call does, and
-# ends by writing whether numpy was loaded to stderr
+# ends by writing whether a module (numpy, or dataclasses, which brings
+# inspect, ast, dis and tokenize) was loaded to stderr
 _CLI = """
 import runpy, sys
 sys.argv = ["bilinear-hull"] + %r
@@ -19,7 +22,7 @@ try:
     runpy.run_module("bilinear_hull", run_name="__main__")
 except SystemExit as e:
     assert not e.code, e.code
-print("numpy" in sys.modules, file=sys.stderr)
+print(%r in sys.modules, file=sys.stderr)
 """
 
 _SCALAR_API = """
@@ -46,15 +49,7 @@ print("numpy" in sys.modules, file=sys.stderr)
 
 BOX = ["--lx", "0.14", "--ly", "0.3", "--lz", "0.1", "--uz", "0.7"]
 
-
-def _loads_numpy(code: str) -> bool:
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True)
-    assert r.returncode == 0, r.stderr
-    return r.stderr.splitlines()[-1] == "True"
-
-
-@pytest.mark.parametrize("argv", [
+SCALAR_COMMANDS = pytest.mark.parametrize("argv", [
     ["describe", *BOX],
     ["describe", *BOX, "--format", "csv"],
     ["check", *BOX, "--point", "0.6,0.6,0.5"],
@@ -63,21 +58,37 @@ def _loads_numpy(code: str) -> bool:
     ["envelope", *BOX, "--at", "0.5,0.5"],
 ], ids=["describe", "describe-csv", "check", "separate", "tangent",
         "envelope-at"])
+
+
+def _loaded(code: str) -> bool:
+    """What the check in code wrote last: whether its module was loaded."""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stderr.splitlines()[-1] == "True"
+
+
+@SCALAR_COMMANDS
 def test_scalar_commands_do_not_import_numpy(argv):
-    assert not _loads_numpy(_CLI % argv)
+    assert not _loaded(_CLI % (argv, "numpy"))
+
+
+@SCALAR_COMMANDS
+def test_scalar_commands_do_not_import_dataclasses(argv):
+    assert not _loaded(_CLI % (argv, "dataclasses"))
 
 
 def test_grid_command_still_imports_numpy():
     # the check above can fail: a command that uses arrays reports numpy
-    assert _loads_numpy(_CLI % ["mesh", *BOX, "--grid", "3"])
+    assert _loaded(_CLI % (["mesh", *BOX, "--grid", "3"], "numpy"))
 
 
 def test_scalar_api_does_not_import_numpy():
-    assert not _loads_numpy(_SCALAR_API)
+    assert not _loaded(_SCALAR_API)
 
 
 def test_every_public_name_resolves():
-    assert _loads_numpy(_NAMES)
+    assert _loaded(_NAMES)
     from bilinear_hull import oracle, volume
     assert bilinear_hull.vol_mc is volume.vol_mc
     assert bilinear_hull.sample_surface is oracle.sample_surface
@@ -108,21 +119,14 @@ def test_tolerances_are_pinned_constants():
     assert not found, found
 
 
-_DATACLASSES = """
-import dataclasses, sys
-import bilinear_hull as bh
-bh.hull_from_raw(bh.RawBounds(0.14, 0.3, 0.1, 1.0, 1.0, 0.7))
-found = sorted(name for m in ("geometry", "constraints", "hull")
-               for name, obj in vars(sys.modules["bilinear_hull." + m]).items()
-               if isinstance(obj, type) and dataclasses.is_dataclass(obj))
-print(",".join(found), file=sys.stderr)
-"""
-
-
-def test_hull_description_is_the_only_scalar_dataclass():
-    # the value types are __slots__ classes, whose creation costs far less
-    # at import; HullDescription stays a dataclass for dataclasses.replace
-    r = subprocess.run([sys.executable, "-c", _DATACLASSES],
-                       capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stderr.splitlines()[-1] == "HullDescription"
+def test_no_scalar_class_is_a_dataclass():
+    # the value types, HullDescription among them, are __slots__ classes,
+    # whose creation costs far less at import
+    from bilinear_hull import constraints, geometry, hull
+    found = sorted(name for m in (geometry, constraints, hull)
+                   for name, obj in vars(m).items()
+                   if isinstance(obj, type) and dataclasses.is_dataclass(obj))
+    assert not found, found
+    # the check above can fail: the oracle keeps one dataclass
+    from bilinear_hull import oracle
+    assert dataclasses.is_dataclass(oracle.SurfaceSample)

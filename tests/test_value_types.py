@@ -5,14 +5,17 @@ copying, pickling and validation."""
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from bilinear_hull import (
     BoundaryLine,
     BranchBlock,
+    BranchReport,
     CaseTag,
     ExtendedFormulation,
     HalfPlane,
+    HullDescription,
     HullPiece,
     InfeasibleBounds,
     LinearInequality,
@@ -25,6 +28,8 @@ from bilinear_hull import (
     SocConstraint,
     TangentFamily,
     TangentSegment,
+    describe,
+    optimal_branch,
 )
 
 P = Point3(0.25, 0.5, 0.125)
@@ -41,6 +46,12 @@ SOC_REPR = ("SocConstraint(A=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), b=(0.0, 0.5), "
 Q_REPR = ("LinearInequality(a0=-0.5, ax=1.0, ay=0.5, az=-1.0, "
           "label='rlt_upper_x')")
 BLK_REPR = "BranchBlock(index=0, rows=(%s,), soc=%s)" % (Q_REPR, SOC_REPR)
+NB = NormalizedBounds(0.25, 0.5, 0.25, 0.75)
+PIECE = HullPiece((HP,), SOC, False)
+PIECE_REPR = ("HullPiece(predicate=(HalfPlane(a0=0.5, ax=-1.0, ay=0.25),), "
+              "soc=%s, globally_valid=False)" % SOC_REPR)
+# one-element arrays, so that reports holding equal copies compare equal
+ARRAYS = tuple(np.array([v]) for v in (0.5, 0.25, 0.75, 1.0))
 
 # (type, field names in order, field values, values of an unequal
 # instance, hashable, exact repr)
@@ -77,13 +88,23 @@ CASES = [
     (BoundaryLine, ("intercept", "slope"), (0.5, 0.25), (0.25, 0.5), True,
      "BoundaryLine(intercept=0.5, slope=0.25)"),
     (HullPiece, ("predicate", "soc", "globally_valid"), ((HP,), SOC, False),
-     ((HP,), SOC, True), False,
-     "HullPiece(predicate=(HalfPlane(a0=0.5, ax=-1.0, ay=0.25),), soc=%s, "
-     "globally_valid=False)" % SOC_REPR),
+     ((HP,), SOC, True), False, PIECE_REPR),
     (BranchBlock, ("index", "rows", "soc"), (0, (Q,), SOC), (1, (Q,), SOC),
      False, BLK_REPR),
     (ExtendedFormulation, ("blocks",), ((BLK,),), ((BLK, BLK),), False,
      "ExtendedFormulation(blocks=(%s,))" % BLK_REPR),
+    (HullDescription, ("bounds", "case", "rlt", "zlo", "zhi", "pieces"),
+     (NB, CaseTag(Region.B), (Q,), 0.25, 0.75, (PIECE,)),
+     (NB, CaseTag(Region.B), (Q,), 0.25, 0.5, (PIECE,)), False,
+     "HullDescription(bounds=NormalizedBounds(lx=0.25, ly=0.5, lz=0.25, "
+     "uz=0.75), case=CaseTag(region=<Region.B: 'RegionB'>, swapped=False), "
+     "rlt=(%s,), zlo=0.25, zhi=0.75, pieces=(%s,))" % (Q_REPR, PIECE_REPR)),
+    (BranchReport, ("b_star", "sum_ratio", "grid", "upper_ratio",
+                    "lower_ratio", "total_ratio"),
+     (0.25, 0.5) + ARRAYS, (0.25, 0.75) + ARRAYS, False,
+     "BranchReport(b_star=0.25, sum_ratio=0.5, grid=array([0.5]), "
+     "upper_ratio=array([0.25]), lower_ratio=array([0.75]), "
+     "total_ratio=array([1.]))"),
 ]
 
 IDS = [case[0].__name__ for case in CASES]
@@ -180,3 +201,31 @@ def test_validation():
         Psd2(1.0, 2.0, 1.0)
     with pytest.raises(ValueError, match="semidefinite"):
         Psd2(-1.0, 0.0, 1.0)
+
+
+def test_hull_description_derives_its_rows():
+    d = describe(NormalizedBounds(0.14, 0.3, 0.1, 0.7))
+    assert d.rows[:4] == d.rlt
+    assert [(q.a0, q.ax, q.ay, q.az, q.label) for q in d.rows[4:]] == [
+        (-0.1, 0.0, 0.0, 1.0, "z_lower"), (0.7, 0.0, 0.0, -1.0, "z_upper"),
+        (-0.14, 1.0, 0.0, 0.0, "x_lower"), (1.0, -1.0, 0.0, 0.0, "x_upper"),
+        (-0.3, 0.0, 1.0, 0.0, "y_lower"), (1.0, 0.0, -1.0, 0.0, "y_upper")]
+    # rows is neither shown, nor compared, nor pickled, nor assignable
+    assert "rows" not in repr(d)
+    assert len(d.__reduce__()[1]) == 6
+    w = pickle.loads(pickle.dumps(d))
+    assert w == d and w.rows == d.rows
+    with pytest.raises(AttributeError):
+        d.rows = ()
+    # a description built with other planes is queried with those planes
+    one = HullDescription(d.bounds, d.case, (d.rlt[0],), d.zlo, d.zhi,
+                          d.pieces)
+    assert one != d and one.rows == (d.rlt[0],) + d.rows[4:]
+
+
+def test_branch_reports_compare_their_arrays():
+    r = optimal_branch()
+    assert r == r and r == copy.copy(r)
+    # the arrays hold many elements, so equal copies compare as arrays do
+    with pytest.raises(ValueError):
+        r == copy.deepcopy(r)
