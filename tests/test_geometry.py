@@ -149,7 +149,7 @@ def test_tighten_is_idempotent():
             continue
         count += 1
         assert t.is_tightened()
-        assert tighten(t) == t
+        assert tighten_with_scaling(t) == (t, Scaling(1.0, 1.0))
         # tightened bounds keep the lower corner inside the z band
         assert t.lx >= t.lz - 1e-12 and t.lx <= t.uz + 1e-12
         assert t.ly >= t.lz - 1e-12 and t.ly <= t.uz + 1e-12
