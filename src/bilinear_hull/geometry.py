@@ -3,8 +3,8 @@
 Everything downstream works on the canonical form in which the variable upper
 bounds are (1, 1): a raw box [lx,ux] x [ly,uy] with product bounds lz <= xy <= uz
 is mapped through (x, y, z) -> (x/ux, y/uy, z/(ux*uy)).  Tightening then folds in
-the bounds implied by the product range (x >= lz, x <= uz/ly and their mirrors),
-so the tightened form satisfies
+the bounds implied by the product range (x >= lz, x <= uz/ly and their mirrors)
+in one closed-form pass and rescales once more, so the tightened form satisfies
 
     lz <= lx <= uz   and   lz <= ly <= uz   whenever lz > 0.
 """
@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import DegenerateBounds, InfeasibleBounds
+from .errors import InfeasibleBounds
 
-_MAX_TIGHTEN_PASSES = 10
 # a ratio this close to 1 is roundoff, not a bound: a shrink factor uz/ly
-# there is no reduction (rescaling by it leaves the ratio where it was, so
-# tightening never settles), and a normalized uz there is the trivial ux*uy
+# there is no reduction (rescaling by it would leave the ratio where it
+# was), and a normalized uz there is the trivial ux*uy
 _NEAR_ONE = 1.0 - 4.0 * sys.float_info.epsilon
 
 
@@ -202,46 +201,36 @@ def normalize(b: RawBounds) -> tuple[NormalizedBounds, Scaling]:
 def tighten_with_scaling(b: NormalizedBounds) -> tuple[NormalizedBounds, Scaling]:
     """Tightened bounds plus the extra rescaling applied, if any.
 
-    Reductions:  x >= lz (from xy >= lz, y <= 1) raises lx, mirror for ly;
-    x <= uz/ly (from xy <= uz, y >= ly) shrinks the box, after which the box is
-    rescaled back to unit upper bounds.  The two interact, so they run to a
-    fixed point; convergence is geometric and ten passes are plenty.  A
-    shrink factor within a few ulps of 1 counts as none.  Raises
-    DegenerateBounds if the passes still do not settle.
+    One pass of the implied-bound reductions:  x >= lz (from xy >= lz,
+    y <= 1) raises lx, mirror for ly; then x <= uz/ly (from xy <= uz,
+    y >= ly) shrinks the box, which is rescaled back to unit upper bounds.
+    The pass is already the fixed point: a second one could raise lx only
+    to lz*lx/uz <= lx, and in the rescaled frame uz/ly is 1.  A shrink
+    factor within a few ulps of 1 counts as none; where the rounding of
+    the pass leaves the ratio just past that snap (lx or ly a few ulps from
+    lz or uz), tightening again shrinks by about 5 ulps more.
     """
-    lx, ly, lz, uz = b.lx, b.ly, b.lz, b.uz
-    sx = sy = 1.0
-    for _ in range(_MAX_TIGHTEN_PASSES):
-        nlx = max(lx, lz)
-        nly = max(ly, lz)
-        ax = min(1.0, uz / nly) if nly > 0.0 else 1.0
-        ay = min(1.0, uz / nlx) if nlx > 0.0 else 1.0
-        if ax >= _NEAR_ONE:
-            ax = 1.0
-        if ay >= _NEAR_ONE:
-            ay = 1.0
-        changed = nlx != lx or nly != ly or ax < 1.0 or ay < 1.0
-        lx, ly = nlx, nly
-        if ax < 1.0 or ay < 1.0:
-            lx /= ax
-            ly /= ay
-            lz /= ax * ay
-            uz /= ax * ay
-            sx *= ax
-            sy *= ay
-        if not changed:
-            break
-    else:
-        raise DegenerateBounds("bound tightening failed to reach a fixed point")
-    uz = min(uz, 1.0)
+    lz, uz = b.lz, b.uz
+    lx, ly = max(b.lx, lz), max(b.ly, lz)
+    ax = min(1.0, uz / ly) if ly > 0.0 else 1.0
+    ay = min(1.0, uz / lx) if lx > 0.0 else 1.0
+    if ax >= _NEAR_ONE:
+        ax = 1.0
+    if ay >= _NEAR_ONE:
+        ay = 1.0
+    # division by 1.0 is exact, so an unshrunk side needs no branch
+    lx /= ax
+    ly /= ay
+    lz /= ax * ay
+    uz = min(uz / (ax * ay), 1.0)
     lz = min(max(lz, lx * ly), uz)
     if not lz < uz:
         raise InfeasibleBounds("bound tightening collapsed the z range")
-    return NormalizedBounds(lx, ly, lz, uz), Scaling(sx, sy)
+    return NormalizedBounds(lx, ly, lz, uz), Scaling(ax, ay)
 
 
 def tighten(b: NormalizedBounds) -> NormalizedBounds:
-    """Fixed point of the implied-bound reductions; feasible set unchanged.
+    """One pass of the implied-bound reductions; feasible set unchanged.
 
     When the upper reductions bite, coordinates are rescaled; use
     tighten_with_scaling to map points between the two frames.

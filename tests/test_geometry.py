@@ -192,8 +192,9 @@ def test_raw_bounds_reject_non_finite():
         RawBounds(0, 0, -math.inf, 1, 1, 1)
 
 
-# uz/ly of this box sits one ulp under 1 after the first pass, and rescaling
-# by that ratio leaves it there
+# uz/ly of this box sits one ulp under 1 after the tightening pass, and a
+# rescaling by that ratio would leave it there: tightening again must count
+# it as roundoff, not as a shrink
 ROUNDOFF_BOX = RawBounds(0.3276705387104378, 0.43411562216305305,
                          0.14234243155401288, 1.0, 1.0, 0.20572509825365426)
 

@@ -7,6 +7,7 @@ are scaled to an extreme raw box and normalized back.
 """
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from bilinear_hull import (
     FEAS_TOL,
+    InfeasibleBounds,
     NormalizedBounds,
     Point3,
     RawBounds,
@@ -27,6 +29,7 @@ from bilinear_hull import (
     oracle_membership,
     sample_surface,
     separate,
+    tighten_with_scaling,
     worst_violation,
 )
 from bilinear_hull.hull import _fan_anchor
@@ -110,6 +113,33 @@ def scaled(draw, bounds):
 
 
 any_bounds = scaled(st.one_of(region_bounds(), band_bounds()))
+
+
+EPS = sys.float_info.epsilon
+
+
+@st.composite
+def near_tie_raw(draw):
+    """Raw boxes whose lower corner coordinates sit up to 8 ulps from lz,
+    uz or sqrt(lz*uz), where tightening and the case split turn, or are
+    free; scaled per axis by 1e-8 to 1e8."""
+    lz = draw(st.floats(0.0, 0.9))
+    uz = lz + draw(st.floats(0.01, 1.0)) * (1.0 - lz)
+    ties = {"lz": lz, "uz": uz, "mid": math.sqrt(lz * uz)}
+
+    def corner():
+        tie = draw(st.sampled_from(["lz", "uz", "mid", "free"]))
+        v = ties[tie] if tie in ties else draw(unit)
+        return v * (1.0 + draw(st.integers(-8, 8)) * EPS)
+
+    lx, ly = corner(), corner()
+    assume(lx < 1.0 and ly < 1.0 and lz < uz)
+    sx, sy = 10.0 ** draw(st.floats(-8.0, 8.0)), 10.0 ** draw(st.floats(-8.0, 8.0))
+    try:
+        return RawBounds(lx * sx, ly * sy, lz * (sx * sy), sx, sy,
+                         uz * (sx * sy))
+    except InfeasibleBounds:
+        assume(False)
 
 
 def _surface_cloud(b, n=400):
@@ -246,3 +276,28 @@ def test_small_sample_oracle_agrees_with_closed_forms(b, n, seed):
         p = Point3(float(s.x[pick].mean()), float(s.y[pick].mean()),
                    float(s.z[pick].mean()))
         assert oracle_membership(s, p) and membership(d, p)
+
+
+@SETTINGS
+@given(raw=near_tie_raw(), seed=st.integers(0, 2**32 - 1))
+def test_tightening_near_ties(raw, seed):
+    try:
+        d, sc = hull_from_raw(raw)  # describes the tightened bounds
+    except InfeasibleBounds:
+        return
+    b = d.bounds
+    assert b.is_tightened()
+    rng = np.random.default_rng(seed)
+    for u, v in rng.uniform(0.0, 1.0, (50, 2)).tolist():
+        # a raw surface point: x over the box, y over the band at that x
+        x = raw.lx + u * (raw.ux - raw.lx)
+        lo = max(raw.ly, raw.lz / x) if x > 0.0 else raw.ly
+        hi = min(raw.uy, raw.uz / x) if x > 0.0 else raw.uy
+        if lo <= hi:
+            y = lo + v * (hi - lo)
+            assert membership(d, sc.to_normalized(Point3(x, y, x * y)))
+    # one pass is the fixed point up to the roundoff shrink it snaps away
+    t, s = tighten_with_scaling(b)
+    for was, now in zip((b.lx, b.ly, b.lz, b.uz, 1.0, 1.0),
+                        (t.lx, t.ly, t.lz, t.uz, s.sx, s.sy)):
+        assert abs(now - was) <= 8 * EPS * was
