@@ -467,12 +467,16 @@ def envelopes(d: HullDescription, x: float, y: float) -> tuple[float, float]:
     """(zmin, zmax) of the described set over the fixed (x, y).
 
     zmin can exceed zmax when (x, y) is outside the projection of the hull
-    (the slice is then empty); points outside the box raise OutOfDomain.
+    (the slice is then empty).  A point up to FEAS_TOL outside the box is
+    clipped onto it, as envelope_grid clips its nodes; points farther
+    outside raise OutOfDomain.
     """
     b = d.bounds
     ft = FEAS_TOL
     if not (b.lx - ft <= x <= 1.0 + ft and b.ly - ft <= y <= 1.0 + ft):
         raise OutOfDomain("point outside the box")
+    x = min(max(x, b.lx), 1.0)
+    y = min(max(y, b.ly), 1.0)
     zmin = max(x + y - 1.0, b.ly * x + b.lx * y - b.lx * b.ly, d.zlo)
     return zmin, _binding(d, x, y)[0]
 

@@ -110,6 +110,14 @@ def test_envelope_at_point():
     assert abs(out["zmax"] - math.sqrt(0.1)) <= 1e-9
 
 
+def test_envelope_just_outside_the_box_is_clipped_onto_it():
+    # x = -1e-9 is within FEAS_TOL of lx = 0; the upper cone's discriminant
+    # there is -2e-10, so the point is evaluated at x = 0
+    out = run_json("envelope", "--lz", "0", "--uz", "0.4", "--at=-1e-9,0.5")
+    at_edge = run_json("envelope", "--lz", "0", "--uz", "0.4", "--at", "0,0.5")
+    assert (out["zmin"], out["zmax"]) == (at_edge["zmin"], at_edge["zmax"])
+
+
 def test_envelope_grid_csv():
     r = run_cli("envelope", "--uz", "0.4", "--grid", "5", "--format", "csv")
     assert r.returncode == 0

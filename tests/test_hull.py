@@ -809,13 +809,16 @@ def _on_predicate_lines(d, xs):
 
 def _assert_grid_matches_scalar(d, xs, ys):
     """envelope_grid against envelopes/_binding node by node; returns the
-    grid and the number of nodes where pieces tie."""
+    grid and the number of nodes where pieces tie.  Both clip a node up to
+    FEAS_TOL outside the box onto it; _binding reads the clipped node."""
     zmin, zmax, pid = envelope_grid(d, xs, ys)
     assert zmin.shape == zmax.shape == pid.shape == (len(xs), len(ys))
+    b = d.bounds
     ties = 0
     for i, x in enumerate(xs.tolist()):
         for j, y in enumerate(ys.tolist()):
             lo, hi = envelopes(d, x, y)
+            x, y = min(max(x, b.lx), 1.0), min(max(y, b.ly), 1.0)
             top, piece = _binding(d, x, y)
             assert abs(zmin[i, j] - lo) <= 1e-14
             assert abs(zmax[i, j] - hi) <= 1e-14
@@ -847,12 +850,20 @@ def test_envelope_grid_agrees_across_block_boundaries():
 
 def test_envelope_grid_on_predicate_lines_and_row_by_row():
     ties = 0
-    for raw in ALL_RAW:
+    step = 0.5 * FEAS_TOL
+    # UpperOnly with a zero corner coordinate: just outside the box, the
+    # discriminant of its upper cone goes negative
+    for raw in ALL_RAW + [RawBounds(0, 0.3, 0, 1, 1, 0.5)]:
         d, _ = hull_from_raw(raw)
         b = d.bounds
         xs = np.linspace(b.lx, 1.0, 23)
         ys = _on_predicate_lines(d, xs)
+        # nodes up to FEAS_TOL outside the box are clipped onto it
+        xs = np.concatenate([[b.lx - step], xs, [1.0 + step]])
+        ys = np.concatenate([[b.ly - step], ys, [1.0 + step]])
         grid, n = _assert_grid_matches_scalar(d, xs, ys)
+        with pytest.raises(OutOfDomain):
+            envelopes(d, b.lx - 2.0 * FEAS_TOL, 0.5)
         ties += n
         # a grid is the stack of its one-row grids, bit for bit
         rows = [envelope_grid(d, xs[i:i + 1], ys) for i in range(len(xs))]

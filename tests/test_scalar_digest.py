@@ -30,7 +30,7 @@ from bilinear_hull import (
     worst_violation,
 )
 
-DIGEST = "3232bdcfaec284f0904c98f8bda9a1b03d115252834b94637ba447b47f5b822f"
+DIGEST = "7428ae56e5a02678182a9ea88f23c1feb545bf7a3e50ecc1f305d7dafdef306a"
 
 BOXES = 300
 KINDS = ("no_z_bound", "upper_only", "lower_only", "zero_corner",
