@@ -26,10 +26,13 @@ from bilinear_hull import (
     Region,
     Scaling,
     SocConstraint,
+    SurfaceSample,
     TangentFamily,
     TangentSegment,
     describe,
     optimal_branch,
+    oracle_membership,
+    sample_surface,
 )
 
 P = Point3(0.25, 0.5, 0.125)
@@ -105,6 +108,11 @@ CASES = [
      "BranchReport(b_star=0.25, sum_ratio=0.5, grid=array([0.5]), "
      "upper_ratio=array([0.25]), lower_ratio=array([0.75]), "
      "total_ratio=array([1.]))"),
+    # equal only while they share their arrays (or hold one element each)
+    (SurfaceSample, ("x", "y", "z", "bounds", "n"), ARRAYS[:3] + (NB, 3),
+     ARRAYS[:3] + (NB, 4), False,
+     "SurfaceSample(x=array([0.5]), y=array([0.25]), z=array([0.75]), "
+     "bounds=NormalizedBounds(lx=0.25, ly=0.5, lz=0.25, uz=0.75), n=3)"),
 ]
 
 IDS = [case[0].__name__ for case in CASES]
@@ -229,3 +237,23 @@ def test_branch_reports_compare_their_arrays():
     # the arrays hold many elements, so equal copies compare as arrays do
     with pytest.raises(ValueError):
         r == copy.deepcopy(r)
+
+
+def test_surface_samples_keep_their_solver_to_themselves():
+    s = sample_surface(NB, 5)
+    assert len(s) == len(s.x) == len(s.y) == len(s.z) > 4
+    before = repr(s)
+    assert oracle_membership(s, Point3(0.6, 0.6, 0.36))
+    # the membership solver, built by that query, is not a field: it is
+    # neither shown nor compared, and a pickled copy answers as well
+    assert repr(s) == before
+    w = pickle.loads(pickle.dumps(s))
+    assert type(w) is SurfaceSample and len(w) == len(s)
+    assert all(np.array_equal(a, b) for a, b in
+               zip((w.x, w.y, w.z), (s.x, s.y, s.z)))
+    assert (w.bounds, w.n) == (s.bounds, s.n)
+    assert oracle_membership(w, Point3(0.6, 0.6, 0.36))
+    # the arrays hold many elements, so equal copies compare as arrays do
+    assert s == copy.copy(s)
+    with pytest.raises(ValueError):
+        s == w
