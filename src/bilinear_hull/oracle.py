@@ -11,15 +11,13 @@ sides can be compared in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import Infeasible, SolverError
-from .geometry import NormalizedBounds, Point3
+from .geometry import NormalizedBounds, Point3, _Frozen, _set
 
 _RC_TOL = 1e-11
 _PIVOT_TOL = 1e-11
@@ -31,26 +29,39 @@ _REFACTOR_EVERY = 16  # eta updates between two fresh basis inverses
 _PRICE_ADD = 16  # columns one full pricing pass adds to the working set
 
 
-@dataclass(frozen=True)
-class SurfaceSample:
-    """Deduplicated surface points (x, y, x*y) respecting the bounds."""
+class SurfaceSample(_Frozen):
+    """Deduplicated surface points (x, y, x*y) respecting the bounds.
 
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    bounds: NormalizedBounds
-    n: int
+    Comparing two samples compares their arrays, so unless they share the
+    array objects it raises for arrays of more than one element.
+    """
+
+    __slots__ = ("x", "y", "z", "bounds", "n", "_lp")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                 bounds: NormalizedBounds, n: int) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
+        _set(self, "bounds", bounds)
+        _set(self, "n", n)
+        _set(self, "_lp", None)
+
+    def _fields(self) -> tuple:
+        # _lp is a cache, so it stays out of equality, repr and pickling
+        return (self.x, self.y, self.z, self.bounds, self.n)
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    @cached_property
     def _membership_lp(self) -> _Simplex:
-        """The solver of every oracle_membership query on this sample: its
-        columns (x, y, z, 1) are built once, and its working set carries
-        over from one query to the next."""
-        return _Simplex(np.vstack([self.x, self.y, self.z,
-                                   np.ones_like(self.x)]))
+        """The solver of every oracle_membership query on this sample,
+        built on the first: its columns (x, y, z, 1) are built once, and
+        its working set carries over from one query to the next."""
+        if self._lp is None:
+            _set(self, "_lp", _Simplex(np.vstack([self.x, self.y, self.z,
+                                                  np.ones_like(self.x)])))
+        return self._lp
 
 
 def _surface_parts(b: NormalizedBounds, n: int) -> list[np.ndarray]:
@@ -377,7 +388,7 @@ def oracle_membership(s: SurfaceSample, p: Point3) -> bool:
     """
     rhs = np.array([p.x, p.y, p.z, 1.0])
     try:
-        s._membership_lp.phase1(rhs)
+        s._membership_lp().phase1(rhs)
     except Infeasible:
         return False
     return True

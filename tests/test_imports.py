@@ -1,10 +1,13 @@
-"""What importing the package loads: the scalar API and the scalar CLI
-commands run without numpy, the scalar CLI commands without dataclasses,
-the lazily loaded names still resolve, and the public names take no
-tolerance argument."""
+"""What importing the package loads: nothing by itself, the scalar API
+and the scalar CLI commands run without numpy, no CLI command loads
+dataclasses, every public name resolves on first access, and the public
+names take no tolerance argument."""
 
 import dataclasses
+import functools
+import importlib
 import inspect
+import pkgutil
 import subprocess
 import sys
 
@@ -33,6 +36,13 @@ assert bh.membership(d, bh.Point3(0.5, 0.5, 0.3))
 assert bh.separate(d, bh.Point3(0.6, 0.6, 0.6)) is not None
 bh.lifted_tangent(d.bounds, 0.5, 0.5)
 print("numpy" in sys.modules, file=sys.stderr)
+"""
+
+_BARE = """
+import sys
+import bilinear_hull
+print(any(m.startswith("bilinear_hull.") for m in sys.modules),
+      file=sys.stderr)
 """
 
 # before any other access: dir() lists the lazy names, and a star import
@@ -78,6 +88,15 @@ def test_scalar_commands_do_not_import_dataclasses(argv):
     assert not _loaded(_CLI % (argv, "dataclasses"))
 
 
+def test_oracle_command_does_not_import_dataclasses():
+    argv = ["oracle", *BOX, "--at", "0.5,0.5", "--samples", "11"]
+    assert not _loaded(_CLI % (argv, "dataclasses"))
+
+
+def test_package_import_loads_no_submodule():
+    assert not _loaded(_BARE)
+
+
 def test_grid_command_still_imports_numpy():
     # the check above can fail: a command that uses arrays reports numpy
     assert _loaded(_CLI % (["mesh", *BOX, "--grid", "3"], "numpy"))
@@ -119,14 +138,42 @@ def test_tolerances_are_pinned_constants():
     assert not found, found
 
 
+_BANNED = (dataclasses, dataclasses.dataclass, functools.cached_property)
+
+
+def _dataclass_like(namespace: dict) -> list[str]:
+    """The names in namespace bound to dataclasses, its decorator or
+    functools.cached_property, or to a class that is a dataclass or holds
+    a cached_property."""
+    return sorted(name for name, obj in namespace.items()
+                  if any(obj is b for b in _BANNED)
+                  or isinstance(obj, type) and (
+                      dataclasses.is_dataclass(obj)
+                      or any(isinstance(v, functools.cached_property)
+                             for v in vars(obj).values())))
+
+
 def test_no_scalar_class_is_a_dataclass():
-    # the value types, HullDescription among them, are __slots__ classes,
-    # whose creation costs far less at import
-    from bilinear_hull import constraints, geometry, hull
-    found = sorted(name for m in (geometry, constraints, hull)
-                   for name, obj in vars(m).items()
-                   if isinstance(obj, type) and dataclasses.is_dataclass(obj))
+    # the value types, HullDescription and SurfaceSample among them, are
+    # __slots__ classes, whose creation costs far less at import
+    found = []
+    for info in pkgutil.iter_modules(bilinear_hull.__path__):
+        m = importlib.import_module("bilinear_hull." + info.name)
+        found += ["%s.%s" % (info.name, name)
+                  for name in _dataclass_like(vars(m))]
     assert not found, found
-    # the check above can fail: the oracle keeps one dataclass
-    from bilinear_hull import oracle
-    assert dataclasses.is_dataclass(oracle.SurfaceSample)
+
+    # the check above can fail
+    @dataclasses.dataclass(frozen=True)
+    class Frozen:
+        x: float
+
+    class Cached:
+        @functools.cached_property
+        def x(self):
+            return 0.0
+
+    assert _dataclass_like({"Frozen": Frozen, "Cached": Cached,
+                            "cached_property": functools.cached_property,
+                            "Point3": bilinear_hull.Point3}) == [
+        "Cached", "Frozen", "cached_property"]

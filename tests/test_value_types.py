@@ -242,11 +242,11 @@ def test_branch_reports_compare_their_arrays():
 def test_surface_samples_keep_their_solver_to_themselves():
     s = sample_surface(NB, 5)
     assert len(s) == len(s.x) == len(s.y) == len(s.z) > 4
-    before = repr(s)
+    before = repr(s), pickle.dumps(s)
     assert oracle_membership(s, Point3(0.6, 0.6, 0.36))
     # the membership solver, built by that query, is not a field: it is
-    # neither shown nor compared, and a pickled copy answers as well
-    assert repr(s) == before
+    # neither shown, nor compared, nor pickled
+    assert (repr(s), pickle.dumps(s)) == before
     w = pickle.loads(pickle.dumps(s))
     assert type(w) is SurfaceSample and len(w) == len(s)
     assert all(np.array_equal(a, b) for a, b in
