@@ -620,9 +620,9 @@ def _tangent(d: HullDescription, x: float, y: float
 
 def _wedge(d: HullDescription, x: float, y: float
            ) -> tuple[LinearInequality, TangentSegment]:
-    """Supporting plane where a linear row binds: the lower of the
-    description's two upper RLT planes (rlt_upper_y on a tie) with the
-    extreme fan segment lying in it, alpha the clamped projection of (x, y).
+    """Supporting plane where a linear row binds: the lower of the box's
+    two upper RLT planes (rlt_upper_y on a tie) with the extreme fan
+    segment lying in it, alpha the clamped projection of (x, y).
 
     The segment's family is the side fan ending in the plane's far corner
     (SideX for (1, uz), SideY for (uz, 1)); in the one-sided cases it is
@@ -630,7 +630,7 @@ def _wedge(d: HullDescription, x: float, y: float
     """
     b = d.bounds
     lx, ly, lz, uz = b.lx, b.ly, b.lz, b.uz
-    _, _, upper_x, upper_y = d.rlt
+    _, _, upper_x, upper_y = rlt(b)
     if ly * x + y - ly <= x + lx * y - lx:
         ineq, family = upper_y, TangentFamily.SIDE_X
         corner = (lz / ly, ly) if (not b.lower_trivial and ly > 0.0) else (lx, ly)

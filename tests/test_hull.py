@@ -445,6 +445,34 @@ def test_cuts_separate_and_stay_valid():
             assert float(np.min(cut.residual(sx, sy, sz))) >= -1e-9
 
 
+
+def test_separate_on_descriptions_built_with_fewer_planes():
+    # the tangent plane of a linear wedge is the box's RLT plane, which a
+    # description built through the constructor need not carry
+    d, _ = hull_from_raw(RawBounds(0.14, 0.3, 0.1, 1, 1, 0.7))
+    kept = HullDescription(d.bounds, d.case, (d.rlt[0],), d.zlo, d.zhi,
+                           d.pieces)
+    p = Point3(0.5840670096539379, 0.41285167507677434, 0.6967654475228062)
+    assert separate(kept, p) == d.rlt[3]
+    rng = np.random.default_rng(5)
+    for raw in ALL_RAW:
+        d, _ = hull_from_raw(raw)
+        b = d.bounds
+        x = rng.uniform(b.lx, 1.0, 4000)
+        y = rng.uniform(b.ly, 1.0, 4000)
+        on = (b.lz <= x * y) & (x * y <= b.uz)
+        sx, sy = x[on], y[on]
+        for planes in [()] + [(q,) for q in d.rlt]:
+            one = HullDescription(b, d.case, planes, d.zlo, d.zhi, d.pieces)
+            for k in range(40):
+                q = Point3(x[k], y[k], rng.uniform(-0.1, 1.1))
+                cut = separate(one, q)
+                assert (cut is None) == membership(one, q)
+                if cut is not None:
+                    assert evaluate(cut, q) < 1e-12
+                    assert float(np.min(cut.residual(sx, sy, sx * sy))) \
+                        >= -1e-9
+
 # --------------------------------------------------------------- disjunctive
 
 
@@ -546,6 +574,10 @@ def test_disjunctive_blocks_are_the_rows_plus_predicates():
                 assert f == blk.feasible(lam, lam * x, lam * y, lam * z)
                 seen.add(f)
         assert seen == {True, False}
+        # the origin is the cone's apex, which a negative weight leaves
+        for blk in ef.blocks:
+            assert blk.feasible(0.0, 0.0, 0.0, 0.0)
+            assert not blk.feasible(-2.0 * FEAS_TOL, 0.0, 0.0, 0.0)
 
 
 # ------------------------------------------------------- region map plotting
