@@ -287,6 +287,9 @@ def test_exit_codes():
     assert run_cli("branch", "--lz", "0.2").returncode == 2
     assert run_cli("check", "--lz", "0.9", "--uz", "0.2",
                    "--point", "0,0,0").returncode == 3
+    # a box whose z range collapses in normalize is infeasible too
+    assert run_cli("check", "--lx", "0.5", "--ly", "0.5", "--uz", "0.25",
+                   "--point", "0,0,0").returncode == 3
     assert run_cli("envelope", "--uz", "0.4", "--at", "2.0,0.5").returncode == 1
 
 

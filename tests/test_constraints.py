@@ -211,6 +211,14 @@ def test_soc_constructor_domains():
         soc_center(0.5, 0.4)
     with pytest.raises(DegenerateBounds):
         soc_lower(1.2)
+    with pytest.raises(DegenerateBounds):
+        soc_upper_zero(0.0)
+    with pytest.raises(DegenerateBounds):
+        soc_upper_general(-0.1, 0.2, 0.5)
+    with pytest.raises(DegenerateBounds):
+        soc_sides(0.5, 0.5)
+    with pytest.raises(DegenerateBounds):
+        Psd2(0.0, 0.0, 1.0).cholesky_rows()
 
 
 def test_mirrored_swaps_x_and_y():
@@ -290,6 +298,7 @@ def test_evaluate_dispatch():
     p = Point3(0.5, 0.5, 0.25)
     lin = LinearInequality(1.0, -1.0, -1.0, 1.0)
     assert abs(evaluate(lin, p) - 0.25) <= 1e-15
+    assert evaluate(lin, (0.5, 0.5, 0.25)) == evaluate(lin, p)
     c = soc_upper_zero(0.4)
     assert abs(evaluate(c, p) - float(c.residual(0.5, 0.5, 0.25))) <= 1e-15
 

@@ -53,6 +53,9 @@ def test_normalize_caps_z_range():
     # lz below lx*ly is slack: floored at lx*ly
     b, _ = normalize(RawBounds(1.0, 1.0, 0.1, 2.0, 2.0, 4.0))
     assert b.lz == 0.25
+    # raised to the corner value, lz meets uz: no body is left
+    with pytest.raises(InfeasibleBounds, match="collapses"):
+        normalize(RawBounds(0.5, 0.5, 0, 1, 1, 0.25))
 
 
 def test_normalized_bounds_invariants():

@@ -113,6 +113,9 @@ def test_domain_checks():
         vol_removed(Side.LOWER, 1.0)
     with pytest.raises(ValueError):
         vol_rlt_cut(Side.UPPER, -0.2)
+    d, _ = hull_from_raw(RawBounds(0, 0, 0, 1, 1, 0.3))
+    with pytest.raises(ValueError, match="n_samples"):
+        vol_mc(d, 0)
 
 
 def test_numeric_matches_closed_forms():
