@@ -2,8 +2,9 @@
 
 A description is the conjunction of the four RLT planes, the product bounds
 on z, the box, and a short list of pieces.  The linear part is one table of
-ten rows (HullDescription.rows) that membership, worst_violation, separate,
-the tangent wedges and the disjunctive blocks all read.  A piece is a cone
+ten rows (HullDescription.rows) that membership, worst_violation, separate
+and the disjunctive blocks read; the envelopes and the tangent planes use
+the box's own RLT planes, from its bounds.  A piece is a cone
 constraint together with the half-plane predicate that carves out the part
 of the box where the cone is the binding upper boundary; outside its
 predicate a piece imposes nothing.  Only some pieces are valid over the
@@ -194,10 +195,13 @@ class HullDescription(_Frozen):
     """The hull as linear rows plus pieces.
 
     `rows` is derived from the other fields: the RLT planes, then z >= zlo,
-    z <= zhi, x >= lx, x <= 1, y >= ly, y <= 1.  Every membership and
-    separation query reads it, so a description built through this
-    constructor with other planes is queried with exactly those planes.
-    Equality, hashing, repr and pickling read the six other fields.
+    z <= zhi, x >= lx, x <= 1, y >= ly, y <= 1.  Membership,
+    worst_violation, separate and the disjunctive blocks read it, so a
+    description built through this constructor with other planes is
+    checked against exactly those planes.  envelopes, envelope_grid and
+    the tangent planes (lifted_tangent, and separate's cut for a violated
+    cone) use the box's own RLT planes, from bounds.  Equality, hashing,
+    repr and pickling read the six other fields.
     """
 
     __slots__ = ("bounds", "case", "rlt", "zlo", "zhi", "pieces", "rows")
