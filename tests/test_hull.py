@@ -574,7 +574,7 @@ def test_disjunctive_blocks_are_the_rows_plus_predicates():
                 assert f == blk.feasible(lam, lam * x, lam * y, lam * z)
                 seen.add(f)
         assert seen == {True, False}
-        # the origin is the cone's apex, which a negative weight leaves
+        # at weight 0 the origin is feasible; a negative weight is not
         for blk in ef.blocks:
             assert blk.feasible(0.0, 0.0, 0.0, 0.0)
             assert not blk.feasible(-2.0 * FEAS_TOL, 0.0, 0.0, 0.0)

@@ -45,8 +45,8 @@ print(any(m.startswith("bilinear_hull.") for m in sys.modules),
       file=sys.stderr)
 """
 
-# before any other access: dir() lists the lazy names, and a star import
-# resolves them (which loads numpy, through volume and oracle)
+# before any other access: dir() lists every public name, and a star
+# import resolves them (which loads numpy, through volume and oracle)
 _NAMES = """
 import sys
 import bilinear_hull as bh
