@@ -9,11 +9,18 @@ envelope.  The digest hashes, exactly (floats by float.hex), the
 description (to_dict, case, rows), membership, worst_violation, the cut of
 separate, envelopes and lifted_tangent (or the type of what it raised).
 A speed-up of the scalar path must leave every bit of it unchanged.
+
+A second sha256 pins the same queries on grids whose nodes lie exactly on
+the predicate lines of the pieces, where pieces tie: which piece wins a tie
+shows in the family and the scale of a tangent plane, and the random points
+above never land on such a line.
 """
 
 import hashlib
 import math
 import random
+
+import numpy as np
 
 from bilinear_hull import (
     FEAS_TOL,
@@ -31,6 +38,7 @@ from bilinear_hull import (
 )
 
 DIGEST = "7428ae56e5a02678182a9ea88f23c1feb545bf7a3e50ecc1f305d7dafdef306a"
+LINES_DIGEST = "fd6373d5437cf33b2a55ff72deba32ae26fc7b94f335f664ec53463dcbb69cd7"
 
 BOXES = 300
 KINDS = ("no_z_bound", "upper_only", "lower_only", "zero_corner",
@@ -191,16 +199,69 @@ def _queries(rng, d):
                _ineq(separate(d, p)), _outcome(envelopes, d, x, y), tan)
 
 
-def _digest():
+# the acceptance boxes of every case; the line grids run them and their mirrors
+LINE_BOXES = [
+    RawBounds(0, 0, 0, 1, 1, 1),
+    RawBounds(0, 0, 0, 1, 1, 0.4),
+    RawBounds(0, 0, 0.2, 1, 1, 1),
+    RawBounds(0, 0, 0.2, 1, 1, 0.7),
+    RawBounds(0.32, 0.28, 0.1, 1, 1, 0.7),
+    RawBounds(0.14, 0.2, 0.1, 1, 1, 0.7),
+    RawBounds(0.14, 0.3, 0.1, 1, 1, 0.7),
+    RawBounds(0.14, 0.5, 0.1, 1, 1, 0.7),
+    RawBounds(0.5, 0.3, 0.3, 1, 1, 1),
+]
+
+
+def _line_grid(d):
+    """xs, and ys that put (x, y) exactly on a predicate line of d for some
+    x in xs, plus an even spread, kept where they fall inside the box."""
+    b = d.bounds
+    xs = np.linspace(b.lx, 1.0, 25)
+    ys = [np.linspace(b.ly, 1.0, 9)]
+    for piece in d.pieces:
+        for hp in piece.predicate:
+            if hp.ay in (1.0, -1.0):
+                # value() = (a0 + ax*x) + ay*y, exactly 0 at this y
+                ys.append(-hp.ay * (hp.a0 + hp.ax * xs))
+    ys = np.concatenate(ys)
+    return xs.tolist(), np.unique(ys[(ys >= b.ly) & (ys <= 1.0)]).tolist()
+
+
+def _line_records():
+    for raw in LINE_BOXES + [RawBounds(r.ly, r.lx, r.lz, r.uy, r.ux, r.uz)
+                             for r in LINE_BOXES]:
+        d, _ = hull_from_raw(raw)
+        xs, ys = _line_grid(d)
+        heights = (d.zlo - 0.01, 0.5 * (d.zlo + d.zhi), d.zhi + 0.01)
+        for x in xs:
+            for y in ys:
+                tan = _outcome(lifted_tangent, d.bounds, x, y)
+                if not isinstance(tan, str):
+                    q, seg = tan
+                    tan = (seg.family, _ineq(q), seg.lower.astuple(),
+                           seg.upper.astuple(), seg.alpha)
+                cuts = []
+                for z in heights + (x * y + 0.3,):
+                    p = Point3(x, y, z)
+                    cuts.append((worst_violation(d, p), _ineq(separate(d, p))))
+                yield ((x, y), _outcome(envelopes, d, x, y), tan, cuts)
+
+
+def _digest(records):
     h = hashlib.sha256()
-    for rec in _records():
+    for rec in records:
         h.update(_enc(rec).encode())
         h.update(b"\n")
     return h.hexdigest()
 
 
 def test_scalar_outputs_match_their_digest():
-    assert _digest() == DIGEST
+    assert _digest(_records()) == DIGEST
+
+
+def test_outputs_on_predicate_lines_match_their_digest():
+    assert _digest(_line_records()) == LINES_DIGEST
 
 
 def test_the_boxes_reach_every_case_and_both_answers():
