@@ -2,18 +2,20 @@
 
 The hull of the bilinear surface over the canonical box is polyhedral from
 below (two of the four RLT planes plus the bound z >= lz) and curved from
-above.  Every curved patch belongs to one of six constraint families; each
-family here carries three interchangeable views:
+above.  Every curved patch belongs to one of six constraint families, and
+the cone of each is tight along a fan of line segments on rays from one
+point, the fan's anchor (SocConstraint.anchor): the box corner (1, 1), a
+side corner (1, uz) or (uz, 1), the cone's lower corner (lx, ly), or the
+origin.  A segment runs from the anchor to the curve xy = lz or xy = uz (a
+center-fan segment from one curve to the other).  Each cone carries:
 
-  * a canonical cone inequality  ||A v + b|| <= c'v + d  over v = (x, y, z),
-  * a closed-form upper envelope z <= g(x, y) (the larger quadratic root),
-  * a fan of tangent line segments joining a point on the curve xy = lz (or
-    the lower box corner) to a point on xy = uz (or a curve endpoint), along
-    which the cone is tight.
-
-The helpers at the end turn a tangent segment into its lifted inequality;
-hull.lifted_tangent() runs the binding piece's segment from its fan's
-anchor through the query point to the curve, and lifts it with them.
+  * its inequality  ||A v + b|| <= c'v + d  over v = (x, y, z),
+  * a closed-form upper envelope z <= g(x, y); for the lower, side and
+    general upper cones it is one root, the height of the fan segment
+    through (x, y),
+  * its fan's anchor, from which hull.lifted_tangent() runs the binding
+    piece's segment through the query point to the curve, and takes the
+    plane through the segment that is tangent to that curve.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ DISC_CLAMP = -1e-12
 def _clamped_sqrt(d):
     """sqrt with the documented negative-roundoff clamp at DISC_CLAMP.
 
-    A float stays a float, through math; anything else is evaluated as an
-    array, and only then is numpy imported.
+    A Python number gives a float, through math; anything else is
+    evaluated as an array, and only then is numpy imported.
     """
-    if isinstance(d, float):
+    scalar = isinstance(d, (int, float))
+    if scalar:
         low = d
     else:
         import numpy as np
@@ -42,7 +45,7 @@ def _clamped_sqrt(d):
         raise NegativeDiscriminant(
             "discriminant %g below clamp threshold %g" % (float(low), DISC_CLAMP)
         )
-    if isinstance(d, float):
+    if scalar:
         return math.sqrt(max(d, 0.0))
     return np.sqrt(np.maximum(d, 0.0))
 
@@ -143,25 +146,46 @@ class SocConstraint(_Frozen):
     def residual(self, x, y, z):
         """(c'v + d) - ||A v + b||; >= 0 iff the constraint holds.
 
-        Three floats give a float, through math; anything else is
+        Three Python numbers give a float, through math; anything else is
         evaluated as an array.
         """
         (a11, a12, a13), (a21, a22, a23) = self.A
         r1 = a11 * x + a12 * y + a13 * z + self.b[0]
         r2 = a21 * x + a22 * y + a23 * z + self.b[1]
         rhs = self.c[0] * x + self.c[1] * y + self.c[2] * z + self.d
-        if isinstance(x, float) and isinstance(y, float) and isinstance(z, float):
+        if (isinstance(x, (int, float)) and isinstance(y, (int, float))
+                and isinstance(z, (int, float))):
             return rhs - math.hypot(r1, r2)
         import numpy as np
         return rhs - np.hypot(r1, r2)
 
+    @property
+    def anchor(self) -> tuple[float, float]:
+        """The (x, y) end that every segment of the cone's fan shares: the
+        box corner (1, 1) for the lower cone, (1, uz) or (uz, 1) for the
+        side cones, the lower corner (lx, ly) for the upper cones, and the
+        origin for the center cone."""
+        f, p = self.family, self.params
+        if f is TangentFamily.LOWER:
+            return 1.0, 1.0
+        if f is TangentFamily.SIDE_X:
+            return 1.0, p["uz"]
+        if f is TangentFamily.SIDE_Y:
+            return p["uz"], 1.0
+        return p.get("lx", 0.0), p.get("ly", 0.0)
+
     def envelope_z(self, x, y):
         """Largest z satisfying the constraint at (x, y), in closed form.
 
-        Raises NegativeDiscriminant when evaluated far outside the region
-        on which the family's formula is real (beyond the -1e-12 clamp).
+        For the lower, side and general upper cones it is the height of
+        the fan segment through (x, y): with (kx, ky) the anchor and c the
+        bound of the curve the fan reaches (uz for the upper cone, lz for
+        the others), a root of
+        (ky*x - z)(kx*y - z) = c*(kx - x)*(ky - y), the larger one for the
+        upper cone.  Raises NegativeDiscriminant when evaluated far outside
+        the region on which the formula is real (beyond the -1e-12 clamp).
         """
-        scalar = isinstance(x, float) and isinstance(y, float)
+        scalar = isinstance(x, (int, float)) and isinstance(y, (int, float))
         if not scalar:
             import numpy as np
             x = np.asarray(x, dtype=float)
@@ -174,24 +198,13 @@ class SocConstraint(_Frozen):
             lz, uz = p["lz"], p["uz"]
             out = (math.sqrt(lz) + math.sqrt(uz)) * _clamped_sqrt(x * y) \
                 - math.sqrt(lz * uz)
-        elif f is TangentFamily.LOWER:
-            lz = p["lz"]
-            disc = (x - y) ** 2 + 4.0 * lz * (1.0 - x) * (1.0 - y)
-            out = (x + y - _clamped_sqrt(disc)) / 2.0
-        elif f is TangentFamily.SIDE_X:
-            lz, uz = p["lz"], p["uz"]
-            disc = (uz * x - y) ** 2 + 4.0 * lz * (1.0 - x) * (uz - y)
-            out = (uz * x + y - _clamped_sqrt(disc)) / 2.0
-        elif f is TangentFamily.SIDE_Y:
-            lz, uz = p["lz"], p["uz"]
-            disc = (x - uz * y) ** 2 + 4.0 * lz * (uz - x) * (1.0 - y)
-            out = (x + uz * y - _clamped_sqrt(disc)) / 2.0
-        elif f is TangentFamily.UPPER_GENERAL:
-            lx, ly, uz = p["lx"], p["ly"], p["uz"]
-            disc = (ly * x - lx * y) ** 2 + 4.0 * uz * (x - lx) * (y - ly)
-            out = (ly * x + lx * y + _clamped_sqrt(disc)) / 2.0
-        else:  # pragma: no cover - enum is closed
-            raise AssertionError(f)
+        else:
+            kx, ky = self.anchor
+            upper = f is TangentFamily.UPPER_GENERAL
+            c = p["uz"] if upper else p["lz"]
+            u, v = ky * x, kx * y
+            r = _clamped_sqrt((u - v) ** 2 + 4.0 * c * (kx - x) * (ky - y))
+            out = (u + v + r) / 2.0 if upper else (u + v - r) / 2.0
         if scalar or np.ndim(out) == 0:
             return float(out)
         return out
@@ -383,31 +396,3 @@ class TangentSegment(_Frozen):
         return Point3(alpha * self.lower.x + t * self.upper.x,
                       alpha * self.lower.y + t * self.upper.y,
                       alpha * self.lower.z + t * self.upper.z)
-
-
-_UPPER_FORM = (TangentFamily.UPPER_ZERO, TangentFamily.UPPER_GENERAL)
-
-
-def _segment_inequality(seg: TangentSegment, lz: float, uz: float) -> LinearInequality:
-    """The plane containing seg that is tangent to the curve at one end: the
-    upper end for the upper families (their lower end is a corner), the
-    lower end otherwise."""
-    xs, ys = seg.lower.x, seg.lower.y
-    xb, yb = seg.upper.x, seg.upper.y
-    cross = ys * xb + xs * yb
-    if seg.family in _UPPER_FORM:
-        a = (cross - 2.0 * uz) / (uz - lz)
-        return LinearInequality(-(2.0 + a) * uz, yb, xb, a, label="lifted_tangent")
-    a = -(cross - 2.0 * lz) / (uz - lz)
-    return LinearInequality(-(2.0 + a) * lz, ys, xs, a, label="lifted_tangent")
-
-
-def _projection_alpha(x, y, lower: Point3, upper: Point3) -> float:
-    """Weight on lower of the point of the segment nearest to (x, y)."""
-    dx = upper.x - lower.x
-    dy = upper.y - lower.y
-    denom = dx * dx + dy * dy
-    if denom <= 0.0:
-        return 0.0
-    a = ((upper.x - x) * dx + (upper.y - y) * dy) / denom
-    return min(max(a, 0.0), 1.0)

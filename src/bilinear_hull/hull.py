@@ -32,13 +32,10 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .constraints import (
-    _UPPER_FORM,
     LinearInequality,
     SocConstraint,
     TangentFamily,
     TangentSegment,
-    _projection_alpha,
-    _segment_inequality,
     _side_cone,
     rlt,
     soc_center,
@@ -384,22 +381,20 @@ def _worst_row(d: HullDescription, p: Point3) -> tuple[float, LinearInequality]:
 def _worst_piece(d: HullDescription, p: Point3
                  ) -> tuple[float, HullPiece | None]:
     """The smallest cone residual at p over the pieces that apply there and
-    its piece, ties going to the lower family rank (center, side, corner
-    cones), then the lower piece index; (inf, None) when none applies."""
+    its piece, the first on a tie; (inf, None) when none applies."""
     x, y = p.x, p.y
     bt = -BOUNDARY_TOL
-    key, worst = (math.inf,), None
-    for i, piece in enumerate(d.pieces):
+    res, worst = math.inf, None
+    for piece in d.pieces:
         # the test of piece.applicable(x, y), so the same answer
         for hp in piece.predicate:
             if not hp.a0 + hp.ax * x + hp.ay * y >= bt:
                 break
         else:
-            k = (float(piece.soc.residual(x, y, p.z)),
-                 _FAMILY_RANK[piece.soc.family], i)
-            if k < key:
-                key, worst = k, piece
-    return key[0], worst
+            r = float(piece.soc.residual(x, y, p.z))
+            if r < res:
+                res, worst = r, piece
+    return res, worst
 
 
 def membership(d: HullDescription, p: Point3) -> bool:
@@ -557,27 +552,7 @@ def envelope_grid(d: HullDescription, xs: np.ndarray, ys: np.ndarray
     return zmin, zmax, piece_id
 
 
-_FAMILY_RANK = {
-    TangentFamily.CENTER: 2,
-    TangentFamily.LOWER: 2,
-    TangentFamily.SIDE_X: 3,
-    TangentFamily.SIDE_Y: 3,
-    TangentFamily.UPPER_ZERO: 4,
-    TangentFamily.UPPER_GENERAL: 4,
-}
-
-
-def _fan_anchor(b: NormalizedBounds, soc: SocConstraint) -> tuple[float, float]:
-    """The end that every segment of the cone's fan shares: a box corner,
-    the cone's lower corner (lx, ly), or the center cone's origin."""
-    fam = soc.family
-    if fam is TangentFamily.LOWER:
-        return 1.0, 1.0
-    if fam is TangentFamily.SIDE_X:
-        return 1.0, b.uz
-    if fam is TangentFamily.SIDE_Y:
-        return b.uz, 1.0
-    return soc.params.get("lx", 0.0), soc.params.get("ly", 0.0)
+_UPPER_FORM = (TangentFamily.UPPER_ZERO, TangentFamily.UPPER_GENERAL)
 
 
 def _tangent(d: HullDescription, x: float, y: float
@@ -590,14 +565,17 @@ def _tangent(d: HullDescription, x: float, y: float
     anchor at z = lz up to xy = uz (upper fans), or along the origin's ray
     between the curves (center fan).  A point just outside the predicate,
     whose lines pass through the anchor, takes the segment along the line.
-    Where a linear row binds the plane is the upper RLT plane of the wedge.
+    The plane is tangent to xy = uz at the segment's upper end for an upper
+    fan, to xy = lz at its lower end otherwise.  Where a linear row binds
+    the plane is the upper RLT plane of the wedge.
     """
     b = d.bounds
+    lz, uz = b.lz, b.uz
     _, piece = _binding(d, x, y)
     if piece is None:
         return _wedge(d, x, y)
     fam = piece.soc.family
-    ax, ay = _fan_anchor(b, piece.soc)
+    ax, ay = piece.soc.anchor
     dx, dy = x - ax, y - ay
     # toward the fan's curve along a predicate line (none has negative slope)
     s = 1.0 if fam in _UPPER_FORM or fam is TangentFamily.CENTER else -1.0
@@ -612,14 +590,20 @@ def _tangent(d: HullDescription, x: float, y: float
         t = 2.0 * abs(k) / (abs(m) + math.sqrt(m * m - 4.0 * dx * dy * k))
         return Point3(ax + t * dx, ay + t * dy, c)
 
-    if fam is TangentFamily.CENTER:
-        lower, upper = end(b.lz), end(b.uz)
-    elif fam in _UPPER_FORM:
-        lower, upper = Point3(ax, ay, b.lz), end(b.uz)
+    # the plane through the segment and through the tangent ys*x + xs*y
+    # = 2*c of the curve xy = c at its end touch = (xs, ys, c)
+    if fam in _UPPER_FORM:
+        lower, upper = Point3(ax, ay, lz), end(uz)
+        touch = upper
+        a = (lower.y * upper.x + lower.x * upper.y - 2.0 * uz) / (uz - lz)
     else:
-        lower, upper = end(b.lz), Point3(ax, ay, b.uz)
-    seg = TangentSegment(lower, upper, _projection_alpha(x, y, lower, upper), fam)
-    return _segment_inequality(seg, b.lz, b.uz), seg
+        lower = touch = end(lz)
+        upper = end(uz) if fam is TangentFamily.CENTER else Point3(ax, ay, uz)
+        a = -(lower.y * upper.x + lower.x * upper.y - 2.0 * lz) / (uz - lz)
+    plane = LinearInequality(-(2.0 + a) * touch.z, touch.y, touch.x, a,
+                             label="lifted_tangent")
+    return plane, TangentSegment(lower, upper,
+                                 _projection_alpha(x, y, lower, upper), fam)
 
 
 def _wedge(d: HullDescription, x: float, y: float
@@ -650,6 +634,17 @@ def _wedge(d: HullDescription, x: float, y: float
                                 _projection_alpha(x, y, lower, upper), family)
 
 
+def _projection_alpha(x, y, lower: Point3, upper: Point3) -> float:
+    """Weight on lower of the point of the segment nearest to (x, y)."""
+    dx = upper.x - lower.x
+    dy = upper.y - lower.y
+    denom = dx * dx + dy * dy
+    if denom <= 0.0:
+        return 0.0
+    a = ((upper.x - x) * dx + (upper.y - y) * dy) / denom
+    return min(max(a, 0.0), 1.0)
+
+
 def lifted_tangent(b: NormalizedBounds, x: float, y: float
                    ) -> tuple[LinearInequality, TangentSegment]:
     """Supporting plane of the hull above the interior point (x, y).
@@ -675,7 +670,8 @@ def lifted_tangent(b: NormalizedBounds, x: float, y: float
 def worst_violation(d: HullDescription, p: Point3
                     ) -> tuple[float, dict | None]:
     """Smallest constraint residual at p and, when negative beyond
-    FEAS_TOL, a short identification of the violated constraint.  A point
+    FEAS_TOL, a short identification of the violated constraint: on a tie
+    a linear row before a cone, the earlier row, the first piece.  A point
     with a non-finite coordinate raises OutOfDomain.
     """
     row_res, row = _worst_row(d, p)
@@ -691,12 +687,11 @@ def worst_violation(d: HullDescription, p: Point3
 def separate(d: HullDescription, p: Point3) -> LinearInequality | None:
     """A valid inequality violated by p, or None when p is a member.
 
-    Picks the most violated constraint; ties break toward RLT planes, then
-    bounds, then the center cone, the side cones, and the corner cones
-    last.  A violated cone is converted into the hull's tangent plane
-    above the projection of p (below the curve xy = lz, the tangent of that
-    curve); when p does not violate it, the most violated linear row is
-    returned.  A point with a non-finite coordinate raises OutOfDomain.
+    Picks the most violated constraint, a linear row (the earlier one) on
+    a tie with a cone.  A violated cone is converted into the hull's
+    tangent plane above the projection of p (below the curve xy = lz, the
+    tangent of that curve); when p does not violate it, the most violated
+    linear row is returned.  A point with a non-finite coordinate raises OutOfDomain.
     """
     b = d.bounds
     x, y, z = p.x, p.y, p.z

@@ -27,6 +27,7 @@ from bilinear_hull import (
     tighten,
 )
 from bilinear_hull.constraints import lower_quadratic_form, side_quadratic_forms
+from bilinear_hull.hull import _projection_alpha
 
 
 def _surface_band(rng, b, n):
@@ -420,6 +421,9 @@ def test_tangent_alpha_reproduces_query():
             hits += 1
     # wedge fallbacks project instead of interpolating; most queries are exact
     assert hits >= 100
+    # a segment of zero length in (x, y) projects onto its lower end
+    end = Point3(0.5, 0.4, 0.1)
+    assert _projection_alpha(0.6, 0.6, end, Point3(0.5, 0.4, 0.7)) == 0.0
 
 
 def test_tangent_segment_lies_on_matching_cone():

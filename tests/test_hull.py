@@ -35,7 +35,6 @@ from bilinear_hull import (
 from bilinear_hull.hull import (
     _BLOCK,
     _binding,
-    _fan_anchor,
     _worst_piece,
     _worst_row,
 )
@@ -584,6 +583,8 @@ def test_disjunctive_blocks_are_the_rows_plus_predicates():
 
 
 def test_region_map_polylines():
+    with pytest.raises(DegenerateBounds):
+        region_map_polylines(0.5, 0.5)
     lz, uz = 0.1, 0.7
     pl = region_map_polylines(lz, uz, n=33)
     assert set(pl) == {"frame_lx", "frame_ly", "hyperbola", "split_lx",
@@ -667,7 +668,7 @@ def test_predicate_lines_pass_through_the_fan_anchor():
                           for r in ALL_RAW]:
         d, _ = hull_from_raw(raw)
         for pc in d.pieces:
-            ax, ay = _fan_anchor(d.bounds, pc.soc)
+            ax, ay = pc.soc.anchor
             for hp in pc.predicate:
                 assert abs(hp.value(ax, ay)) <= 1e-15, (raw, pc.soc.family)
                 assert hp.ax * hp.ay <= 0.0, (raw, pc.soc.family)
@@ -684,7 +685,7 @@ def _predicate_lines():
         d, _ = hull_from_raw(raw)
         b = d.bounds
         for pc in d.pieces:
-            ax, ay = _fan_anchor(b, pc.soc)
+            ax, ay = pc.soc.anchor
             for hp in pc.predicate:
                 # a point on the line, inside the box and well inside the
                 # piece's other predicate lines

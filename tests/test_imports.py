@@ -35,6 +35,10 @@ d, sc = bh.hull_from_raw(bh.RawBounds(0.14, 0.3, 0.1, 1.0, 1.0, 0.7))
 assert bh.membership(d, bh.Point3(0.5, 0.5, 0.3))
 assert bh.separate(d, bh.Point3(0.6, 0.6, 0.6)) is not None
 bh.lifted_tangent(d.bounds, 0.5, 0.5)
+# integer arguments stay on the math path too
+d, sc = bh.hull_from_raw(bh.RawBounds(0, 0, 0.2, 1, 1, 0.7))
+bh.envelopes(d, 1, 1)
+bh.worst_violation(d, bh.Point3(1, 1, 0))
 print("numpy" in sys.modules, file=sys.stderr)
 """
 

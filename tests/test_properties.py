@@ -32,7 +32,6 @@ from bilinear_hull import (
     tighten_with_scaling,
     worst_violation,
 )
-from bilinear_hull.hull import _fan_anchor
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None,
@@ -197,7 +196,7 @@ def test_lifted_tangent_properties(b, queries):
 @given(b=any_bounds)
 def test_predicate_lines_pass_through_the_fan_anchor(b):
     for pc in describe(b).pieces:
-        ax, ay = _fan_anchor(b, pc.soc)
+        ax, ay = pc.soc.anchor
         for hp in pc.predicate:
             assert abs(hp.value(ax, ay)) <= 1e-15
             assert hp.ax * hp.ay <= 0.0
