@@ -118,23 +118,19 @@ def vol_mc(d: HullDescription, n_samples: int, seed: int = 0,
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
     b = d.bounds
-    chunks = []
-    done = 0
-    k = 0
-    while done < n_samples:
-        take = min(_MC_CHUNK, n_samples - done)
-        chunks.append((k, take))
-        done += take
-        k += 1
+    chunks = range(math.ceil(n_samples / _MC_CHUNK))
+
+    def chunk(k: int) -> int:
+        return _mc_chunk(d, seed, k, min(_MC_CHUNK, n_samples - k * _MC_CHUNK))
+
     if workers is not None and workers > 1:
         # imported here: concurrent.futures pulls in logging, a cost every
         # import of the package would pay
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(lambda ck: _mc_chunk(d, seed, ck[0], ck[1]),
-                                chunks))
+            hits = sum(pool.map(chunk, chunks))
     else:
-        hits = sum(_mc_chunk(d, seed, ck, cnt) for ck, cnt in chunks)
+        hits = sum(map(chunk, chunks))
     vbox = (1.0 - b.lx) * (1.0 - b.ly) * (d.zhi - d.zlo)
     p = hits / n_samples
     half = 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples) * vbox
