@@ -569,8 +569,7 @@ def _tangent(d: HullDescription, x: float, y: float
     fan, to xy = lz at its lower end otherwise.  Where a linear row binds
     the plane is the upper RLT plane of the wedge.
     """
-    b = d.bounds
-    lz, uz = b.lz, b.uz
+    lz, uz = d.bounds.lz, d.bounds.uz
     _, piece = _binding(d, x, y)
     if piece is None:
         return _wedge(d, x, y)
