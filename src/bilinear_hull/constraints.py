@@ -16,6 +16,9 @@ center-fan segment from one curve to the other).  Each cone carries:
   * its fan's anchor, from which hull.lifted_tangent() runs the binding
     piece's segment through the query point to the curve, and takes the
     plane through the segment that is tangent to that curve.
+
+With swapped=True a builder gives its cone with x and y interchanged, the
+floats of SocConstraint.mirrored(), without building the canonical cone.
 """
 
 from __future__ import annotations
@@ -211,18 +214,8 @@ class SocConstraint(_Frozen):
 
     def mirrored(self) -> "SocConstraint":
         """The same constraint with the roles of x and y interchanged."""
-        (a11, a12, a13), (a21, a22, a23) = self.A
-        params = dict(self.params)
-        if "lx" in params and "ly" in params:
-            params["lx"], params["ly"] = params["ly"], params["lx"]
-        return SocConstraint(
-            A=((a12, a11, a13), (a22, a21, a23)),
-            b=self.b,
-            c=(self.c[1], self.c[0], self.c[2]),
-            d=self.d,
-            family=_MIRROR_FAMILY.get(self.family, self.family),
-            params=params,
-        )
+        return _oriented(self.A, self.b, self.c, self.d, self.family,
+                         dict(self.params), True)
 
     def to_dict(self) -> dict:
         return {
@@ -236,12 +229,22 @@ class SocConstraint(_Frozen):
         }
 
 
+def _oriented(A, b, c, d, family, params, swapped) -> SocConstraint:
+    """The cone, or with swapped its mirror: the x and y columns of A and
+    entries of c, SideX and SideY, and the lx and ly params interchanged."""
+    if swapped:
+        (a11, a12, a13), (a21, a22, a23) = A
+        A = ((a12, a11, a13), (a22, a21, a23))
+        c = (c[1], c[0], c[2])
+        family = _MIRROR_FAMILY.get(family, family)
+        if "lx" in params and "ly" in params:
+            params = dict(params, lx=params["ly"], ly=params["lx"])
+    return SocConstraint(A, b, c, d, family, params)
+
+
 def evaluate(c, p) -> float:
     """Residual of a linear or SOC constraint at a point; >= 0 iff satisfied."""
-    if isinstance(p, Point3):
-        x, y, z = p.x, p.y, p.z
-    else:
-        x, y, z = p
+    x, y, z = p.astuple() if isinstance(p, Point3) else p
     return float(c.residual(x, y, z))
 
 
@@ -264,25 +267,26 @@ def rlt(b: NormalizedBounds) -> list[LinearInequality]:
     ]
 
 
-def _rotated_cone(w_coeffs, w0, p_coeffs, p0, q_coeffs, q0, family, params):
+def _rotated_cone(w_coeffs, w0, p_coeffs, p0, q_coeffs, q0, family, params,
+                  swapped=False):
     """p*q >= w^2 with p, q >= 0, rewritten as ||(2w, p-q)|| <= p+q."""
     wx, wy, wz = w_coeffs
     px, py, pz = p_coeffs
     qx, qy, qz = q_coeffs
-    return SocConstraint(((2.0 * wx, 2.0 * wy, 2.0 * wz),
-                          (px - qx, py - qy, pz - qz)),
-                         (2.0 * w0, p0 - q0), (px + qx, py + qy, pz + qz),
-                         p0 + q0, family, params)
+    return _oriented(((2.0 * wx, 2.0 * wy, 2.0 * wz),
+                      (px - qx, py - qy, pz - qz)),
+                     (2.0 * w0, p0 - q0), (px + qx, py + qy, pz + qz),
+                     p0 + q0, family, params, swapped)
 
 
-def soc_upper_zero(uz: float) -> SocConstraint:
+def soc_upper_zero(uz: float, swapped: bool = False) -> SocConstraint:
     """z^2 <= uz*x*y, the single curved patch when only z <= uz binds."""
     if not 0.0 < uz <= 1.0:
         raise DegenerateBounds("need 0 < uz <= 1")
     return _rotated_cone((0.0, 0.0, 1.0), 0.0,
                          (uz, 0.0, 0.0), 0.0,
                          (0.0, 1.0, 0.0), 0.0,
-                         TangentFamily.UPPER_ZERO, {"uz": uz})
+                         TangentFamily.UPPER_ZERO, {"uz": uz}, swapped)
 
 
 def lower_quadratic_form(lz: float) -> Psd2:
@@ -294,7 +298,8 @@ def side_quadratic_forms(lz: float, uz: float) -> tuple[Psd2, Psd2]:
             Psd2(1.0, 2.0 * lz - uz, uz * uz))
 
 
-def _hat_cone(m: Psd2, xhat, yhat, c, family, params) -> SocConstraint:
+def _hat_cone(m: Psd2, xhat, yhat, c, family, params,
+              swapped=False) -> SocConstraint:
     """sqrt((xhat,yhat) M (xhat,yhat)') <= c'v, hats affine: (h0 + hx*t)."""
     (l11, l12), (_, l22) = m.cholesky_rows()
     (x0, xcoef), (y0, ycoef) = xhat, yhat
@@ -302,8 +307,7 @@ def _hat_cone(m: Psd2, xhat, yhat, c, family, params) -> SocConstraint:
     b1 = l11 * x0 + l12 * y0
     row2 = (0.0, l22 * ycoef, 0.0)
     b2 = l22 * y0
-    return SocConstraint(A=(row1, row2), b=(b1, b2), c=c, d=0.0,
-                         family=family, params=params)
+    return _oriented((row1, row2), (b1, b2), c, 0.0, family, params, swapped)
 
 
 def soc_lower(lz: float) -> SocConstraint:
@@ -314,7 +318,7 @@ def soc_lower(lz: float) -> SocConstraint:
                      (1.0, 1.0, -2.0), TangentFamily.LOWER, {"lz": lz})
 
 
-def soc_center(lz: float, uz: float) -> SocConstraint:
+def soc_center(lz: float, uz: float, swapped: bool = False) -> SocConstraint:
     """(z + sqrt(lz*uz))^2 <= (sqrt(lz)+sqrt(uz))^2 * x*y; globally valid.
 
     At lz = 0 this is exactly soc_upper_zero(uz), matrices included.
@@ -326,7 +330,7 @@ def soc_center(lz: float, uz: float) -> SocConstraint:
     return _rotated_cone((0.0, 0.0, 1.0), math.sqrt(lz * uz),
                          (ss, 0.0, 0.0), 0.0,
                          (0.0, 1.0, 0.0), 0.0,
-                         TangentFamily.CENTER, {"lz": lz, "uz": uz})
+                         TangentFamily.CENTER, {"lz": lz, "uz": uz}, swapped)
 
 
 def soc_sides(lz: float, uz: float) -> tuple[SocConstraint, SocConstraint]:
@@ -338,19 +342,21 @@ def soc_sides(lz: float, uz: float) -> tuple[SocConstraint, SocConstraint]:
             _side_cone(lz, uz, TangentFamily.SIDE_Y))
 
 
-def _side_cone(lz: float, uz: float, family: TangentFamily) -> SocConstraint:
-    """One of the soc_sides cones, built alone."""
+def _side_cone(lz: float, uz: float, family: TangentFamily,
+               swapped: bool = False) -> SocConstraint:
+    """One of the soc_sides cones, built alone from its own matrix."""
     if not 0.0 <= lz < uz <= 1.0:
         raise DegenerateBounds("need 0 <= lz < uz <= 1")
-    m1, m2 = side_quadratic_forms(lz, uz)
+    p = {"lz": lz, "uz": uz}
     if family is TangentFamily.SIDE_X:
-        return _hat_cone(m1, (1.0, -1.0), (uz, -1.0), (uz, 1.0, -2.0),
-                         family, {"lz": lz, "uz": uz})
-    return _hat_cone(m2, (uz, -1.0), (1.0, -1.0), (1.0, uz, -2.0),
-                     family, {"lz": lz, "uz": uz})
+        return _hat_cone(Psd2(uz * uz, 2.0 * lz - uz, 1.0), (1.0, -1.0),
+                         (uz, -1.0), (uz, 1.0, -2.0), family, p, swapped)
+    return _hat_cone(Psd2(1.0, 2.0 * lz - uz, uz * uz), (uz, -1.0),
+                     (1.0, -1.0), (1.0, uz, -2.0), family, p, swapped)
 
 
-def soc_upper_general(lx: float, ly: float, uz: float) -> SocConstraint:
+def soc_upper_general(lx: float, ly: float, uz: float,
+                      swapped: bool = False) -> SocConstraint:
     """uz(z - lx*ly)^2 <= (uz(x-lx) + lx(z-ly*x)) * (uz(y-ly) + ly(z-lx*y)).
 
     The curved patch for an upper product bound with general lower corner
@@ -362,7 +368,7 @@ def soc_upper_general(lx: float, ly: float, uz: float) -> SocConstraint:
     if not lx * ly < uz <= 1.0:
         raise DegenerateBounds("need lx*ly < uz <= 1")
     if lx == 0.0 and ly == 0.0:
-        return soc_upper_zero(uz)
+        return soc_upper_zero(uz, swapped)
     w = uz - lx * ly
     r = math.sqrt(uz)
     # p = (uz - lx*ly)x + lx*z - uz*lx, q mirrored; w-term sqrt(uz)(z - lx*ly)
@@ -370,7 +376,7 @@ def soc_upper_general(lx: float, ly: float, uz: float) -> SocConstraint:
                          (w, 0.0, lx), -uz * lx,
                          (0.0, w, ly), -uz * ly,
                          TangentFamily.UPPER_GENERAL,
-                         {"lx": lx, "ly": ly, "uz": uz})
+                         {"lx": lx, "ly": ly, "uz": uz}, swapped)
 
 
 class TangentSegment(_Frozen):

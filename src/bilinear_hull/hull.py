@@ -9,7 +9,9 @@ constraint together with the half-plane predicate that carves out the part
 of the box where the cone is the binding upper boundary; outside its
 predicate a piece imposes nothing.  Only some pieces are valid over the
 whole box, so the predicates are part of the description, not an
-optimization.
+optimization.  A box with lx > ly is the x<->y mirror of a canonical case
+(CaseTag.swapped); its pieces are built once, in its own frame: each
+half-plane as (a0, ay, ax) and each cone as SocConstraint.mirrored().
 
 Two pinned tolerances from geometry are the only slack: a constraint
 residual down to -FEAS_TOL (1e-9) counts as met, and a point within
@@ -40,7 +42,6 @@ from .constraints import (
     rlt,
     soc_center,
     soc_lower,
-    soc_sides,
     soc_upper_general,
 )
 from .errors import DegenerateBounds, OutOfDomain
@@ -76,8 +77,8 @@ class Region(Enum):
 # a few block-sized temporaries fit in a core's L2 cache
 _BLOCK = 1 << 14
 
-_REGION_LETTER = {Region.A: "A", Region.B: "B", Region.C: "C", Region.D: "D"}
-_SWAPPED_LETTER = {Region.C: "E", Region.D: "F"}
+# map letters of the lettered regions, unswapped and swapped
+_LETTERS = {Region.A: "AA", Region.B: "BB", Region.C: "CE", Region.D: "DF"}
 
 
 class CaseTag(_Frozen):
@@ -93,15 +94,16 @@ class CaseTag(_Frozen):
     @property
     def letter(self) -> str | None:
         """Map letter for the region cases; mirrored regions get E/F."""
-        if self.region not in _REGION_LETTER:
-            return None
-        if self.swapped and self.region in _SWAPPED_LETTER:
-            return _SWAPPED_LETTER[self.region]
-        return _REGION_LETTER[self.region]
+        pair = _LETTERS.get(self.region)
+        return None if pair is None else pair[bool(self.swapped)]
 
     def to_dict(self) -> dict:
         return {"region": self.region.value, "swapped": self.swapped,
                 "letter": self.letter}
+
+
+# every case tag there is, so classifying a box builds none
+_CASES = {(r, s): CaseTag(r, s) for r in Region for s in (False, True)}
 
 
 class HalfPlane(_Frozen):
@@ -120,9 +122,6 @@ class HalfPlane(_Frozen):
     def holds(self, x, y):
         """Whether (x, y) satisfies the half-plane to within BOUNDARY_TOL."""
         return self.value(x, y) >= -BOUNDARY_TOL
-
-    def mirrored(self) -> "HalfPlane":
-        return HalfPlane(self.a0, self.ay, self.ax)
 
     def to_dict(self) -> dict:
         return {"a0": self.a0, "ax": self.ax, "ay": self.ay}
@@ -172,10 +171,6 @@ class HullPiece(_Frozen):
         for hp in self.predicate[1:]:
             out = out & hp.holds(x, y)
         return out
-
-    def mirrored(self) -> "HullPiece":
-        return HullPiece(tuple(hp.mirrored() for hp in self.predicate),
-                         self.soc.mirrored(), self.globally_valid)
 
     def to_dict(self) -> dict:
         return {"predicate": [hp.to_dict() for hp in self.predicate],
@@ -238,15 +233,6 @@ class HullDescription(_Frozen):
         }
 
 
-def _classifiable(b: NormalizedBounds) -> None:
-    # the zero-lower-corner family is exact without tightening; everything
-    # else relies on the tightened-bound assumptions
-    if b.lx == 0.0 and b.ly == 0.0:
-        return
-    if not b.is_tightened():
-        raise OutOfDomain("bounds must be tightened (or have lx = ly = 0)")
-
-
 def classify(b: NormalizedBounds) -> CaseTag:
     """Which of the structural cases the bounds fall into.
 
@@ -257,77 +243,89 @@ def classify(b: NormalizedBounds) -> CaseTag:
     return _classify(b)[0]
 
 
-def _classify(b: NormalizedBounds) -> tuple[CaseTag, NormalizedBounds]:
-    """classify(b) and the bounds in the case's canonical frame: b, or its
-    mirror when the case is swapped."""
-    _classifiable(b)
-    low_triv, up_triv = b.lower_trivial, b.upper_trivial
-    if low_triv and up_triv:
-        return CaseTag(Region.NO_Z_BOUND), b
-    if low_triv:
-        return CaseTag(Region.UPPER_ONLY), b
-    if up_triv:
-        return CaseTag(Region.LOWER_ONLY), b
-    if b.lx == 0.0 and b.ly == 0.0:
-        return CaseTag(Region.BOTH_ZERO_LB), b
-    swapped = b.lx > b.ly
-    bb = b.swapped() if swapped else b
-    bt = BOUNDARY_TOL
-    s_lo = math.sqrt(bb.lz * bb.uz)
-    s_hi = math.sqrt(bb.lz / bb.uz)
-    if bb.lx >= s_lo - bt:
-        return CaseTag(Region.A, swapped), bb
-    if bb.ly <= s_lo + bt:
-        return CaseTag(Region.B, swapped), bb
-    if bb.ly <= s_hi + bt:
-        return CaseTag(Region.C, swapped), bb
-    return CaseTag(Region.D, swapped), bb
+def _classify(b: NormalizedBounds) -> tuple[CaseTag, float, float]:
+    """classify(b) and the box's lower corner (lx, ly) in the case's
+    canonical frame: (b.ly, b.lx) when the case is swapped."""
+    lx, ly, swapped = b.lx, b.ly, False
+    # the zero-lower-corner family is exact without tightening; everything
+    # else relies on the tightened-bound assumptions
+    if not (lx == 0.0 and ly == 0.0 or b.is_tightened()):
+        raise OutOfDomain("bounds must be tightened (or have lx = ly = 0)")
+    if b.lower_trivial:
+        region = Region.NO_Z_BOUND if b.upper_trivial else Region.UPPER_ONLY
+    elif b.upper_trivial:
+        region = Region.LOWER_ONLY
+    elif lx == 0.0 and ly == 0.0:
+        region = Region.BOTH_ZERO_LB
+    else:
+        swapped = lx > ly
+        if swapped:
+            lx, ly = ly, lx
+        bt = BOUNDARY_TOL
+        s_lo = math.sqrt(b.lz * b.uz)
+        if lx >= s_lo - bt:
+            region = Region.A
+        elif ly <= s_lo + bt:
+            region = Region.B
+        elif ly <= math.sqrt(b.lz / b.uz) + bt:
+            region = Region.C
+        else:
+            region = Region.D
+    return _CASES[region, swapped], lx, ly
 
 
-def _pieces_zero_corner(lz: float, uz: float) -> tuple[HullPiece, ...]:
-    # both bounds active with lx = ly = 0: center cone between the fans into
-    # (1, uz) and (uz, 1), side cones beyond the lines y = uz*x and x = uz*y
-    side_x, side_y = soc_sides(lz, uz)
-    return (
-        HullPiece((HalfPlane(0.0, -uz, 1.0), HalfPlane(0.0, 1.0, -uz)),
-                  soc_center(lz, uz), True),
-        HullPiece((HalfPlane(0.0, uz, -1.0),), side_x, False),
-        HullPiece((HalfPlane(0.0, -1.0, uz),), side_y, False),
-    )
+def _yx(a0: float, ax: float, ay: float) -> HalfPlane:
+    """HalfPlane(a0, ax, ay) with x and y interchanged."""
+    return HalfPlane(a0, ay, ax)
 
 
-def _pieces_region(bb: NormalizedBounds, region: Region) -> tuple[HullPiece, ...]:
-    lx, ly, lz, uz = bb.lx, bb.ly, bb.lz, bb.uz
-    if region is Region.B:
-        return _pieces_zero_corner(lz, uz)
-    ug_y = soc_upper_general(lz / ly, ly, uz)
+def _pieces(region: Region, lx: float, ly: float, lz: float, uz: float,
+            sw: bool) -> tuple[HullPiece, ...]:
+    """The pieces of a case in its own frame, from the lower corner (lx, ly)
+    of the canonical frame; sw interchanges x and y."""
+    if region is Region.NO_Z_BOUND:
+        return ()
+    if region is Region.UPPER_ONLY:
+        return (HullPiece((), soc_upper_general(lx, ly, uz), True),)
+    if region is Region.LOWER_ONLY:
+        return (HullPiece((), soc_lower(lz), True),)
+    hp = _yx if sw else HalfPlane
+    if region is Region.B or region is Region.BOTH_ZERO_LB:
+        # center cone between the fans into (1, uz) and (uz, 1), side
+        # cones beyond the lines y = uz*x and x = uz*y
+        return (
+            HullPiece((hp(0.0, -uz, 1.0), hp(0.0, 1.0, -uz)),
+                      soc_center(lz, uz, sw), True),
+            HullPiece((hp(0.0, uz, -1.0),),
+                      _side_cone(lz, uz, TangentFamily.SIDE_X, sw), False),
+            HullPiece((hp(0.0, -1.0, uz),),
+                      _side_cone(lz, uz, TangentFamily.SIDE_Y, sw), False),
+        )
+    ug_y = soc_upper_general(lz / ly, ly, uz, sw)
     if region is Region.D:
         line = dline(ly, lz, uz)
         return (
-            HullPiece((HalfPlane(line.intercept, line.slope, -1.0),), ug_y,
-                      False),
-            HullPiece((HalfPlane(-line.intercept, -line.slope, 1.0),),
-                      _side_cone(lz, uz, TangentFamily.SIDE_Y), False),
+            HullPiece((hp(line.intercept, line.slope, -1.0),), ug_y, False),
+            HullPiece((hp(-line.intercept, -line.slope, 1.0),),
+                      _side_cone(lz, uz, TangentFamily.SIDE_Y, sw), False),
         )
-    center_lo = HalfPlane(0.0, -ly * ly / lz, 1.0)
-    ug_y_piece = HullPiece((HalfPlane(0.0, ly * ly / lz, -1.0),), ug_y, False)
+    center_lo = hp(0.0, -ly * ly / lz, 1.0)
+    ug_y_piece = HullPiece((hp(0.0, ly * ly / lz, -1.0),), ug_y, False)
     if region is Region.A:
         return (
-            HullPiece((center_lo, HalfPlane(0.0, lz / (lx * lx), -1.0)),
-                      soc_center(lz, uz), True),
+            HullPiece((center_lo, hp(0.0, lz / (lx * lx), -1.0)),
+                      soc_center(lz, uz, sw), True),
             ug_y_piece,
-            HullPiece((HalfPlane(0.0, -lz / (lx * lx), 1.0),),
-                      soc_upper_general(lx, lz / lx, uz), False),
+            HullPiece((hp(0.0, -lz / (lx * lx), 1.0),),
+                      soc_upper_general(lx, lz / lx, uz, sw), False),
         )
-    if region is Region.C:
-        return (
-            HullPiece((center_lo, HalfPlane(0.0, 1.0, -uz)),
-                      soc_center(lz, uz), True),
-            ug_y_piece,
-            HullPiece((HalfPlane(0.0, -1.0, uz),),
-                      _side_cone(lz, uz, TangentFamily.SIDE_Y), False),
-        )
-    raise AssertionError(region)  # pragma: no cover
+    return (  # Region.C
+        HullPiece((center_lo, hp(0.0, 1.0, -uz)), soc_center(lz, uz, sw),
+                  True),
+        ug_y_piece,
+        HullPiece((hp(0.0, -1.0, uz),),
+                  _side_cone(lz, uz, TangentFamily.SIDE_Y, sw), False),
+    )
 
 
 def describe(b: NormalizedBounds) -> HullDescription:
@@ -335,24 +333,14 @@ def describe(b: NormalizedBounds) -> HullDescription:
 
     RLT planes are always emitted, even when some are redundant for the
     case at hand.  Pieces come in a fixed order per case so downstream
-    piece indices are stable.
+    piece indices are stable.  They are built once, in the case's own
+    frame: a swapped case's half-planes as (a0, ay, ax) and its cones as
+    SocConstraint.mirrored() give them.
     """
-    case, bb = _classify(b)
-    planes = tuple(rlt(b))
-    region = case.region
-    if region is Region.NO_Z_BOUND:
-        pieces: tuple[HullPiece, ...] = ()
-    elif region is Region.UPPER_ONLY:
-        pieces = (HullPiece((), soc_upper_general(b.lx, b.ly, b.uz), True),)
-    elif region is Region.LOWER_ONLY:
-        pieces = (HullPiece((), soc_lower(b.lz), True),)
-    elif region is Region.BOTH_ZERO_LB:
-        pieces = _pieces_zero_corner(b.lz, b.uz)
-    else:
-        pieces = _pieces_region(bb, region)
-        if case.swapped:
-            pieces = tuple(p.mirrored() for p in pieces)
-    return HullDescription(b, case, planes, b.lz, b.uz, pieces)
+    case, lx, ly = _classify(b)
+    return HullDescription(b, case, tuple(rlt(b)), b.lz, b.uz,
+                           _pieces(case.region, lx, ly, b.lz, b.uz,
+                                   case.swapped))
 
 
 def hull_from_raw(raw: RawBounds) -> tuple[HullDescription, Scaling]:
@@ -555,24 +543,15 @@ def envelope_grid(d: HullDescription, xs: np.ndarray, ys: np.ndarray
 _UPPER_FORM = (TangentFamily.UPPER_ZERO, TangentFamily.UPPER_GENERAL)
 
 
-def _tangent(d: HullDescription, x: float, y: float
-             ) -> tuple[LinearInequality, TangentSegment]:
-    """Supporting plane of the concave envelope zmax above (x, y), with the
-    surface segment along which it touches the hull.
-
-    The segment is the binding piece's fan segment through (x, y): from the
-    fan's anchor at z = uz down to xy = lz (lower and side fans), from the
-    anchor at z = lz up to xy = uz (upper fans), or along the origin's ray
-    between the curves (center fan).  A point just outside the predicate,
-    whose lines pass through the anchor, takes the segment along the line.
-    The plane is tangent to xy = uz at the segment's upper end for an upper
-    fan, to xy = lz at its lower end otherwise.  Where a linear row binds
-    the plane is the upper RLT plane of the wedge.
-    """
+def _fan(d: HullDescription, piece: HullPiece, x: float, y: float
+         ) -> tuple[LinearInequality, tuple, tuple]:
+    """The binding piece's tangent plane above (x, y), and the (x, y, z)
+    ends lower and upper of its fan segment through (x, y): from the
+    anchor at z = uz down to xy = lz (lower and side fans), from the anchor
+    at z = lz up to xy = uz (upper fans), or along the origin's ray between
+    the curves (center fan).  A point just outside the predicate, whose
+    lines pass through the anchor, takes the segment along the line."""
     lz, uz = d.bounds.lz, d.bounds.uz
-    _, piece = _binding(d, x, y)
-    if piece is None:
-        return _wedge(d, x, y)
     fam = piece.soc.family
     ax, ay = piece.soc.anchor
     dx, dy = x - ax, y - ay
@@ -582,27 +561,31 @@ def _tangent(d: HullDescription, x: float, y: float
         if hp.ax * dx + hp.ay * dy < 0.0:
             dx, dy = s * abs(hp.ay), s * abs(hp.ax)
 
-    def end(c: float) -> Point3:
+    def end(c: float) -> tuple:
         # where the ray first meets xy = c: the root of dx*dy*t^2 + m*t + k,
         # in the form that does not cancel
         m, k = ax * dy + ay * dx, ax * ay - c
         t = 2.0 * abs(k) / (abs(m) + math.sqrt(m * m - 4.0 * dx * dy * k))
-        return Point3(ax + t * dx, ay + t * dy, c)
+        return ax + t * dx, ay + t * dy, c
 
     # the plane through the segment and through the tangent ys*x + xs*y
     # = 2*c of the curve xy = c at its end touch = (xs, ys, c)
     if fam in _UPPER_FORM:
-        lower, upper = Point3(ax, ay, lz), end(uz)
+        lower, upper = (ax, ay, lz), end(uz)
         touch = upper
-        a = (lower.y * upper.x + lower.x * upper.y - 2.0 * uz) / (uz - lz)
+        a = (lower[1] * upper[0] + lower[0] * upper[1] - 2.0 * uz) / (uz - lz)
     else:
         lower = touch = end(lz)
-        upper = end(uz) if fam is TangentFamily.CENTER else Point3(ax, ay, uz)
-        a = -(lower.y * upper.x + lower.x * upper.y - 2.0 * lz) / (uz - lz)
-    plane = LinearInequality(-(2.0 + a) * touch.z, touch.y, touch.x, a,
-                             label="lifted_tangent")
-    return plane, TangentSegment(lower, upper,
-                                 _projection_alpha(x, y, lower, upper), fam)
+        upper = end(uz) if fam is TangentFamily.CENTER else (ax, ay, uz)
+        a = -(lower[1] * upper[0] + lower[0] * upper[1] - 2.0 * lz) / (uz - lz)
+    return LinearInequality(-(2.0 + a) * touch[2], touch[1], touch[0], a,
+                            label="lifted_tangent"), lower, upper
+
+
+def _y_wedge(b: NormalizedBounds, x: float, y: float) -> bool:
+    """Whether rlt_upper_y is the lower of the box's two upper RLT planes
+    at (x, y), also on a tie."""
+    return b.ly * x + y - b.ly <= x + b.lx * y - b.lx
 
 
 def _wedge(d: HullDescription, x: float, y: float
@@ -618,7 +601,7 @@ def _wedge(d: HullDescription, x: float, y: float
     b = d.bounds
     lx, ly, lz, uz = b.lx, b.ly, b.lz, b.uz
     _, _, upper_x, upper_y = rlt(b)
-    if ly * x + y - ly <= x + lx * y - lx:
+    if _y_wedge(b, x, y):
         ineq, family = upper_y, TangentFamily.SIDE_X
         corner = (lz / ly, ly) if (not b.lower_trivial and ly > 0.0) else (lx, ly)
         upper = Point3(1.0, uz, uz)
@@ -663,7 +646,15 @@ def lifted_tangent(b: NormalizedBounds, x: float, y: float
         raise OutOfDomain("need lz < x*y < uz")
     if b.lower_trivial and b.upper_trivial:
         raise OutOfDomain("both product bounds are trivial: hull is polyhedral")
-    return _tangent(describe(b), x, y)
+    d = describe(b)
+    _, piece = _binding(d, x, y)
+    if piece is None:
+        return _wedge(d, x, y)
+    plane, lower, upper = _fan(d, piece, x, y)
+    lower, upper = Point3(*lower), Point3(*upper)
+    return plane, TangentSegment(lower, upper,
+                                 _projection_alpha(x, y, lower, upper),
+                                 piece.soc.family)
 
 
 def worst_violation(d: HullDescription, p: Point3
@@ -716,7 +707,11 @@ def separate(d: HullDescription, p: Point3) -> LinearInequality | None:
         cut = LinearInequality(-2.0 * d.zlo, yq * s, xq * s, 0.0,
                                label="product_lower_tangent")
     elif xq * yq < d.zhi:
-        cut = _tangent(d, xq, yq)[0]
+        # the supporting plane of zmax: the binding piece's, or where a
+        # linear row binds, the lower of the two upper RLT planes
+        _, piece = _binding(d, xq, yq)
+        cut = (rlt(b)[3 if _y_wedge(b, xq, yq) else 2] if piece is None
+               else _fan(d, piece, xq, yq)[0])
     if cut is not None and float(cut.residual(x, y, z)) < 0.0:
         return cut
     return row
@@ -820,16 +815,13 @@ def region_map_polylines(lz: float, uz: float, n: int = 65) -> dict[str, np.ndar
     if lo < uz:
         xs = np.linspace(lo, uz, n)
         out["hyperbola"] = np.column_stack([xs, lz / xs])
-    seg = []
     top = min(s_hi, uz)
     if s_lo <= top:
-        seg.append(("split_lx", np.array([[s_lo, s_lo], [s_lo, top]])))
-        seg.append(("split_ly", np.array([[s_lo, s_lo], [top, s_lo]])))
+        out["split_lx"] = np.array([[s_lo, s_lo], [s_lo, top]])
+        out["split_ly"] = np.array([[s_lo, s_lo], [top, s_lo]])
     if s_hi <= uz:
         hi = min(s_lo, uz)
         if lz <= hi:
-            seg.append(("far_ly", np.array([[lz, s_hi], [hi, s_hi]])))
-            seg.append(("far_lx", np.array([[s_hi, lz], [s_hi, hi]])))
-    for key, arr in seg:
-        out[key] = arr
+            out["far_ly"] = np.array([[lz, s_hi], [hi, s_hi]])
+            out["far_lx"] = np.array([[s_hi, lz], [s_hi, hi]])
     return out

@@ -14,12 +14,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bilinear_hull import (
+    BOUNDARY_TOL,
     FEAS_TOL,
+    CaseTag,
+    HalfPlane,
+    HullPiece,
     InfeasibleBounds,
     NormalizedBounds,
     Point3,
     RawBounds,
     describe,
+    disjunctive,
     envelopes,
     hull_from_raw,
     lifted_tangent,
@@ -202,6 +207,30 @@ def test_predicate_lines_pass_through_the_fan_anchor(b):
             assert hp.ax * hp.ay <= 0.0
 
 
+def _mirrored_piece(pc):
+    """The piece with x and y interchanged: each half-plane as (a0, ay, ax),
+    the cone as SocConstraint.mirrored()."""
+    return HullPiece(tuple(HalfPlane(hp.a0, hp.ay, hp.ax)
+                           for hp in pc.predicate),
+                     pc.soc.mirrored(), pc.globally_valid)
+
+
+@SETTINGS
+@given(b=region_bounds())
+def test_the_mirrored_box_has_the_mirrored_description(b):
+    # a corner on lx*ly = lz draws a one-sided band, which has no mirror flag
+    assume(b.lx != b.ly and not b.lower_trivial)
+    d, m = describe(b), describe(b.swapped())
+    assert d.case.letter is not None
+    assert m.case == CaseTag(d.case.region, not d.case.swapped)
+    assert m.pieces == tuple(_mirrored_piece(pc) for pc in d.pieces)
+    # and, apart from the shared permutation, the same hull mirrored
+    for u, v in ((0.1, 0.7), (0.5, 0.5), (0.9, 0.2), (0.3, 0.95)):
+        x, y = b.lx + u * (1.0 - b.lx), b.ly + v * (1.0 - b.ly)
+        for got, want in zip(envelopes(m, y, x), envelopes(d, x, y)):
+            assert abs(got - want) <= 1e-12
+
+
 @SETTINGS
 @given(b=any_bounds)
 def test_surface_points_are_members(b):
@@ -246,6 +275,34 @@ def test_separate_cuts_exactly_the_non_members(b, points):
             assert _valid_on(cut, cloud)
     mask = membership_mask(d, *np.array([p.astuple() for p in pts]).T)
     assert mask.tolist() == [membership(d, p) for p in pts]
+
+
+@SETTINGS
+@given(b=any_bounds, points=st.lists(
+    st.tuples(edge, edge, st.sampled_from([1e-9, 1e-6, 1e-3, 0.05])),
+    min_size=1, max_size=8))
+def test_separate_cuts_a_cone_with_the_lifted_tangent(b, points):
+    # where a cone is the most violated constraint, separate's cut is the
+    # plane of lifted_tangent at the projection of p nudged off the box
+    # edges, bit for bit, whenever that plane cuts p
+    d = describe(b)
+    nx = min(BOUNDARY_TOL, (1.0 - b.lx) * 0.25)
+    ny = min(BOUNDARY_TOL, (1.0 - b.ly) * 0.25)
+    for u, v, lift in points:
+        x, y = b.lx + u * (1.0 - b.lx), b.ly + v * (1.0 - b.ly)
+        p = Point3(x, y, envelopes(d, x, y)[1] + lift)
+        info = worst_violation(d, p)[1]
+        xq = min(max(x, b.lx + nx), 1.0 - nx)
+        yq = min(max(y, b.ly + ny), 1.0 - ny)
+        if info is None or info["kind"] != "soc" \
+                or not b.lz < xq * yq < b.uz:
+            continue
+        want = lifted_tangent(b, xq, yq)[0]
+        cut = separate(d, p)
+        if float(want.residual(x, y, p.z)) < 0.0:
+            assert repr(cut) == repr(want)
+        else:
+            assert cut in d.rows
 
 
 @SETTINGS
@@ -300,3 +357,18 @@ def test_tightening_near_ties(raw, seed):
     for was, now in zip((b.lx, b.ly, b.lz, b.uz, 1.0, 1.0),
                         (t.lx, t.ly, t.lz, t.uz, s.sx, s.sy)):
         assert abs(now - was) <= 8 * EPS * was
+
+
+@SETTINGS
+@given(b=any_bounds, seed=st.integers(0, 2**32 - 1))
+def test_points_feasible_in_a_branch_block_are_members(b, seed):
+    # disjunctive is sound: a block at lam = 1 holds only points of the hull
+    d = describe(b)
+    blocks = disjunctive(d).blocks
+    rng = np.random.default_rng(seed)
+    u, v, w = rng.uniform(0.0, 1.0, (3, 200))
+    xs, ys = b.lx + u * (1.0 - b.lx), b.ly + v * (1.0 - b.ly)
+    zs = d.zlo + w * (d.zhi - d.zlo)
+    for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist()):
+        if any(blk.feasible(1.0, x, y, z) for blk in blocks):
+            assert membership(d, Point3(x, y, z))
