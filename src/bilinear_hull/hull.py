@@ -544,13 +544,14 @@ _UPPER_FORM = (TangentFamily.UPPER_ZERO, TangentFamily.UPPER_GENERAL)
 
 
 def _fan(d: HullDescription, piece: HullPiece, x: float, y: float
-         ) -> tuple[LinearInequality, tuple, tuple]:
-    """The binding piece's tangent plane above (x, y), and the (x, y, z)
-    ends lower and upper of its fan segment through (x, y): from the
-    anchor at z = uz down to xy = lz (lower and side fans), from the anchor
-    at z = lz up to xy = uz (upper fans), or along the origin's ray between
-    the curves (center fan).  A point just outside the predicate, whose
-    lines pass through the anchor, takes the segment along the line."""
+         ) -> tuple[LinearInequality, tuple, tuple, TangentFamily]:
+    """The binding piece's tangent plane above (x, y), the (x, y, z) ends
+    lower and upper of its fan segment through (x, y), and the cone's
+    family.  The segment runs from the anchor at z = uz down to xy = lz
+    (lower and side fans), from the anchor at z = lz up to xy = uz (upper
+    fans), or along the origin's ray between the curves (center fan).  A
+    point just outside the predicate, whose lines pass through the anchor,
+    takes the segment along the line."""
     lz, uz = d.bounds.lz, d.bounds.uz
     fam = piece.soc.family
     ax, ay = piece.soc.anchor
@@ -579,41 +580,33 @@ def _fan(d: HullDescription, piece: HullPiece, x: float, y: float
         upper = end(uz) if fam is TangentFamily.CENTER else (ax, ay, uz)
         a = -(lower[1] * upper[0] + lower[0] * upper[1] - 2.0 * lz) / (uz - lz)
     return LinearInequality(-(2.0 + a) * touch[2], touch[1], touch[0], a,
-                            label="lifted_tangent"), lower, upper
-
-
-def _y_wedge(b: NormalizedBounds, x: float, y: float) -> bool:
-    """Whether rlt_upper_y is the lower of the box's two upper RLT planes
-    at (x, y), also on a tie."""
-    return b.ly * x + y - b.ly <= x + b.lx * y - b.lx
+                            label="lifted_tangent"), lower, upper, fam
 
 
 def _wedge(d: HullDescription, x: float, y: float
-           ) -> tuple[LinearInequality, TangentSegment]:
-    """Supporting plane where a linear row binds: the lower of the box's
-    two upper RLT planes (rlt_upper_y on a tie) with the extreme fan
-    segment lying in it, alpha the clamped projection of (x, y).
+           ) -> tuple[LinearInequality, tuple, tuple, TangentFamily]:
+    """Supporting plane where a linear row binds, in _fan's shape: the
+    lower of the box's two upper RLT planes (rlt_upper_y on a tie), the
+    (x, y, z) ends lower and upper of the extreme fan segment lying in it,
+    and the segment's family.
 
-    The segment's family is the side fan ending in the plane's far corner
-    (SideX for (1, uz), SideY for (uz, 1)); in the one-sided cases it is
-    the family of the single piece.
+    The family is the side fan ending in the plane's far corner (SideX for
+    (1, uz), SideY for (uz, 1)); in the one-sided cases it is the family
+    of the single piece.
     """
     b = d.bounds
     lx, ly, lz, uz = b.lx, b.ly, b.lz, b.uz
+    curve = not b.lower_trivial
     _, _, upper_x, upper_y = rlt(b)
-    if _y_wedge(b, x, y):
-        ineq, family = upper_y, TangentFamily.SIDE_X
-        corner = (lz / ly, ly) if (not b.lower_trivial and ly > 0.0) else (lx, ly)
-        upper = Point3(1.0, uz, uz)
+    if ly * x + y - ly <= x + lx * y - lx:
+        plane, family, upper = upper_y, TangentFamily.SIDE_X, (1.0, uz, uz)
+        lower = (lz / ly if curve and ly > 0.0 else lx, ly, lz)
     else:
-        ineq, family = upper_x, TangentFamily.SIDE_Y
-        corner = (lx, lz / lx) if (not b.lower_trivial and lx > 0.0) else (lx, ly)
-        upper = Point3(uz, 1.0, uz)
+        plane, family, upper = upper_x, TangentFamily.SIDE_Y, (uz, 1.0, uz)
+        lower = (lx, lz / lx if curve and lx > 0.0 else ly, lz)
     if d.case.region in (Region.UPPER_ONLY, Region.LOWER_ONLY):
         family = d.pieces[0].soc.family
-    lower = Point3(corner[0], corner[1], lz)
-    return ineq, TangentSegment(lower, upper,
-                                _projection_alpha(x, y, lower, upper), family)
+    return plane, lower, upper, family
 
 
 def _projection_alpha(x, y, lower: Point3, upper: Point3) -> float:
@@ -648,13 +641,11 @@ def lifted_tangent(b: NormalizedBounds, x: float, y: float
         raise OutOfDomain("both product bounds are trivial: hull is polyhedral")
     d = describe(b)
     _, piece = _binding(d, x, y)
-    if piece is None:
-        return _wedge(d, x, y)
-    plane, lower, upper = _fan(d, piece, x, y)
+    plane, lower, upper, family = (_wedge(d, x, y) if piece is None
+                                   else _fan(d, piece, x, y))
     lower, upper = Point3(*lower), Point3(*upper)
     return plane, TangentSegment(lower, upper,
-                                 _projection_alpha(x, y, lower, upper),
-                                 piece.soc.family)
+                                 _projection_alpha(x, y, lower, upper), family)
 
 
 def worst_violation(d: HullDescription, p: Point3
@@ -710,8 +701,8 @@ def separate(d: HullDescription, p: Point3) -> LinearInequality | None:
         # the supporting plane of zmax: the binding piece's, or where a
         # linear row binds, the lower of the two upper RLT planes
         _, piece = _binding(d, xq, yq)
-        cut = (rlt(b)[3 if _y_wedge(b, xq, yq) else 2] if piece is None
-               else _fan(d, piece, xq, yq)[0])
+        cut = (_wedge(d, xq, yq) if piece is None
+               else _fan(d, piece, xq, yq))[0]
     if cut is not None and float(cut.residual(x, y, z)) < 0.0:
         return cut
     return row
