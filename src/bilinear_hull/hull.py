@@ -9,14 +9,17 @@ constraint together with the half-plane predicate that carves out the part
 of the box where the cone is the binding upper boundary; outside its
 predicate a piece imposes nothing.  Only some pieces are valid over the
 whole box, so the predicates are part of the description, not an
-optimization.  A box with lx > ly is the x<->y mirror of a canonical case
-(CaseTag.swapped); its pieces are built once, in its own frame: each
-half-plane as (a0, ay, ax) and each cone as SocConstraint.mirrored().
+optimization.  A box with lx - ly > BOUNDARY_TOL is the x<->y mirror of
+a canonical case (CaseTag.swapped); its pieces are built once, in its own
+frame: each half-plane as (a0, ay, ax), each cone as SocConstraint.mirrored().
 
 Two pinned tolerances from geometry are the only slack: a constraint
 residual down to -FEAS_TOL (1e-9) counts as met, and a point within
 BOUNDARY_TOL (1e-12) of a case threshold or a predicate line counts as on
-it, so a piece applies on both sides of its boundary.
+it, so a piece applies on both sides of its boundary.  Every tie has one
+rule: the first of tied pieces; a piece over a linear row for zmax; a
+linear row over a cone for the most violated constraint; no mirror within
+BOUNDARY_TOL of the diagonal.
 
 The scalar queries evaluate floats through math.  Only the array kernels
 (membership_mask, envelope_grid, region_map_polylines) and array input to
@@ -237,8 +240,9 @@ def classify(b: NormalizedBounds) -> CaseTag:
     """Which of the structural cases the bounds fall into.
 
     Mirrored configurations report the canonical region with swapped=True.
-    Threshold ties resolve toward the region listed first in the region
-    scan order (A, then B, then C, then D).
+    A corner within BOUNDARY_TOL of the diagonal is not mirrored: only A and
+    B reach it, and both are symmetric there.  Threshold ties resolve toward
+    the region listed first in the scan order (A, then B, then C, then D).
     """
     return _classify(b)[0]
 
@@ -258,7 +262,7 @@ def _classify(b: NormalizedBounds) -> tuple[CaseTag, float, float]:
     elif lx == 0.0 and ly == 0.0:
         region = Region.BOTH_ZERO_LB
     else:
-        swapped = lx > ly
+        swapped = lx - ly > BOUNDARY_TOL
         if swapped:
             lx, ly = ly, lx
         bt = BOUNDARY_TOL
@@ -471,11 +475,13 @@ def envelopes(d: HullDescription, x: float, y: float) -> tuple[float, float]:
 def _binding(d: HullDescription, x: float, y: float
              ) -> tuple[float, HullPiece | None]:
     """zmax at (x, y) and the piece attaining it; None when only a linear
-    row (an upper RLT plane or z <= uz) attains it."""
+    row (an upper RLT plane or z <= uz) attains it.  The rule is
+    envelope_grid's: the first of tied pieces, and a piece over a linear
+    row on a tie."""
     b = d.bounds
-    zmax = min(x + b.lx * y - b.lx, b.ly * x + y - b.ly, d.zhi)
+    lin = min(x + b.lx * y - b.lx, b.ly * x + y - b.ly, d.zhi)
     bt = -BOUNDARY_TOL
-    binding = None
+    best, binding = math.inf, None
     for piece in d.pieces:
         # the test of piece.applicable(x, y), so the same answer
         for hp in piece.predicate:
@@ -483,9 +489,9 @@ def _binding(d: HullDescription, x: float, y: float
                 break
         else:
             z = float(piece.soc.envelope_z(x, y))
-            if z <= zmax:
-                zmax, binding = z, piece
-    return zmax, binding
+            if z < best:
+                best, binding = z, piece
+    return (best, binding) if best <= lin else (lin, None)
 
 
 def envelope_grid(d: HullDescription, xs: np.ndarray, ys: np.ndarray
@@ -587,13 +593,9 @@ def _wedge(d: HullDescription, x: float, y: float
            ) -> tuple[LinearInequality, tuple, tuple, TangentFamily]:
     """Supporting plane where a linear row binds, in _fan's shape: the
     lower of the box's two upper RLT planes (rlt_upper_y on a tie), the
-    (x, y, z) ends lower and upper of the extreme fan segment lying in it,
-    and the segment's family.
-
-    The family is the side fan ending in the plane's far corner (SideX for
-    (1, uz), SideY for (uz, 1)); in the one-sided cases it is the family
-    of the single piece.
-    """
+    ends of the extreme fan segment lying in it, and the segment's family:
+    the side fan ending in the plane's far corner (SideX for (1, uz), SideY
+    for (uz, 1)), or in the one-sided cases the single piece's."""
     b = d.bounds
     lx, ly, lz, uz = b.lx, b.ly, b.lz, b.uz
     curve = not b.lower_trivial
@@ -631,7 +633,8 @@ def lifted_tangent(b: NormalizedBounds, x: float, y: float
     Returns the inequality together with the tangent segment certifying it.
     In the flat wedges adjacent to the box edges the hull's upper boundary
     is an RLT plane; that plane is returned with the extreme fan segment it
-    contains and alpha replaced by the clamped projection parameter.
+    contains and alpha replaced by the clamped projection parameter.  Where
+    pieces tie the first one's plane is returned, and a piece's over a row's.
     """
     if not (b.lx < x < 1.0 and b.ly < y < 1.0):
         raise OutOfDomain("point is not strictly inside the box")
@@ -670,9 +673,10 @@ def separate(d: HullDescription, p: Point3) -> LinearInequality | None:
 
     Picks the most violated constraint, a linear row (the earlier one) on
     a tie with a cone.  A violated cone is converted into the hull's
-    tangent plane above the projection of p (below the curve xy = lz, the
-    tangent of that curve); when p does not violate it, the most violated
-    linear row is returned.  A point with a non-finite coordinate raises OutOfDomain.
+    tangent plane above the projection of p, lifted_tangent's with its tie
+    rule (below the curve xy = lz, the tangent of that curve); when p does
+    not violate it, the most violated linear row is returned.  A point with
+    a non-finite coordinate raises OutOfDomain.
     """
     b = d.bounds
     x, y, z = p.x, p.y, p.z
@@ -685,10 +689,8 @@ def separate(d: HullDescription, p: Point3) -> LinearInequality | None:
 
     # a cone is the most violated constraint: cut with its tangent plane
     # at a point nudged off the box edges, as the cut below divides by xq*yq
-    width_x = (1.0 - b.lx) * 0.25
-    width_y = (1.0 - b.ly) * 0.25
-    nudge_x = min(BOUNDARY_TOL, width_x)
-    nudge_y = min(BOUNDARY_TOL, width_y)
+    nudge_x = min(BOUNDARY_TOL, (1.0 - b.lx) * 0.25)
+    nudge_y = min(BOUNDARY_TOL, (1.0 - b.ly) * 0.25)
     xq = min(max(x, b.lx + nudge_x), 1.0 - nudge_x)
     yq = min(max(y, b.ly + nudge_y), 1.0 - nudge_y)
     cut: LinearInequality | None = None

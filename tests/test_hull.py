@@ -8,6 +8,7 @@ import pytest
 from bilinear_hull import (
     BOUNDARY_TOL,
     FEAS_TOL,
+    CaseTag,
     DegenerateBounds,
     HullDescription,
     NormalizedBounds,
@@ -85,6 +86,44 @@ def test_classify_threshold_ties():
     assert _case(S1, S1, 0.1, 0.7).region is Region.A
     # ly exactly at the outer threshold goes to C, not D
     assert _case(0.14, S2, 0.1, 0.7).region is Region.C
+
+
+def _floats(v):
+    """The numbers of a to_dict() tree, in order."""
+    if isinstance(v, dict):
+        v = list(v.values())
+    if isinstance(v, (list, tuple)):
+        return [f for w in v for f in _floats(w)]
+    return [v] if isinstance(v, float) else []
+
+
+def _ulps(v, k):
+    """v moved k ulps (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+@pytest.mark.parametrize("ly, lz, uz, region", [
+    # a tightened Region A box whose lx - ly was one ulp
+    (float.fromhex("0x1.993cf62332e03p-1"), float.fromhex("0x1.65dd2682657c1p-1"),
+     float.fromhex("0x1.993cf62332e03p-1"), Region.A),
+    (0.2, 0.1, 0.7, Region.B),
+])
+def test_a_corner_within_boundary_tol_of_the_diagonal_is_not_mirrored(
+        ly, lz, uz, region):
+    # one ulp of roundoff in lx - ly must not mirror the order of the pieces
+    want = describe(NormalizedBounds(ly, ly, lz, uz))
+    assert want.case == CaseTag(region, False)
+    for k in (1, -1, 2, -2, 3, -3, 20, -20):
+        d = describe(NormalizedBounds(_ulps(ly, k), ly, lz, uz))
+        assert d.case == want.case
+        assert ([pc.soc.family for pc in d.pieces]
+                == [pc.soc.family for pc in want.pieces])
+        got, ref = (_floats([pc.to_dict() for pc in e.pieces])
+                    for e in (d, want))
+        assert len(got) == len(ref)
+        assert max(abs(u - v) for u, v in zip(got, ref)) <= 1e-9
 
 
 def test_classify_requires_tight_bounds():
@@ -858,11 +897,13 @@ def _assert_grid_matches_scalar(d, xs, ys):
             if piece is None:
                 assert pid[i, j] == -1
                 continue
-            # _binding keeps the last of tied pieces, the grid the first
-            tied = [k for k, pc in enumerate(d.pieces)
-                    if pc.applicable(x, y)
+            # both keep the first of tied pieces: the very piece _binding
+            # returns is the one the grid names
+            assert pid[i, j] == next(k for k, pc in enumerate(d.pieces)
+                                     if pc is piece)
+            tied = [pc for pc in d.pieces if pc.applicable(x, y)
                     and float(pc.soc.envelope_z(x, y)) == top]
-            assert pid[i, j] == tied[0]
+            assert tied[0] is piece
             ties += len(tied) > 1
     return (zmin, zmax, pid), ties
 

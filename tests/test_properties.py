@@ -23,6 +23,7 @@ from bilinear_hull import (
     NormalizedBounds,
     Point3,
     RawBounds,
+    classify,
     describe,
     disjunctive,
     envelopes,
@@ -78,6 +79,8 @@ def region_bounds(draw):
         ly = _near(draw, s_hi, s_hi, min(uz, lz / lx))
     assume(lz <= lx <= ly <= uz and lx * ly <= lz)
     b = NormalizedBounds(lx, ly, lz, uz)
+    # a corner on lx*ly = lz is a lower-trivial UpperOnly band, not a region
+    assume(classify(b).letter is not None)
     return b.swapped() if draw(st.booleans()) else b
 
 
@@ -218,8 +221,8 @@ def _mirrored_piece(pc):
 @SETTINGS
 @given(b=region_bounds())
 def test_the_mirrored_box_has_the_mirrored_description(b):
-    # a corner on lx*ly = lz draws a one-sided band, which has no mirror flag
-    assume(b.lx != b.ly and not b.lower_trivial)
+    # a corner within BOUNDARY_TOL of the diagonal is never mirrored
+    assume(abs(b.lx - b.ly) > BOUNDARY_TOL)
     d, m = describe(b), describe(b.swapped())
     assert d.case.letter is not None
     assert m.case == CaseTag(d.case.region, not d.case.swapped)

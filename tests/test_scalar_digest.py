@@ -13,7 +13,10 @@ A speed-up of the scalar path must leave every bit of it unchanged.
 A second sha256 pins the same queries on grids whose nodes lie exactly on
 the predicate lines of the pieces, where pieces tie: which piece wins a tie
 shows in the family and the scale of a tangent plane, and the random points
-above never land on such a line.
+above never land on such a line.  Every tie has one rule: the first of
+tied pieces; a piece over a linear row for zmax; a linear row over a cone
+for the most violated constraint; no mirror within BOUNDARY_TOL of the
+diagonal.
 """
 
 import hashlib
@@ -38,7 +41,7 @@ from bilinear_hull import (
 )
 
 DIGEST = "7428ae56e5a02678182a9ea88f23c1feb545bf7a3e50ecc1f305d7dafdef306a"
-LINES_DIGEST = "fd6373d5437cf33b2a55ff72deba32ae26fc7b94f335f664ec53463dcbb69cd7"
+LINES_DIGEST = "77cf2894f01297b463d89703a2e4168703c30ed48eb3894e7408b97cf9afb553"
 
 BOXES = 300
 KINDS = ("no_z_bound", "upper_only", "lower_only", "zero_corner",

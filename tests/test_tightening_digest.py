@@ -20,7 +20,7 @@ from bilinear_hull import (
 
 from test_scalar_digest import _box
 
-DIGEST = "aafbe81e1f3a6d00c512e1e234e8f9944b0707a2a79abbaf34cb9abdcef45711"
+DIGEST = "79c3b3611e6d56091684e9d5a93cc6c72b0aaa5e728b25b17df82f545e1dd199"
 BOXES = 20_000
 
 
