@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import InfeasibleBounds
+from .errors import DegenerateBounds, InfeasibleBounds
 
 # a ratio this close to 1 is roundoff, not a bound: a shrink factor uz/ly
 # there is no reduction (rescaling by it would leave the ratio where it
@@ -134,8 +134,12 @@ class Scaling(_Frozen):
                        q.label)
 
     def compose(self, inner: "Scaling") -> "Scaling":
-        """Scaling equivalent to applying self first, then `inner`."""
-        return Scaling(self.sx * inner.sx, self.sy * inner.sy)
+        """Scaling equivalent to applying self first, then `inner`; a
+        factor or their product that underflows raises DegenerateBounds."""
+        sx, sy = self.sx * inner.sx, self.sy * inner.sy
+        if sx * sy == 0.0:
+            raise DegenerateBounds("the composed scale factors underflow")
+        return Scaling(sx, sy)
 
 
 class NormalizedBounds(_Frozen):
@@ -183,9 +187,12 @@ def normalize(b: RawBounds) -> tuple[NormalizedBounds, Scaling]:
     corner already enforces more, and uz is clipped at the trivial bound ux*uy
     (a normalized uz within a few ulps of 1 counts as that bound).
     A z range that collapses to a single value after these adjustments leaves
-    no three-dimensional body to describe and raises InfeasibleBounds.
+    no three-dimensional body to describe and raises InfeasibleBounds, and
+    a product ux*uy that underflows to zero raises DegenerateBounds.
     """
     s = Scaling(b.ux, b.uy)
+    if s.sz == 0.0:
+        raise DegenerateBounds("ux*uy underflows to zero")
     lx = b.lx / b.ux
     ly = b.ly / b.uy
     lz = b.lz / s.sz

@@ -51,6 +51,16 @@ def test_describe_roundoff_uz_box_has_no_pieces():
     assert out["pieces"] == []
 
 
+def test_underflowing_scale_exits_1_with_one_error_line():
+    # ux*uy underflows to zero; this used to end in a ZeroDivisionError
+    r = run_cli("describe", "--ux", "1e-200", "--uy", "1e-200")
+    assert r.returncode == 1
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+    # the overflowing box collapses its z range: infeasible, as before
+    assert run_cli("describe", "--ux", "1e200", "--uy", "1e200").returncode == 3
+
+
 def test_output_is_byte_stable():
     args = ("describe", "--lx", "0.32", "--ly", "0.28",
             "--lz", "0.1", "--uz", "0.7")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bilinear_hull import (
+    DegenerateBounds,
     InfeasibleBounds,
     NormalizedBounds,
     Point3,
@@ -228,6 +229,19 @@ def test_normalize_snaps_roundoff_uz_to_the_trivial_bound():
     d, _ = hull_from_raw(raw)
     assert d.case.region.value == "NoZBound"
     assert d.pieces == ()
+
+
+@pytest.mark.parametrize("raw", [
+    # ux*uy underflows to zero in normalize
+    RawBounds(0, 0, 0, 1e-200, 1e-200, 1),
+    # the composed scaling of normalize and tighten underflows
+    RawBounds(0.0, 8.89705372918402e+68, 6.606960548818092e-267,
+              1.1042977718659316e-277, 1.0935286759350145e+164,
+              1.1422879022368564e-261),
+])
+def test_underflowing_scale_factors_raise_degenerate_bounds(raw):
+    with pytest.raises(DegenerateBounds):
+        hull_from_raw(raw)
 
 
 def test_point3_astuple():
