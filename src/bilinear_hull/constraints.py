@@ -19,6 +19,20 @@ center-fan segment from one curve to the other).  Each cone carries:
 
 With swapped=True a builder gives its cone with x and y interchanged, the
 floats of SocConstraint.mirrored(), without building the canonical cone.
+
+The cones are written in closed form.  The center and upper cones are
+rotated cones p*q >= w^2 with p, q >= 0, that is ||(2w, p - q)|| <= p + q;
+the lower and side cones are sqrt(h'Mh) <= c'v over hats h affine in
+(x, y), that is ||R h|| <= c'v with R the rows of Psd2.cholesky_rows.  Each
+builder writes the floats of its general form directly, by the same
+expressions in the same order, leaving out only the products by 0 and +-1,
+which are exact.  Psd2, cholesky_rows, lower_quadratic_form and
+side_quadratic_forms are the reference that the tests hold them to.
+
+LinearInequality, Psd2, SocConstraint and TangentSegment are value types
+(geometry._Frozen): each is built in its own __new__ by plain slot stores
+and then frozen, and compares, hashes, prints, pickles and refuses
+assignment as a frozen dataclass does.
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ import math
 from enum import Enum
 
 from .errors import DegenerateBounds, NegativeDiscriminant
-from .geometry import NormalizedBounds, Point3, _Frozen, _set
+from .geometry import NormalizedBounds, Point3, _Frozen
 
 DISC_CLAMP = -1e-12
 
@@ -73,15 +87,18 @@ class LinearInequality(_Frozen):
 
     __slots__ = ("a0", "ax", "ay", "az", "label")
 
-    def __init__(self, a0: float, ax: float, ay: float, az: float,
-                 label: str = "") -> None:
+    def __new__(cls, a0: float, ax: float, ay: float, az: float,
+               label: str = "") -> LinearInequality:
         if ax == 0.0 and ay == 0.0 and az == 0.0:
             raise ValueError("inequality has no variable coefficients")
-        _set(self, "a0", a0)
-        _set(self, "ax", ax)
-        _set(self, "ay", ay)
-        _set(self, "az", az)
-        _set(self, "label", label)
+        self = object.__new__(cls._twin)
+        self.a0 = a0
+        self.ax = ax
+        self.ay = ay
+        self.az = az
+        self.label = label
+        self.__class__ = cls
+        return self
 
     def residual(self, x, y, z):
         return self.a0 + self.ax * x + self.ay * y + self.az * z
@@ -96,12 +113,15 @@ class Psd2(_Frozen):
 
     __slots__ = ("m11", "m12", "m22")
 
-    def __init__(self, m11: float, m12: float, m22: float) -> None:
-        _set(self, "m11", m11)
-        _set(self, "m12", m12)
-        _set(self, "m22", m22)
-        if m11 < 0.0 or m22 < 0.0 or self.det < -1e-12:
+    def __new__(cls, m11: float, m12: float, m22: float) -> Psd2:
+        if m11 < 0.0 or m22 < 0.0 or m11 * m22 - m12 * m12 < -1e-12:
             raise ValueError("matrix is not positive semidefinite")
+        self = object.__new__(cls._twin)
+        self.m11 = m11
+        self.m12 = m12
+        self.m22 = m22
+        self.__class__ = cls
+        return self
 
     @property
     def det(self) -> float:
@@ -136,15 +156,18 @@ class SocConstraint(_Frozen):
 
     __slots__ = ("A", "b", "c", "d", "family", "params")
 
-    def __init__(self, A: tuple[tuple[float, ...], ...], b: tuple[float, float],
-                 c: tuple[float, float, float], d: float,
-                 family: TangentFamily, params: dict) -> None:
-        _set(self, "A", A)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
-        _set(self, "family", family)
-        _set(self, "params", params)
+    def __new__(cls, A: tuple[tuple[float, ...], ...], b: tuple[float, float],
+               c: tuple[float, float, float], d: float,
+               family: TangentFamily, params: dict) -> SocConstraint:
+        self = object.__new__(cls._twin)
+        self.A = A
+        self.b = b
+        self.c = c
+        self.d = d
+        self.family = family
+        self.params = params
+        self.__class__ = cls
+        return self
 
     def residual(self, x, y, z):
         """(c'v + d) - ||A v + b||; >= 0 iff the constraint holds.
@@ -267,26 +290,14 @@ def rlt(b: NormalizedBounds) -> list[LinearInequality]:
     ]
 
 
-def _rotated_cone(w_coeffs, w0, p_coeffs, p0, q_coeffs, q0, family, params,
-                  swapped=False):
-    """p*q >= w^2 with p, q >= 0, rewritten as ||(2w, p-q)|| <= p+q."""
-    wx, wy, wz = w_coeffs
-    px, py, pz = p_coeffs
-    qx, qy, qz = q_coeffs
-    return _oriented(((2.0 * wx, 2.0 * wy, 2.0 * wz),
-                      (px - qx, py - qy, pz - qz)),
-                     (2.0 * w0, p0 - q0), (px + qx, py + qy, pz + qz),
-                     p0 + q0, family, params, swapped)
-
-
 def soc_upper_zero(uz: float, swapped: bool = False) -> SocConstraint:
-    """z^2 <= uz*x*y, the single curved patch when only z <= uz binds."""
+    """z^2 <= uz*x*y, the single curved patch when only z <= uz binds:
+    the rotated cone with w = z, p = uz*x, q = y."""
     if not 0.0 < uz <= 1.0:
         raise DegenerateBounds("need 0 < uz <= 1")
-    return _rotated_cone((0.0, 0.0, 1.0), 0.0,
-                         (uz, 0.0, 0.0), 0.0,
-                         (0.0, 1.0, 0.0), 0.0,
-                         TangentFamily.UPPER_ZERO, {"uz": uz}, swapped)
+    return _oriented(((0.0, 0.0, 2.0), (uz, -1.0, 0.0)), (0.0, 0.0),
+                     (uz, 1.0, 0.0), 0.0, TangentFamily.UPPER_ZERO,
+                     {"uz": uz}, swapped)
 
 
 def lower_quadratic_form(lz: float) -> Psd2:
@@ -298,39 +309,32 @@ def side_quadratic_forms(lz: float, uz: float) -> tuple[Psd2, Psd2]:
             Psd2(1.0, 2.0 * lz - uz, uz * uz))
 
 
-def _hat_cone(m: Psd2, xhat, yhat, c, family, params,
-              swapped=False) -> SocConstraint:
-    """sqrt((xhat,yhat) M (xhat,yhat)') <= c'v, hats affine: (h0 + hx*t)."""
-    (l11, l12), (_, l22) = m.cholesky_rows()
-    (x0, xcoef), (y0, ycoef) = xhat, yhat
-    row1 = (l11 * xcoef, l12 * ycoef, 0.0)
-    b1 = l11 * x0 + l12 * y0
-    row2 = (0.0, l22 * ycoef, 0.0)
-    b2 = l22 * y0
-    return _oriented((row1, row2), (b1, b2), c, 0.0, family, params, swapped)
-
-
 def soc_lower(lz: float) -> SocConstraint:
-    """sqrt((1-x,1-y) M (1-x,1-y)') <= x+y-2z for the lower product bound."""
+    """sqrt((1-x,1-y) M (1-x,1-y)') <= x+y-2z for the lower product bound,
+    M = lower_quadratic_form(lz), whose factor rows are (1, l12), (0, l22)."""
     if not 0.0 <= lz < 1.0:
         raise DegenerateBounds("need 0 <= lz < 1")
-    return _hat_cone(lower_quadratic_form(lz), (1.0, -1.0), (1.0, -1.0),
-                     (1.0, 1.0, -2.0), TangentFamily.LOWER, {"lz": lz})
+    l12 = 2.0 * lz - 1.0
+    l22 = _clamped_sqrt(1.0 - l12 * l12)
+    return SocConstraint(((-1.0, -l12, 0.0), (0.0, -l22, 0.0)),
+                         (1.0 + l12, l22), (1.0, 1.0, -2.0), 0.0,
+                         TangentFamily.LOWER, {"lz": lz})
 
 
 def soc_center(lz: float, uz: float, swapped: bool = False) -> SocConstraint:
-    """(z + sqrt(lz*uz))^2 <= (sqrt(lz)+sqrt(uz))^2 * x*y; globally valid.
-
-    At lz = 0 this is exactly soc_upper_zero(uz), matrices included.
+    """(z + sqrt(lz*uz))^2 <= (sqrt(lz)+sqrt(uz))^2 * x*y; globally valid:
+    the rotated cone with w = z + sqrt(lz*uz), p = (sqrt(lz)+sqrt(uz))^2 x,
+    q = y.  At lz = 0 this is exactly soc_upper_zero(uz), matrices
+    included.
     """
     if not 0.0 <= lz < uz <= 1.0:
         raise DegenerateBounds("need 0 <= lz < uz <= 1")
+    r = math.sqrt(lz * uz)
     # (sqrt(lz)+sqrt(uz))^2 expanded; the sum form is exact at lz = 0
-    ss = lz + uz + 2.0 * math.sqrt(lz * uz)
-    return _rotated_cone((0.0, 0.0, 1.0), math.sqrt(lz * uz),
-                         (ss, 0.0, 0.0), 0.0,
-                         (0.0, 1.0, 0.0), 0.0,
-                         TangentFamily.CENTER, {"lz": lz, "uz": uz}, swapped)
+    ss = lz + uz + 2.0 * r
+    return _oriented(((0.0, 0.0, 2.0), (ss, -1.0, 0.0)), (2.0 * r, 0.0),
+                     (ss, 1.0, 0.0), 0.0, TangentFamily.CENTER,
+                     {"lz": lz, "uz": uz}, swapped)
 
 
 def soc_sides(lz: float, uz: float) -> tuple[SocConstraint, SocConstraint]:
@@ -344,15 +348,27 @@ def soc_sides(lz: float, uz: float) -> tuple[SocConstraint, SocConstraint]:
 
 def _side_cone(lz: float, uz: float, family: TangentFamily,
                swapped: bool = False) -> SocConstraint:
-    """One of the soc_sides cones, built alone from its own matrix."""
+    """One of the soc_sides cones, sqrt(h' M h) <= c'v with M the
+    matching side_quadratic_forms matrix and h its hats."""
     if not 0.0 <= lz < uz <= 1.0:
         raise DegenerateBounds("need 0 <= lz < uz <= 1")
     p = {"lz": lz, "uz": uz}
+    m12 = 2.0 * lz - uz
     if family is TangentFamily.SIDE_X:
-        return _hat_cone(Psd2(uz * uz, 2.0 * lz - uz, 1.0), (1.0, -1.0),
-                         (uz, -1.0), (uz, 1.0, -2.0), family, p, swapped)
-    return _hat_cone(Psd2(1.0, 2.0 * lz - uz, uz * uz), (uz, -1.0),
-                     (1.0, -1.0), (1.0, uz, -2.0), family, p, swapped)
+        # h = (1 - x, uz - y), M = [[uz^2, m12], [m12, 1]]
+        m11 = uz * uz
+        if m11 <= 0.0:
+            raise DegenerateBounds("cholesky factor needs m11 > 0")
+        l11 = math.sqrt(m11)
+        l12 = m12 / l11
+        l22 = _clamped_sqrt(1.0 - l12 * l12)
+        return _oriented(((-l11, -l12, 0.0), (0.0, -l22, 0.0)),
+                         (l11 + l12 * uz, l22 * uz), (uz, 1.0, -2.0), 0.0,
+                         family, p, swapped)
+    # h = (uz - x, 1 - y), M = [[1, m12], [m12, uz^2]]: l11 = 1, l12 = m12
+    l22 = _clamped_sqrt(uz * uz - m12 * m12)
+    return _oriented(((-1.0, -m12, 0.0), (0.0, -l22, 0.0)), (uz + m12, l22),
+                     (1.0, uz, -2.0), 0.0, family, p, swapped)
 
 
 def soc_upper_general(lx: float, ly: float, uz: float,
@@ -360,8 +376,10 @@ def soc_upper_general(lx: float, ly: float, uz: float,
     """uz(z - lx*ly)^2 <= (uz(x-lx) + lx(z-ly*x)) * (uz(y-ly) + ly(z-lx*y)).
 
     The curved patch for an upper product bound with general lower corner
-    (lx, ly).  Collapses to soc_upper_zero when lx = ly = 0 (the returned
-    constraint then carries that family tag).
+    (lx, ly): the rotated cone with w = sqrt(uz)(z - lx*ly) and the two
+    factors p = (uz - lx*ly)x + lx*z - uz*lx and its mirror q.  Collapses
+    to soc_upper_zero when lx = ly = 0 (the returned constraint then
+    carries that family tag).
     """
     if lx < 0.0 or ly < 0.0:
         raise DegenerateBounds("need lx, ly >= 0")
@@ -371,12 +389,11 @@ def soc_upper_general(lx: float, ly: float, uz: float,
         return soc_upper_zero(uz, swapped)
     w = uz - lx * ly
     r = math.sqrt(uz)
-    # p = (uz - lx*ly)x + lx*z - uz*lx, q mirrored; w-term sqrt(uz)(z - lx*ly)
-    return _rotated_cone((0.0, 0.0, r), -r * lx * ly,
-                         (w, 0.0, lx), -uz * lx,
-                         (0.0, w, ly), -uz * ly,
-                         TangentFamily.UPPER_GENERAL,
-                         {"lx": lx, "ly": ly, "uz": uz}, swapped)
+    p0, q0 = -uz * lx, -uz * ly
+    return _oriented(((0.0, 0.0, 2.0 * r), (w, -w, lx - ly)),
+                     (2.0 * (-r * lx * ly), p0 - q0), (w, w, lx + ly),
+                     p0 + q0, TangentFamily.UPPER_GENERAL,
+                     {"lx": lx, "ly": ly, "uz": uz}, swapped)
 
 
 class TangentSegment(_Frozen):
@@ -390,12 +407,15 @@ class TangentSegment(_Frozen):
 
     __slots__ = ("lower", "upper", "alpha", "family")
 
-    def __init__(self, lower: Point3, upper: Point3, alpha: float,
-                 family: TangentFamily) -> None:
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
-        _set(self, "alpha", alpha)
-        _set(self, "family", family)
+    def __new__(cls, lower: Point3, upper: Point3, alpha: float,
+               family: TangentFamily) -> TangentSegment:
+        self = object.__new__(cls._twin)
+        self.lower = lower
+        self.upper = upper
+        self.alpha = alpha
+        self.family = family
+        self.__class__ = cls
+        return self
 
     def point_at(self, alpha: float) -> Point3:
         t = 1.0 - alpha

@@ -28,20 +28,46 @@ _NEAR_ONE = 1.0 - 4.0 * sys.float_info.epsilon
 FEAS_TOL = 1e-9
 BOUNDARY_TOL = 1e-12
 
+# writes a field on an instance that is already built; only a lazily
+# filled cache slot (oracle.SurfaceSample._lp) needs it
 _set = object.__setattr__
 
 
 class _Frozen:
     """Base of the immutable value types.  A subclass names its fields in
-    __slots__, in order, and sets them in its own __init__ through _set;
-    equality (same class only), hashing, repr and pickling read the fields
-    in that order, as those of a frozen dataclass do.  Slots derived from
-    the fields come last, and the subclass's _fields leaves them out."""
+    __slots__, in order (a subclass of a value type that declares no slot
+    keeps its base's fields); equality (same class only), hashing, repr and
+    pickling read the fields in that order, as those of a frozen dataclass
+    do.  Slots derived from the fields come last, and the subclass's
+    _fields leaves them out.
+
+    A value type is built in its own __new__, the one construction path
+    (it defines no __init__): it runs its checks, takes an instance of the
+    class's assignable twin, sets each field by plain assignment and then
+    sets __class__ back to the class itself.  The twin, made here for
+    every subclass, adds no slot and only gives back object's __setattr__
+    and __delattr__, so a field store is a plain slot store and what the
+    caller gets is frozen: every assignment or deletion raises
+    AttributeError.  Pickling and copying rebuild through __new__.
+    """
 
     __slots__ = ()
+    _names = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__dict__.get("__setattr__") is object.__setattr__:
+            return  # a twin
+        # a subclass that declares no slot keeps its base's fields
+        cls._names = cls.__dict__.get("__slots__") or cls._names
+        cls._twin = type(cls.__name__, (cls,), {
+            "__slots__": (), "__qualname__": cls.__qualname__,
+            "__module__": cls.__module__,
+            "__setattr__": object.__setattr__,
+            "__delattr__": object.__delattr__})
 
     def _fields(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__slots__])
+        return tuple([getattr(self, f) for f in self._names])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -53,7 +79,7 @@ class _Frozen:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % pair for pair in zip(self.__slots__, self._fields())))
+            "%s=%r" % pair for pair in zip(self._names, self._fields())))
 
     def __setattr__(self, name, *value):
         raise AttributeError("cannot assign to or delete field %r" % name)
@@ -67,10 +93,13 @@ class _Frozen:
 class Point3(_Frozen):
     __slots__ = ("x", "y", "z")
 
-    def __init__(self, x: float, y: float, z: float) -> None:
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
+    def __new__(cls, x: float, y: float, z: float) -> Point3:
+        self = object.__new__(cls._twin)
+        self.x = x
+        self.y = y
+        self.z = z
+        self.__class__ = cls
+        return self
 
     def astuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -85,8 +114,8 @@ class RawBounds(_Frozen):
 
     __slots__ = ("lx", "ly", "lz", "ux", "uy", "uz")
 
-    def __init__(self, lx: float, ly: float, lz: float,
-                 ux: float, uy: float, uz: float) -> None:
+    def __new__(cls, lx: float, ly: float, lz: float,
+               ux: float, uy: float, uz: float) -> RawBounds:
         if not all(map(math.isfinite, (lx, ly, lz, ux, uy, uz))):
             raise InfeasibleBounds("bounds must be finite numbers")
         if not (0.0 <= lx < ux and 0.0 <= ly < uy):
@@ -98,12 +127,15 @@ class RawBounds(_Frozen):
                 "no surface point: product range [%g, %g] of the box misses [%g, %g]"
                 % (lx * ly, ux * uy, lz, uz)
             )
-        _set(self, "lx", lx)
-        _set(self, "ly", ly)
-        _set(self, "lz", lz)
-        _set(self, "ux", ux)
-        _set(self, "uy", uy)
-        _set(self, "uz", uz)
+        self = object.__new__(cls._twin)
+        self.lx = lx
+        self.ly = ly
+        self.lz = lz
+        self.ux = ux
+        self.uy = uy
+        self.uz = uz
+        self.__class__ = cls
+        return self
 
 
 class Scaling(_Frozen):
@@ -111,11 +143,14 @@ class Scaling(_Frozen):
 
     __slots__ = ("sx", "sy")
 
-    def __init__(self, sx: float, sy: float) -> None:
+    def __new__(cls, sx: float, sy: float) -> Scaling:
         if not (sx > 0.0 and sy > 0.0):
             raise ValueError("scale factors must be positive")
-        _set(self, "sx", sx)
-        _set(self, "sy", sy)
+        self = object.__new__(cls._twin)
+        self.sx = sx
+        self.sy = sy
+        self.__class__ = cls
+        return self
 
     @property
     def sz(self) -> float:
@@ -147,17 +182,21 @@ class NormalizedBounds(_Frozen):
 
     __slots__ = ("lx", "ly", "lz", "uz")
 
-    def __init__(self, lx: float, ly: float, lz: float, uz: float) -> None:
+    def __new__(cls, lx: float, ly: float, lz: float,
+                uz: float) -> NormalizedBounds:
         if not (0.0 <= lx < 1.0 and 0.0 <= ly < 1.0):
             raise InfeasibleBounds("need 0 <= lx < 1 and 0 <= ly < 1")
         if not (0.0 <= lz < uz <= 1.0):
             raise InfeasibleBounds("need 0 <= lz < uz <= 1")
         if lx * ly > lz + 1e-12:
             raise InfeasibleBounds("need lx*ly <= lz (raise lz to the corner value)")
-        _set(self, "lx", lx)
-        _set(self, "ly", ly)
-        _set(self, "lz", lz)
-        _set(self, "uz", uz)
+        self = object.__new__(cls._twin)
+        self.lx = lx
+        self.ly = ly
+        self.lz = lz
+        self.uz = uz
+        self.__class__ = cls
+        return self
 
     @property
     def lower_trivial(self) -> bool:

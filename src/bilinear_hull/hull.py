@@ -56,7 +56,6 @@ from .geometry import (
     RawBounds,
     Scaling,
     _Frozen,
-    _set,
     normalize,
     tighten_with_scaling,
 )
@@ -90,9 +89,12 @@ class CaseTag(_Frozen):
 
     __slots__ = ("region", "swapped")
 
-    def __init__(self, region: Region, swapped: bool = False) -> None:
-        _set(self, "region", region)
-        _set(self, "swapped", swapped)
+    def __new__(cls, region: Region, swapped: bool = False) -> CaseTag:
+        self = object.__new__(cls._twin)
+        self.region = region
+        self.swapped = swapped
+        self.__class__ = cls
+        return self
 
     @property
     def letter(self) -> str | None:
@@ -114,10 +116,13 @@ class HalfPlane(_Frozen):
 
     __slots__ = ("a0", "ax", "ay")
 
-    def __init__(self, a0: float, ax: float, ay: float) -> None:
-        _set(self, "a0", a0)
-        _set(self, "ax", ax)
-        _set(self, "ay", ay)
+    def __new__(cls, a0: float, ax: float, ay: float) -> HalfPlane:
+        self = object.__new__(cls._twin)
+        self.a0 = a0
+        self.ax = ax
+        self.ay = ay
+        self.__class__ = cls
+        return self
 
     def value(self, x, y):
         return self.a0 + self.ax * x + self.ay * y
@@ -138,9 +143,12 @@ class BoundaryLine(_Frozen):
 
     __slots__ = ("intercept", "slope")
 
-    def __init__(self, intercept: float, slope: float) -> None:
-        _set(self, "intercept", intercept)
-        _set(self, "slope", slope)
+    def __new__(cls, intercept: float, slope: float) -> BoundaryLine:
+        self = object.__new__(cls._twin)
+        self.intercept = intercept
+        self.slope = slope
+        self.__class__ = cls
+        return self
 
 
 def dline(ly: float, lz: float, uz: float) -> BoundaryLine:
@@ -153,11 +161,14 @@ def dline(ly: float, lz: float, uz: float) -> BoundaryLine:
 class HullPiece(_Frozen):
     __slots__ = ("predicate", "soc", "globally_valid")
 
-    def __init__(self, predicate: tuple[HalfPlane, ...], soc: SocConstraint,
-                 globally_valid: bool) -> None:
-        _set(self, "predicate", predicate)
-        _set(self, "soc", soc)
-        _set(self, "globally_valid", globally_valid)
+    def __new__(cls, predicate: tuple[HalfPlane, ...], soc: SocConstraint,
+               globally_valid: bool) -> HullPiece:
+        self = object.__new__(cls._twin)
+        self.predicate = predicate
+        self.soc = soc
+        self.globally_valid = globally_valid
+        self.__class__ = cls
+        return self
 
     def applicable(self, x, y):
         """Whether (x, y) lies where the piece binds, allowing BOUNDARY_TOL
@@ -201,23 +212,26 @@ class HullDescription(_Frozen):
 
     __slots__ = ("bounds", "case", "rlt", "zlo", "zhi", "pieces", "rows")
 
-    def __init__(self, bounds: NormalizedBounds, case: CaseTag,
-                 rlt: tuple[LinearInequality, ...], zlo: float, zhi: float,
-                 pieces: tuple[HullPiece, ...]) -> None:
-        _set(self, "bounds", bounds)
-        _set(self, "case", case)
-        _set(self, "rlt", rlt)
-        _set(self, "zlo", zlo)
-        _set(self, "zhi", zhi)
-        _set(self, "pieces", pieces)
-        _set(self, "rows", tuple(rlt) + (
+    def __new__(cls, bounds: NormalizedBounds, case: CaseTag,
+               rlt: tuple[LinearInequality, ...], zlo: float, zhi: float,
+               pieces: tuple[HullPiece, ...]) -> HullDescription:
+        self = object.__new__(cls._twin)
+        self.bounds = bounds
+        self.case = case
+        self.rlt = rlt
+        self.zlo = zlo
+        self.zhi = zhi
+        self.pieces = pieces
+        self.rows = tuple(rlt) + (
             LinearInequality(-zlo, 0.0, 0.0, 1.0, label="z_lower"),
             LinearInequality(zhi, 0.0, 0.0, -1.0, label="z_upper"),
             LinearInequality(-bounds.lx, 1.0, 0.0, 0.0, label="x_lower"),
             _X_UPPER,
             LinearInequality(-bounds.ly, 0.0, 1.0, 0.0, label="y_lower"),
             _Y_UPPER,
-        ))
+        )
+        self.__class__ = cls
+        return self
 
     def _fields(self) -> tuple:
         # rows is derived, so it stays out of equality, repr and pickling
@@ -719,11 +733,14 @@ class BranchBlock(_Frozen):
 
     __slots__ = ("index", "rows", "soc")
 
-    def __init__(self, index: int, rows: tuple[LinearInequality, ...],
-                 soc: SocConstraint | None) -> None:
-        _set(self, "index", index)
-        _set(self, "rows", rows)
-        _set(self, "soc", soc)
+    def __new__(cls, index: int, rows: tuple[LinearInequality, ...],
+               soc: SocConstraint | None) -> BranchBlock:
+        self = object.__new__(cls._twin)
+        self.index = index
+        self.rows = rows
+        self.soc = soc
+        self.__class__ = cls
+        return self
 
     def soc_residual(self, lam, x, y, z) -> float:
         if self.soc is None:
@@ -752,8 +769,11 @@ class ExtendedFormulation(_Frozen):
 
     __slots__ = ("blocks",)
 
-    def __init__(self, blocks: tuple[BranchBlock, ...]) -> None:
-        _set(self, "blocks", blocks)
+    def __new__(cls, blocks: tuple[BranchBlock, ...]) -> ExtendedFormulation:
+        self = object.__new__(cls._twin)
+        self.blocks = blocks
+        self.__class__ = cls
+        return self
 
     @property
     def num_branch_variables(self) -> int:

@@ -38,14 +38,17 @@ class SurfaceSample(_Frozen):
 
     __slots__ = ("x", "y", "z", "bounds", "n", "_lp")
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                 bounds: NormalizedBounds, n: int) -> None:
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
-        _set(self, "bounds", bounds)
-        _set(self, "n", n)
-        _set(self, "_lp", None)
+    def __new__(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+               bounds: NormalizedBounds, n: int) -> SurfaceSample:
+        self = object.__new__(cls._twin)
+        self.x = x
+        self.y = y
+        self.z = z
+        self.bounds = bounds
+        self.n = n
+        self._lp = None
+        self.__class__ = cls
+        return self
 
     def _fields(self) -> tuple:
         # _lp is a cache, so it stays out of equality, repr and pickling

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import _Frozen, _set
+from .geometry import _Frozen
 from .hull import HullDescription, Region, envelope_grid, membership_mask
 
 _MC_CHUNK = 65536
@@ -150,15 +150,18 @@ class BranchReport(_Frozen):
     __slots__ = ("b_star", "sum_ratio", "grid", "upper_ratio", "lower_ratio",
                  "total_ratio")
 
-    def __init__(self, b_star: float, sum_ratio: float, grid: np.ndarray,
-                 upper_ratio: np.ndarray, lower_ratio: np.ndarray,
-                 total_ratio: np.ndarray) -> None:
-        _set(self, "b_star", b_star)
-        _set(self, "sum_ratio", sum_ratio)
-        _set(self, "grid", grid)
-        _set(self, "upper_ratio", upper_ratio)
-        _set(self, "lower_ratio", lower_ratio)
-        _set(self, "total_ratio", total_ratio)
+    def __new__(cls, b_star: float, sum_ratio: float, grid: np.ndarray,
+               upper_ratio: np.ndarray, lower_ratio: np.ndarray,
+               total_ratio: np.ndarray) -> BranchReport:
+        self = object.__new__(cls._twin)
+        self.b_star = b_star
+        self.sum_ratio = sum_ratio
+        self.grid = grid
+        self.upper_ratio = upper_ratio
+        self.lower_ratio = lower_ratio
+        self.total_ratio = total_ratio
+        self.__class__ = cls
+        return self
 
 
 def _stationarity(b: float) -> float:

@@ -26,7 +26,11 @@ from bilinear_hull import (
     soc_upper_zero,
     tighten,
 )
-from bilinear_hull.constraints import lower_quadratic_form, side_quadratic_forms
+from bilinear_hull.constraints import (
+    _side_cone,
+    lower_quadratic_form,
+    side_quadratic_forms,
+)
 from bilinear_hull.hull import _projection_alpha
 
 
@@ -234,6 +238,113 @@ def test_mirrored_swaps_x_and_y():
     sx, sy = soc_sides(0.2, 0.7)
     assert sx.mirrored().family is TangentFamily.SIDE_Y
     assert sy.mirrored().family is TangentFamily.SIDE_X
+
+
+# ------------------------------------------ closed forms against the algebra
+
+
+def _hex(A, b, c, d):
+    """A cone's floats as float.hex strings, so that 0.0 and -0.0 differ."""
+    return ([[v.hex() for v in row] for row in A], [v.hex() for v in b],
+            [v.hex() for v in c], d.hex())
+
+
+def _cone_hex(s):
+    return _hex(s.A, s.b, s.c, s.d)
+
+
+def _hat_route(m, xhat, yhat, c):
+    """sqrt((xhat, yhat) M (xhat, yhat)') <= c'v with affine hats
+    h = h0 + hcoef*t, written through the Cholesky rows of M."""
+    (l11, l12), (_, l22) = m.cholesky_rows()
+    (x0, xcoef), (y0, ycoef) = xhat, yhat
+    return _hex(((l11 * xcoef, l12 * ycoef, 0.0), (0.0, l22 * ycoef, 0.0)),
+                (l11 * x0 + l12 * y0, l22 * y0), c, 0.0)
+
+
+def _rotated_route(w, w0, p, p0, q, q0, swapped):
+    """p*q >= w^2 with p, q >= 0, as ||(2w, p - q)|| <= p + q; swapped
+    interchanges the x and y columns of A and entries of c."""
+    A = (tuple(2.0 * v for v in w), tuple(pv - qv for pv, qv in zip(p, q)))
+    c = tuple(pv + qv for pv, qv in zip(p, q))
+    if swapped:
+        A = tuple((r[1], r[0], r[2]) for r in A)
+        c = (c[1], c[0], c[2])
+    return _hex(A, (2.0 * w0, p0 - q0), c, p0 + q0)
+
+
+def _mirror_hex(h):
+    A, b, c, d = h
+    return [[r[1], r[0], r[2]] for r in A], b, [c[1], c[0], c[2]], d
+
+
+def _closed_form_grid():
+    """(lz, uz) pairs with lz = 0, uz = 1, lz one ulp below uz, tiny
+    and mid-range values, plus random draws."""
+    uzs = (1e-6, 0.3, 0.5, 0.7, math.nextafter(1.0, 0.0), 1.0)
+    pairs = []
+    for uz in uzs:
+        for lz in (0.0, 1e-300, 1e-3 * uz, 0.25 * uz, 0.5 * uz, 0.9 * uz,
+                   math.nextafter(uz, 0.0)):
+            if 0.0 <= lz < uz:
+                pairs.append((lz, uz))
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        uz = rng.uniform(1e-3, 1.0)
+        pairs.append((rng.uniform(0.0, uz), uz))
+    return pairs
+
+
+def test_closed_form_cones_match_the_cholesky_route():
+    for lz, uz in _closed_form_grid():
+        lower = _hat_route(lower_quadratic_form(lz), (1.0, -1.0),
+                           (1.0, -1.0), (1.0, 1.0, -2.0))
+        assert _cone_hex(soc_lower(lz)) == lower
+        m1, m2 = side_quadratic_forms(lz, uz)
+        sx = _hat_route(m1, (1.0, -1.0), (uz, -1.0), (uz, 1.0, -2.0))
+        sy = _hat_route(m2, (uz, -1.0), (1.0, -1.0), (1.0, uz, -2.0))
+        assert [_cone_hex(s) for s in soc_sides(lz, uz)] == [sx, sy]
+        for family, ref in ((TangentFamily.SIDE_X, sx),
+                            (TangentFamily.SIDE_Y, sy)):
+            assert _cone_hex(_side_cone(lz, uz, family, swapped=True)) \
+                == _mirror_hex(ref)
+        r = math.sqrt(lz * uz)
+        ss = lz + uz + 2.0 * r
+        for swapped in (False, True):
+            assert _cone_hex(soc_center(lz, uz, swapped)) == _rotated_route(
+                (0.0, 0.0, 1.0), r, (ss, 0.0, 0.0), 0.0, (0.0, 1.0, 0.0),
+                0.0, swapped)
+
+
+def test_closed_form_upper_cones_match_the_rotated_route():
+    for lz, uz in _closed_form_grid():
+        # (lx, ly) = (lz, uz) as a corner pair, its mirror, and corners on
+        # the axes; lx*ly < uz holds for each
+        for lx, ly in ((0.0, 0.0), (lz, 0.0), (0.0, lz), (lz, uz),
+                       (uz, lz), (lz, lz)):
+            if not lx * ly < uz:
+                continue
+            for swapped in (False, True):
+                got = _cone_hex(soc_upper_general(lx, ly, uz, swapped))
+                if lx == 0.0 and ly == 0.0:
+                    ref = _rotated_route((0.0, 0.0, 1.0), 0.0,
+                                         (uz, 0.0, 0.0), 0.0,
+                                         (0.0, 1.0, 0.0), 0.0, swapped)
+                    assert _cone_hex(soc_upper_zero(uz, swapped)) == ref
+                else:
+                    g, ru = uz - lx * ly, math.sqrt(uz)
+                    ref = _rotated_route((0.0, 0.0, ru), -ru * lx * ly,
+                                         (g, 0.0, lx), -uz * lx,
+                                         (0.0, g, ly), -uz * ly, swapped)
+                assert got == ref, (lx, ly, uz, swapped)
+
+
+def test_a_side_cone_whose_uz_squared_underflows_is_degenerate():
+    # the Cholesky route stops at m11 = uz*uz = 0, before dividing by it
+    with pytest.raises(DegenerateBounds, match="m11 > 0"):
+        soc_sides(0.0, 1e-170)
+    with pytest.raises(DegenerateBounds, match="m11 > 0"):
+        side_quadratic_forms(0.0, 1e-170)[0].cholesky_rows()
 
 
 # --------------------------------------------- validity on the surface z = xy

@@ -1,13 +1,16 @@
 """The contract of the immutable value types: field order, construction
 by position and by keyword, equality, hashing, immutability, repr,
-copying, pickling and validation."""
+copying, pickling and validation, and the one construction path."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
+import bilinear_hull
 from bilinear_hull import (
     BoundaryLine,
     BranchBlock,
@@ -34,6 +37,7 @@ from bilinear_hull import (
     oracle_membership,
     sample_surface,
 )
+from bilinear_hull.geometry import _Frozen
 
 P = Point3(0.25, 0.5, 0.125)
 Q = LinearInequality(-0.5, 1.0, 0.5, -1.0, "rlt_upper_x")
@@ -182,6 +186,70 @@ def test_copy_and_pickle(case):
     v = cls(*values)
     for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
         assert type(w) is cls and w == v
+
+
+def test_construction_gives_the_class_itself(case):
+    cls, names, values = case[:3]
+    for v in (cls(*values), cls(**dict(zip(names, values)))):
+        assert type(v) is cls
+        for w in (copy.copy(v), copy.deepcopy(v),
+                  pickle.loads(pickle.dumps(v))):
+            assert type(w) is cls
+        # the assignable twin it was built as cannot be put back
+        with pytest.raises(AttributeError):
+            v.__class__ = cls._twin
+        assert type(v) is cls
+
+
+class _Labelled(Point3):
+    """A value type's subclass that declares no slot of its own."""
+
+    __slots__ = ()
+
+
+class _Checked(NormalizedBounds):
+    __slots__ = ()
+
+
+def test_a_subclass_without_slots_builds_as_itself():
+    v = _Labelled(0.25, 0.5, 0.125)
+    assert type(v) is _Labelled and v.astuple() == (0.25, 0.5, 0.125)
+    assert repr(v) == "_Labelled(x=0.25, y=0.5, z=0.125)"
+    assert v == _Labelled(x=0.25, y=0.5, z=0.125) and v != P
+    assert hash(v) == hash(_Labelled(0.25, 0.5, 0.125))
+    with pytest.raises(AttributeError):
+        v.x = 0.0
+    with pytest.raises(AttributeError):
+        del v.x
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert type(w) is _Labelled and w == v
+    # the base's checks still run
+    with pytest.raises(InfeasibleBounds, match="lx\\*ly <= lz"):
+        _Checked(0.5, 0.5, 0.0, 1.0)
+    assert type(_Checked(*NB._fields())) is _Checked
+
+
+def test_every_value_type_builds_in_its_own_new():
+    """No value type in the package defines __init__, so a second
+    construction path (through object.__setattr__ after __new__) cannot
+    come back; each has a __new__ and a twin that adds no slot."""
+    for info in pkgutil.iter_modules(bilinear_hull.__path__):
+        importlib.import_module("bilinear_hull." + info.name)
+    found, todo = [], [_Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            twin = sub.__dict__.get("__setattr__") is object.__setattr__
+            if sub.__module__.startswith("bilinear_hull.") and not twin:
+                found.append(sub)
+    assert sorted(c.__name__ for c in found) == sorted(IDS)
+    for cls in found:
+        assert "__init__" not in cls.__dict__, cls
+        assert "__new__" in cls.__dict__, cls
+        assert cls._twin.__bases__ == (cls,)
+        assert cls._twin.__dict__["__slots__"] == ()
 
 
 def test_validation():
