@@ -30,7 +30,12 @@ import math
 import sys
 from itertools import repeat
 
-from .errors import BilinearHullError, Infeasible, InfeasibleBounds
+from .errors import (
+    BilinearHullError,
+    DegenerateBounds,
+    Infeasible,
+    InfeasibleBounds,
+)
 from .geometry import Point3, RawBounds
 from .hull import (
     envelope_grid,
@@ -247,7 +252,11 @@ def _cmd_tangent(args, d, sc, out):
 
 def _cmd_volume(args, d, sc, out):
     from .volume import vol_closed, vol_mc, vol_numeric
-    scale = (sc.sx * sc.sy) ** 2  # dx dy dz picks up sx*sy*sz
+    try:
+        scale = (sc.sx * sc.sy) ** 2  # dx dy dz picks up sx*sy*sz
+    except OverflowError:
+        raise DegenerateBounds("the raw volume factor (sx*sy)**2 overflows "
+                               "the float range") from None
     out["method"] = args.method
     if args.method == "closed":
         v = vol_closed(d)

@@ -61,6 +61,21 @@ def test_underflowing_scale_exits_1_with_one_error_line():
     assert run_cli("describe", "--ux", "1e200", "--uy", "1e200").returncode == 3
 
 
+@pytest.mark.parametrize("method", ["numeric", "closed"])
+def test_overflowing_volume_factor_exits_1_with_one_error_line(method):
+    # (sx*sy)**2 passes the float range; this used to end in an
+    # OverflowError traceback
+    r = run_cli("volume", "--method", method,
+                "--lz", "9.161247025146194e+174",
+                "--ux", "3.940922943617444e+38",
+                "--uy", "2.6697458691962817e+136",
+                "--uz", "1.0521262749543521e+175")
+    assert r.returncode == 1 and r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+    assert "overflows" in lines[0]
+
+
 def test_output_is_byte_stable():
     args = ("describe", "--lx", "0.32", "--ly", "0.28",
             "--lz", "0.1", "--uz", "0.7")
