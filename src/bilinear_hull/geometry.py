@@ -41,14 +41,15 @@ class _Frozen:
     do.  Slots derived from the fields come last, and the subclass's
     _fields leaves them out.
 
-    A value type is built in its own __new__, the one construction path
+    A value type is built in its own __new__, its one construction path
     (it defines no __init__): it runs its checks, takes an instance of the
-    class's assignable twin, sets each field by plain assignment and then
-    sets __class__ back to the class itself.  The twin, made here for
-    every subclass, adds no slot and only gives back object's __setattr__
-    and __delattr__, so a field store is a plain slot store and what the
-    caller gets is frozen: every assignment or deletion raises
-    AttributeError.  Pickling and copying rebuild through __new__.
+    class's assignable twin, sets each field by plain assignment, a slot
+    store, and sets __class__ back to the class itself.  The twin, made
+    here for every subclass, adds no slot and only restores object's
+    __setattr__ and __delattr__.  The contract does not depend on it: the
+    caller gets an instance of the class itself, frozen (assigning or
+    deleting any attribute, __class__ included, raises AttributeError),
+    and copies and pickles are rebuilt through __new__.
     """
 
     __slots__ = ()
@@ -61,9 +62,7 @@ class _Frozen:
         # a subclass that declares no slot keeps its base's fields
         cls._names = cls.__dict__.get("__slots__") or cls._names
         cls._twin = type(cls.__name__, (cls,), {
-            "__slots__": (), "__qualname__": cls.__qualname__,
-            "__module__": cls.__module__,
-            "__setattr__": object.__setattr__,
+            "__slots__": (), "__setattr__": object.__setattr__,
             "__delattr__": object.__delattr__})
 
     def _fields(self) -> tuple:
