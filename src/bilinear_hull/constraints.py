@@ -114,12 +114,12 @@ class Psd2(_Frozen):
     __slots__ = ("m11", "m12", "m22")
 
     def __new__(cls, m11: float, m12: float, m22: float) -> Psd2:
-        if m11 < 0.0 or m22 < 0.0 or m11 * m22 - m12 * m12 < -1e-12:
-            raise ValueError("matrix is not positive semidefinite")
         self = object.__new__(cls._twin)
         self.m11 = m11
         self.m12 = m12
         self.m22 = m22
+        if m11 < 0.0 or m22 < 0.0 or self.det < -1e-12:
+            raise ValueError("matrix is not positive semidefinite")
         self.__class__ = cls
         return self
 
