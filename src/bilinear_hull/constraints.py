@@ -29,10 +29,8 @@ expressions in the same order, leaving out only the products by 0 and +-1,
 which are exact.  Psd2, cholesky_rows, lower_quadratic_form and
 side_quadratic_forms are the reference that the tests hold them to.
 
-LinearInequality, Psd2, SocConstraint and TangentSegment are value types
-(geometry._Frozen): each is built in its own __new__ by plain slot stores
-and then frozen, and compares, hashes, prints, pickles and refuses
-assignment as a frozen dataclass does.
+LinearInequality, Psd2, SocConstraint and TangentSegment are value types,
+whose contract geometry._Frozen states.
 """
 
 from __future__ import annotations
@@ -155,19 +153,6 @@ class SocConstraint(_Frozen):
     """
 
     __slots__ = ("A", "b", "c", "d", "family", "params")
-
-    def __new__(cls, A: tuple[tuple[float, ...], ...], b: tuple[float, float],
-               c: tuple[float, float, float], d: float,
-               family: TangentFamily, params: dict) -> SocConstraint:
-        self = object.__new__(cls._twin)
-        self.A = A
-        self.b = b
-        self.c = c
-        self.d = d
-        self.family = family
-        self.params = params
-        self.__class__ = cls
-        return self
 
     def residual(self, x, y, z):
         """(c'v + d) - ||A v + b||; >= 0 iff the constraint holds.
@@ -406,16 +391,6 @@ class TangentSegment(_Frozen):
     """
 
     __slots__ = ("lower", "upper", "alpha", "family")
-
-    def __new__(cls, lower: Point3, upper: Point3, alpha: float,
-               family: TangentFamily) -> TangentSegment:
-        self = object.__new__(cls._twin)
-        self.lower = lower
-        self.upper = upper
-        self.alpha = alpha
-        self.family = family
-        self.__class__ = cls
-        return self
 
     def point_at(self, alpha: float) -> Point3:
         t = 1.0 - alpha

@@ -35,21 +35,28 @@ _set = object.__setattr__
 
 class _Frozen:
     """Base of the immutable value types.  A subclass names its fields in
-    __slots__, in order (a subclass of a value type that declares no slot
-    keeps its base's fields); equality (same class only), hashing, repr and
-    pickling read the fields in that order, as those of a frozen dataclass
-    do.  Slots derived from the fields come last, and the subclass's
-    _fields leaves them out.
+    __slots__, in order, or in _names when its last slots are no fields
+    (one derived from the fields, or a cache); a subclass of a value type
+    that declares no slot keeps its base's fields.  Equality (same class
+    only), hashing, repr, pickling and construction read the fields in
+    that order, as those of a frozen dataclass do.
 
-    A value type is built in its own __new__, its one construction path
-    (it defines no __init__): it runs its checks, takes an instance of the
-    class's assignable twin, sets each field by plain assignment, a slot
-    store, and sets __class__ back to the class itself.  The twin, made
-    here for every subclass, adds no slot and only restores object's
-    __setattr__ and __delattr__.  The contract does not depend on it: the
-    caller gets an instance of the class itself, frozen (assigning or
-    deleting any attribute, __class__ included, raises AttributeError),
-    and copies and pickles are rebuilt through __new__.
+    A value type is built in its __new__, its one construction path (it
+    defines no __init__): that takes an instance of the class's assignable
+    twin, sets each field by plain assignment, a slot store, and sets
+    __class__ back to the class itself.  The twin, made here for every
+    subclass, adds no slot and only restores object's __setattr__ and
+    __delattr__.  The contract does not depend on it: the caller gets an
+    instance of the class itself, frozen (assigning or deleting any
+    attribute, __class__ included, raises AttributeError), and copies and
+    pickles are rebuilt through __new__.
+
+    A class that neither defines nor inherits a __new__ gets one, compiled
+    here as namedtuple compiles its own, that only stores the fields: such
+    a value type declares __slots__ and nothing else.  RawBounds, Scaling,
+    NormalizedBounds, Psd2 and LinearInequality write their own to check
+    their arguments, CaseTag for a default, HullDescription to derive rows
+    and SurfaceSample to start its cache empty.
     """
 
     __slots__ = ()
@@ -59,11 +66,23 @@ class _Frozen:
         super().__init_subclass__(**kwargs)
         if cls.__dict__.get("__setattr__") is object.__setattr__:
             return  # a twin
-        # a subclass that declares no slot keeps its base's fields
-        cls._names = cls.__dict__.get("__slots__") or cls._names
+        if "_names" not in cls.__dict__:
+            cls._names = cls.__dict__.get("__slots__") or cls._names
         cls._twin = type(cls.__name__, (cls,), {
             "__slots__": (), "__setattr__": object.__setattr__,
             "__delattr__": object.__delattr__})
+        if cls.__new__ is object.__new__:
+            src = "\n    ".join(
+                ["def __new__(cls%s):" % "".join(", " + n for n in cls._names),
+                 "self = object.__new__(cls._twin)"]
+                + ["self.%s = %s" % (n, n) for n in cls._names]
+                + ["self.__class__ = cls", "return self"])
+            namespace = {}
+            exec(src, {}, namespace)
+            new = namespace["__new__"]
+            new.__module__ = cls.__module__
+            new.__qualname__ = cls.__qualname__ + ".__new__"
+            cls.__new__ = staticmethod(new)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, f) for f in self._names])
@@ -91,14 +110,6 @@ class _Frozen:
 
 class Point3(_Frozen):
     __slots__ = ("x", "y", "z")
-
-    def __new__(cls, x: float, y: float, z: float) -> Point3:
-        self = object.__new__(cls._twin)
-        self.x = x
-        self.y = y
-        self.z = z
-        self.__class__ = cls
-        return self
 
     def astuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)

@@ -116,14 +116,6 @@ class HalfPlane(_Frozen):
 
     __slots__ = ("a0", "ax", "ay")
 
-    def __new__(cls, a0: float, ax: float, ay: float) -> HalfPlane:
-        self = object.__new__(cls._twin)
-        self.a0 = a0
-        self.ax = ax
-        self.ay = ay
-        self.__class__ = cls
-        return self
-
     def value(self, x, y):
         return self.a0 + self.ax * x + self.ay * y
 
@@ -143,13 +135,6 @@ class BoundaryLine(_Frozen):
 
     __slots__ = ("intercept", "slope")
 
-    def __new__(cls, intercept: float, slope: float) -> BoundaryLine:
-        self = object.__new__(cls._twin)
-        self.intercept = intercept
-        self.slope = slope
-        self.__class__ = cls
-        return self
-
 
 def dline(ly: float, lz: float, uz: float) -> BoundaryLine:
     den = uz * ly - lz
@@ -160,15 +145,6 @@ def dline(ly: float, lz: float, uz: float) -> BoundaryLine:
 
 class HullPiece(_Frozen):
     __slots__ = ("predicate", "soc", "globally_valid")
-
-    def __new__(cls, predicate: tuple[HalfPlane, ...], soc: SocConstraint,
-               globally_valid: bool) -> HullPiece:
-        self = object.__new__(cls._twin)
-        self.predicate = predicate
-        self.soc = soc
-        self.globally_valid = globally_valid
-        self.__class__ = cls
-        return self
 
     def applicable(self, x, y):
         """Whether (x, y) lies where the piece binds, allowing BOUNDARY_TOL
@@ -211,6 +187,7 @@ class HullDescription(_Frozen):
     """
 
     __slots__ = ("bounds", "case", "rlt", "zlo", "zhi", "pieces", "rows")
+    _names = __slots__[:-1]  # rows is derived from them
 
     def __new__(cls, bounds: NormalizedBounds, case: CaseTag,
                rlt: tuple[LinearInequality, ...], zlo: float, zhi: float,
@@ -232,11 +209,6 @@ class HullDescription(_Frozen):
         )
         self.__class__ = cls
         return self
-
-    def _fields(self) -> tuple:
-        # rows is derived, so it stays out of equality, repr and pickling
-        return (self.bounds, self.case, self.rlt, self.zlo, self.zhi,
-                self.pieces)
 
     def to_dict(self) -> dict:
         return {
@@ -733,15 +705,6 @@ class BranchBlock(_Frozen):
 
     __slots__ = ("index", "rows", "soc")
 
-    def __new__(cls, index: int, rows: tuple[LinearInequality, ...],
-               soc: SocConstraint | None) -> BranchBlock:
-        self = object.__new__(cls._twin)
-        self.index = index
-        self.rows = rows
-        self.soc = soc
-        self.__class__ = cls
-        return self
-
     def soc_residual(self, lam, x, y, z) -> float:
         if self.soc is None:
             return 0.0
@@ -768,12 +731,6 @@ class ExtendedFormulation(_Frozen):
     """
 
     __slots__ = ("blocks",)
-
-    def __new__(cls, blocks: tuple[BranchBlock, ...]) -> ExtendedFormulation:
-        self = object.__new__(cls._twin)
-        self.blocks = blocks
-        self.__class__ = cls
-        return self
 
     @property
     def num_branch_variables(self) -> int:

@@ -37,6 +37,7 @@ class SurfaceSample(_Frozen):
     """
 
     __slots__ = ("x", "y", "z", "bounds", "n", "_lp")
+    _names = __slots__[:-1]  # _lp is a cache
 
     def __new__(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray,
                bounds: NormalizedBounds, n: int) -> SurfaceSample:
@@ -49,10 +50,6 @@ class SurfaceSample(_Frozen):
         self._lp = None
         self.__class__ = cls
         return self
-
-    def _fields(self) -> tuple:
-        # _lp is a cache, so it stays out of equality, repr and pickling
-        return (self.x, self.y, self.z, self.bounds, self.n)
 
     def __len__(self) -> int:
         return self.x.shape[0]

@@ -150,19 +150,6 @@ class BranchReport(_Frozen):
     __slots__ = ("b_star", "sum_ratio", "grid", "upper_ratio", "lower_ratio",
                  "total_ratio")
 
-    def __new__(cls, b_star: float, sum_ratio: float, grid: np.ndarray,
-               upper_ratio: np.ndarray, lower_ratio: np.ndarray,
-               total_ratio: np.ndarray) -> BranchReport:
-        self = object.__new__(cls._twin)
-        self.b_star = b_star
-        self.sum_ratio = sum_ratio
-        self.grid = grid
-        self.upper_ratio = upper_ratio
-        self.lower_ratio = lower_ratio
-        self.total_ratio = total_ratio
-        self.__class__ = cls
-        return self
-
 
 def _stationarity(b: float) -> float:
     # derivative of the joint hull volume vanishes where ln b = 2(b-1)

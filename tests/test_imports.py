@@ -1,7 +1,8 @@
 """What importing the package loads: nothing by itself, the scalar API
 and the scalar CLI commands run without numpy, no CLI command loads
-dataclasses, every public name resolves on first access, and the public
-names take no tolerance argument."""
+dataclasses, the scalar ones not inspect either, every public name
+resolves on first access, and the public names take no tolerance
+argument."""
 
 import dataclasses
 import functools
@@ -16,8 +17,8 @@ import pytest
 import bilinear_hull
 
 # each check runs in a fresh interpreter, the way one CLI call does, and
-# ends by writing whether a module (numpy, or dataclasses, which brings
-# inspect, ast, dis and tokenize) was loaded to stderr
+# ends by writing whether a module (numpy, dataclasses, which brings
+# inspect, ast, dis and tokenize, or inspect alone) was loaded to stderr
 _CLI = """
 import runpy, sys
 sys.argv = ["bilinear-hull"] + %r
@@ -90,6 +91,12 @@ def test_scalar_commands_do_not_import_numpy(argv):
 @SCALAR_COMMANDS
 def test_scalar_commands_do_not_import_dataclasses(argv):
     assert not _loaded(_CLI % (argv, "dataclasses"))
+
+
+@SCALAR_COMMANDS
+def test_scalar_commands_do_not_import_inspect(argv):
+    # the value types' generated constructors are compiled by a plain exec
+    assert not _loaded(_CLI % (argv, "inspect"))
 
 
 def test_oracle_command_does_not_import_dataclasses():

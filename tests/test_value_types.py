@@ -4,6 +4,7 @@ copying, pickling and validation, and the one construction path."""
 
 import copy
 import importlib
+import inspect
 import pickle
 import pkgutil
 
@@ -231,6 +232,33 @@ def test_a_subclass_without_slots_builds_as_itself():
     assert type(_Checked(*NB._fields())) is _Checked
 
 
+class _Pair(_Frozen):
+    """A value type that declares its slots and nothing more."""
+
+    __slots__ = ("a", "b")
+
+
+def test_a_type_that_only_declares_slots_gets_a_constructor():
+    v = _Pair(0.25, (1, 2))
+    assert type(v) is _Pair and (v.a, v.b) == (0.25, (1, 2))
+    assert v == _Pair(b=(1, 2), a=0.25) and v != _Pair(0.25, (1, 3))
+    assert repr(v) == "_Pair(a=0.25, b=(1, 2))"
+    for args in ((), (0.25,), (0.25, (1, 2), 0.5)):
+        with pytest.raises(TypeError, match="_Pair.__new__"):
+            _Pair(*args)
+    with pytest.raises(TypeError):
+        _Pair(0.25, c=1)
+    for name in ("a", "b", "__class__"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 0.0)
+    with pytest.raises(AttributeError):
+        del v.a
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert type(w) is _Pair and w == v
+
+
 def test_every_value_type_builds_in_its_own_new():
     """No value type in the package defines __init__, so a second
     construction path (through object.__setattr__ after __new__) cannot
@@ -248,6 +276,9 @@ def test_every_value_type_builds_in_its_own_new():
     for cls in found:
         assert "__init__" not in cls.__dict__, cls
         assert "__new__" in cls.__dict__, cls
+        # construction takes the fields that equality, repr and pickling
+        # read, in their order, and nothing else
+        assert tuple(inspect.signature(cls).parameters) == cls._names, cls
         assert cls._twin.__bases__ == (cls,)
         assert cls._twin.__dict__["__slots__"] == ()
 
