@@ -36,6 +36,7 @@ whose contract geometry._Frozen states.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 from .errors import DegenerateBounds, NegativeDiscriminant
@@ -337,21 +338,22 @@ def _side_cone(lz: float, uz: float, family: TangentFamily,
     matching side_quadratic_forms matrix and h its hats."""
     if not 0.0 <= lz < uz <= 1.0:
         raise DegenerateBounds("need 0 <= lz < uz <= 1")
+    # a subnormal uz^2 is as degenerate as 0: SideX's l12 would pass 1
+    uu = uz * uz
+    if uu < sys.float_info.min:
+        raise DegenerateBounds("cholesky factor needs m11 > 0")
     p = {"lz": lz, "uz": uz}
     m12 = 2.0 * lz - uz
     if family is TangentFamily.SIDE_X:
         # h = (1 - x, uz - y), M = [[uz^2, m12], [m12, 1]]
-        m11 = uz * uz
-        if m11 <= 0.0:
-            raise DegenerateBounds("cholesky factor needs m11 > 0")
-        l11 = math.sqrt(m11)
+        l11 = math.sqrt(uu)
         l12 = m12 / l11
         l22 = _clamped_sqrt(1.0 - l12 * l12)
         return _oriented(((-l11, -l12, 0.0), (0.0, -l22, 0.0)),
                          (l11 + l12 * uz, l22 * uz), (uz, 1.0, -2.0), 0.0,
                          family, p, swapped)
     # h = (uz - x, 1 - y), M = [[1, m12], [m12, uz^2]]: l11 = 1, l12 = m12
-    l22 = _clamped_sqrt(uz * uz - m12 * m12)
+    l22 = _clamped_sqrt(uu - m12 * m12)
     return _oriented(((-1.0, -m12, 0.0), (0.0, -l22, 0.0)), (uz + m12, l22),
                      (1.0, uz, -2.0), 0.0, family, p, swapped)
 

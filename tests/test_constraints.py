@@ -1,6 +1,7 @@
 """Cone and cut algebra: RLT planes, cone families, envelopes, tangents."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -345,6 +346,20 @@ def test_a_side_cone_whose_uz_squared_underflows_is_degenerate():
         soc_sides(0.0, 1e-170)
     with pytest.raises(DegenerateBounds, match="m11 > 0"):
         side_quadratic_forms(0.0, 1e-170)[0].cholesky_rows()
+    # a subnormal uz*uz is as degenerate: the SideX factor it leaves
+    # would fail its discriminant clamp, so neither family builds a cone
+    built = degenerate = 0
+    for uz in np.logspace(-170, -150, 2001).tolist():
+        for lz in (0.0, uz / 4):
+            for family in (TangentFamily.SIDE_X, TangentFamily.SIDE_Y):
+                for swapped in (False, True):
+                    try:
+                        _side_cone(lz, uz, family, swapped)
+                        built += 1
+                    except DegenerateBounds:
+                        degenerate += 1
+                        assert uz * uz < sys.float_info.min
+    assert built and degenerate
 
 
 # --------------------------------------------- validity on the surface z = xy
