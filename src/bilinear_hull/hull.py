@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING
 
 from .constraints import (
     LinearInequality,
-    SocConstraint,
     TangentFamily,
     TangentSegment,
     _side_cone,
@@ -187,7 +186,7 @@ class HullDescription(_Frozen):
     """
 
     __slots__ = ("bounds", "case", "rlt", "zlo", "zhi", "pieces", "rows")
-    _names = __slots__[:-1]  # rows is derived from them
+    _names = __slots__[:-1]  # not rows, which is derived
 
     def __new__(cls, bounds: NormalizedBounds, case: CaseTag,
                rlt: tuple[LinearInequality, ...], zlo: float, zhi: float,

@@ -37,7 +37,7 @@ class SurfaceSample(_Frozen):
     """
 
     __slots__ = ("x", "y", "z", "bounds", "n", "_lp")
-    _names = __slots__[:-1]  # _lp is a cache
+    _names = __slots__[:-1]  # not _lp, a cache
 
     def __new__(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray,
                bounds: NormalizedBounds, n: int) -> SurfaceSample:

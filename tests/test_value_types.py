@@ -262,7 +262,8 @@ def test_a_type_that_only_declares_slots_gets_a_constructor():
 def test_every_value_type_builds_in_its_own_new():
     """No value type in the package defines __init__, so a second
     construction path (through object.__setattr__ after __new__) cannot
-    come back; each has a __new__ and a twin that adds no slot."""
+    come back; each has a __new__ that takes exactly its fields, and a
+    twin that adds no slot."""
     for info in pkgutil.iter_modules(bilinear_hull.__path__):
         importlib.import_module("bilinear_hull." + info.name)
     found, todo = [], [_Frozen]
