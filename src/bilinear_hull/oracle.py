@@ -4,9 +4,12 @@ The surface is sampled on a grid plus traces along the two product-bound
 curves; the convex hull of the samples is then interrogated with a small
 revised simplex (3 or 4 equality rows, one column per sample).  The solver
 keeps an explicit inverse of the small basis and iterates over a working
-set of columns, pricing every sample only to certify a result.  Everything
-here is deliberately independent of the constraint formulas so the two
-sides can be compared in tests.
+set of columns, pricing every sample only to certify a result.  Between the
+queries of one solver only the right-hand side changes, so it keeps the
+certificates it has proved, optimal bases and phase-1 Farkas rays, and
+answers a later query from them when they cover it.  Everything here is
+deliberately independent of the constraint formulas so the two sides can
+be compared in tests.
 """
 
 from __future__ import annotations
@@ -57,10 +60,11 @@ class SurfaceSample(_Frozen):
     def _membership_lp(self) -> _Simplex:
         """The solver of every oracle_membership query on this sample,
         built on the first: its columns (x, y, z, 1) are built once, and
-        its working set carries over from one query to the next."""
+        its working set and Farkas rays carry over from one query to the
+        next."""
         if self._lp is None:
-            _set(self, "_lp", _Simplex(np.vstack([self.x, self.y, self.z,
-                                                  np.ones_like(self.x)])))
+            a = np.vstack([self.x, self.y, self.z, np.ones_like(self.x)])
+            _set(self, "_lp", _Simplex(a, np.zeros(len(self))))
         return self._lp
 
 
@@ -114,11 +118,13 @@ def sample_surface(b: NormalizedBounds, n: int) -> SurfaceSample:
 
 class _Vertex(NamedTuple):
     """A basis (column indices; n + i is row i's artificial), the inverse
-    of its matrix, and the basic solution."""
+    of its matrix, the basic solution and, when a full pricing pass
+    certified the basis, the dual that pass accepted."""
 
     basis: list[int]
     binv: np.ndarray
     xb: np.ndarray
+    y: np.ndarray | None = None
 
 
 class _Simplex:
@@ -126,10 +132,11 @@ class _Simplex:
     set of columns.
 
     One instance serves every query against one column matrix A (3 or 4
-    rows, one column per sample), which it never copies; the right-hand
-    side and the cost come with each query.  Phase 1 gives a row whose
-    right-hand side is negative a negated artificial column, which is the
-    same LP as flipping the row.
+    rows, one column per sample, the last row all ones) and one cost, and
+    copies neither; only the right-hand side, whose last entry is 1, comes
+    with each query.  Phase 1 gives a row whose right-hand side is
+    negative a negated artificial column, which is the same LP as flipping
+    the row.
 
     Working set (sifting): the iterations run over a sorted subset of the
     columns that persists across the queries of one instance and only
@@ -142,6 +149,24 @@ class _Simplex:
     total artificial within tolerance stops there: a feasible point needs
     no certificate.
 
+    Certificate store: since only the right-hand side changes, what one
+    query proved carries over to the next.
+    - Optimal bases.  A basis that a full pricing pass certified optimal
+      for the cost keeps its reduced costs, which depend on the basis and
+      the cost but not on the right-hand side.  It is therefore optimal,
+      with no further pricing, for every rhs with B^-1 rhs >= -_PIVOT_TOL.
+    - Farkas rays.  When phase 1 proves a query infeasible, the dual y of
+      its final full pricing pass has y.a_j <= _RC_TOL for every column
+      and y_i sign_i <= 1 + _RC_TOL for every artificial.  Because A's
+      last row is all ones and rhs ends in 1, (y - _RC_TOL e_last) /
+      (1 + _RC_TOL) is then feasible for the dual of the phase-1 LP of any
+      rhs whose signs also give y_i sign_i <= 1 + _RC_TOL, so by weak
+      duality that phase-1 optimum is at least (y.rhs - _RC_TOL) /
+      (1 + _RC_TOL).  Where this exceeds _FEAS_TOL the query is
+      infeasible: the decision a full phase 1 reaches, except within
+      rounding of the threshold.
+    Both stores only grow, and a query scans each in the order it grew.
+
     Deterministic pivoting: the entering column has the most negative
     reduced cost (first index on ties); the leaving row breaks ratio ties
     by the smallest basic variable index.  The sample grids make these LPs
@@ -150,16 +175,24 @@ class _Simplex:
 
     The inverse of the basis matrix is kept explicitly: each pivot applies
     an eta (rank-one) update, every _REFACTOR_EVERY pivots it is inverted
-    afresh, and a returned vertex always carries a fresh inverse and a
-    basic solution solved from the basis matrix itself.
+    afresh, and a vertex the iterations end on carries a fresh inverse and
+    a basic solution solved from the basis matrix itself.  solve stores
+    that inverse and returns B^-1 rhs from it, also for the query that
+    found the basis.
     """
 
-    def __init__(self, a: np.ndarray):
+    def __init__(self, a: np.ndarray, cost: np.ndarray):
         self.a = a
+        self.cost = cost
         self.m, self.n = a.shape
         self.work = np.empty(0, dtype=np.intp)
         self._rc = np.empty(self.n)
         self._zero = np.zeros(self.n)
+        # certified optimal (basis, inverse) pairs, their stacked inverses,
+        # and the phase-1 Farkas rays, one per row
+        self.bases: list[tuple[list[int], np.ndarray]] = []
+        self.binvs = np.empty((0, self.m, self.m))
+        self.rays = np.empty((0, self.m))
 
     def _basis_matrix(self, basis: list[int], signs: np.ndarray | None
                       ) -> np.ndarray:
@@ -207,9 +240,10 @@ class _Simplex:
                  signs: np.ndarray | None = None,
                  good_enough: float = -np.inf) -> _Vertex:
         """Optimal vertex for the real columns at `cost` plus, when `signs`
-        is given (phase 1), the artificial columns.  A phase-1 run stops
-        without the full pricing pass once the working set is optimal at
-        an objective of at most `good_enough`.
+        is given (phase 1), the artificial columns, carrying the dual that
+        the certifying full pricing pass accepted.  A phase-1 run stops
+        without that pass, and with no dual, once the working set is
+        optimal at an objective of at most `good_enough`.
         """
         m = self.m
         basis, binv, xb = list(v.basis), v.binv, v.xb
@@ -279,18 +313,28 @@ class _Simplex:
             xb = binv @ rhs
         else:
             raise SolverError("simplex iteration limit hit")
-        return self._vertex(basis, rhs, signs)
+        return self._vertex(basis, rhs, signs)._replace(y=y)
 
     def phase1(self, rhs: np.ndarray) -> _Vertex:
         """A basis whose solution meets A w = rhs within _FEAS_TOL; it may
         still hold artificials at (near) zero.  Raises Infeasible when the
-        phase-1 optimum, the least total artificial, exceeds _FEAS_TOL.
+        phase-1 optimum, the least total artificial, exceeds _FEAS_TOL:
+        at once when a stored Farkas ray bounds it above _FEAS_TOL (see the
+        class docstring), otherwise after the simplex has proved it, in
+        which case the ray of its last pricing pass is stored.
         """
         m, n = self.m, self.n
         signs = np.where(rhs < 0.0, -1.0, 1.0)
+        rays = self.rays
+        fits = np.all(rays * signs <= 1.0 + _RC_TOL, axis=1)
+        bound = (rays @ rhs - _RC_TOL) / (1.0 + _RC_TOL)
+        if np.any(fits & (bound > _FEAS_TOL)):
+            raise Infeasible("point outside the sampled hull")
         start = _Vertex(list(range(n, n + m)), np.diag(signs), np.abs(rhs))
         v = self._iterate(rhs, self._zero, start, signs, good_enough=_FEAS_TOL)
         if sum(x for j, x in zip(v.basis, v.xb.tolist()) if j >= n) > _FEAS_TOL:
+            if v.y is not None:
+                self.rays = np.vstack([rays, v.y])
             raise Infeasible("point outside the sampled hull")
         return v
 
@@ -318,20 +362,27 @@ class _Simplex:
             self.work = np.union1d(self.work, [j])
         return self._vertex(basis, rhs)
 
-    def solve(self, rhs: np.ndarray, cost: np.ndarray,
-              warm: _Vertex | None = None) -> _Vertex:
+    def solve(self, rhs: np.ndarray) -> _Vertex:
         """Optimal vertex of  min cost'w  s.t.  A w = rhs, w >= 0.
 
-        Starts from `warm` (a vertex this instance returned) when its basis
-        is primal feasible for `rhs`, otherwise from phase 1; raises
-        Infeasible when phase 1 cannot zero out the artificial variables.
+        Returns the first stored optimal basis with B^-1 rhs >= -_PIVOT_TOL,
+        with no pivot and no pricing pass: its reduced costs do not depend
+        on rhs (see the class docstring).  Otherwise solves from phase 1
+        and stores the certified basis; raises Infeasible when phase 1
+        cannot zero out the artificial variables.  Either way the basic
+        solution is B^-1 rhs from the stored inverse, so a query asked
+        twice gets the same bits.
         """
-        if warm is not None:
-            xb = warm.binv @ rhs
-            if np.all(xb >= -_PIVOT_TOL):
-                return self._iterate(rhs, cost, warm._replace(xb=xb))
-        v = self._drive_out(self.phase1(rhs), rhs)
-        return self._iterate(rhs, cost, v)
+        ok = np.flatnonzero(np.all(self.binvs @ rhs >= -_PIVOT_TOL, axis=1))
+        if ok.size:
+            basis, binv = self.bases[ok[0]]
+        else:
+            v = self._iterate(rhs, self.cost,
+                              self._drive_out(self.phase1(rhs), rhs))
+            basis, binv = v.basis, v.binv
+            self.bases.append((basis, binv))
+            self.binvs = np.concatenate([self.binvs, binv[None]])
+        return _Vertex(basis, binv, binv @ rhs)
 
 
 def _check_solution(a: np.ndarray, rhs: np.ndarray, v: _Vertex) -> None:
@@ -355,24 +406,25 @@ def oracle_envelope(s: SurfaceSample, x: float, y: float) -> float:
 
 def oracle_envelope_many(s: SurfaceSample, xs: np.ndarray, ys: np.ndarray
                          ) -> np.ndarray:
-    """Vectorized envelope queries with warm-started bases and one working
-    set shared by all of them.
+    """Vectorized envelope queries on one solver, whose working set and
+    certificate store all of them share: a query that a basis certified
+    optimal for an earlier one keeps primal feasible is answered with no
+    pivot and no pricing pass, and one that an earlier phase-1 Farkas ray
+    proves infeasible with no phase 1 (see _Simplex).
 
     Entries where the LP is infeasible come back as NaN.
     """
     a = np.vstack([s.x, s.y, np.ones_like(s.x)])
     cost = -s.z  # maximize total z
-    lp = _Simplex(a)
+    lp = _Simplex(a, cost)
     out = np.full(len(xs), np.nan)
-    warm: _Vertex | None = None
     for k in range(len(xs)):
         rhs = np.array([xs[k], ys[k], 1.0])
         try:
-            v = lp.solve(rhs, cost, warm)
+            v = lp.solve(rhs)
         except Infeasible:
             continue
         _check_solution(a, rhs, v)
-        warm = v
         out[k] = -float(cost[v.basis] @ v.xb)
     return out
 

@@ -1,5 +1,7 @@
 """Sampled-hull LP oracle: surface clouds, envelope and membership queries."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -173,21 +175,150 @@ def _cold(s, x, y):
         return np.nan
 
 
+def _grid(raw, n):
+    """The sample of `raw`'s box at density n and its 9x9 query grid."""
+    d, _ = hull_from_raw(raw)
+    b = d.bounds
+    g = np.linspace(b.lx, 1.0, 9)
+    h = np.linspace(b.ly, 1.0, 9)
+    xs, ys = [a.ravel() for a in np.meshgrid(g, h, indexing="ij")]
+    return sample_surface(b, n), xs, ys
+
+
 def test_working_set_queries_match_cold_queries():
-    # one shared working set and warm bases against a fresh solver per query
+    # one shared working set and certificate store against a fresh solver
+    # per query
     for _, raw in CONFIGS:
-        d, _ = hull_from_raw(raw)
-        b = d.bounds
-        s = sample_surface(b, 61)
-        g = np.linspace(b.lx, 1.0, 9)
-        h = np.linspace(b.ly, 1.0, 9)
-        xs, ys = [a.ravel() for a in np.meshgrid(g, h, indexing="ij")]
-        warm = oracle_envelope_many(s, xs, ys)
+        s, xs, ys = _grid(raw, 61)
+        shared = oracle_envelope_many(s, xs, ys)
         cold = np.array([_cold(s, x, y) for x, y in zip(xs, ys)])
-        assert np.array_equal(np.isnan(warm), np.isnan(cold)), raw
+        assert np.array_equal(np.isnan(shared), np.isnan(cold)), raw
         feas = ~np.isnan(cold)
         assert feas.any()
-        assert np.max(np.abs(warm[feas] - cold[feas])) <= 1e-12, raw
+        assert np.max(np.abs(shared[feas] - cold[feas])) <= 1e-12, raw
+
+
+@pytest.mark.parametrize("n", [61, 201])
+def test_query_order_does_not_change_results(n):
+    # the certificates an order stores first answer the later queries, so
+    # each order reuses different ones
+    rng = np.random.default_rng(20)
+    for _, raw in CONFIGS:
+        s, xs, ys = _grid(raw, n)
+        cold = np.array([_cold(s, x, y) for x, y in zip(xs, ys)])
+        feas = ~np.isnan(cold)
+        for order in (np.arange(xs.size)[::-1], rng.permutation(xs.size)):
+            got = np.empty_like(cold)
+            got[order] = oracle_envelope_many(s, xs[order], ys[order])
+            assert np.array_equal(np.isnan(got), ~feas), raw
+            assert np.max(np.abs(got[feas] - cold[feas])) <= 1e-12, raw
+
+
+def _count_iterate(monkeypatch):
+    calls = []
+    iterate = oracle._Simplex._iterate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return iterate(*args, **kwargs)
+
+    monkeypatch.setattr(oracle._Simplex, "_iterate", counted)
+    return calls
+
+
+def test_stored_certificates_hold_over_every_column():
+    for _, raw in CONFIGS:
+        s, xs, ys = _grid(raw, 61)
+        a = np.vstack([s.x, s.y, np.ones_like(s.x)])
+        cost = -s.z
+        lp = oracle._Simplex(a, cost)
+        for x, y in zip(xs, ys):
+            try:
+                lp.solve(np.array([x, y, 1.0]))
+            except Infeasible:
+                pass
+        assert lp.bases and len(lp.binvs) == len(lp.bases)
+        for (basis, binv), stacked in zip(lp.bases, lp.binvs):
+            assert np.array_equal(binv, stacked)
+            assert np.allclose(binv @ a[:, basis], np.eye(3), atol=1e-12)
+            rc = cost - (cost[basis] @ binv) @ a
+            assert rc.min() >= -oracle._RC_TOL, raw
+        for ray in lp.rays:
+            assert (ray @ a).max() <= oracle._RC_TOL, raw
+    # the rays of the membership solver kept on a sample
+    s, xs, ys = _grid(CONFIGS[2][1], 41)
+    for x, y in zip(xs, ys):
+        oracle_membership(s, Point3(x, y, x * y + 0.2))
+    lp = s._lp
+    assert len(lp.rays)
+    assert (lp.rays @ lp.a).max() <= oracle._RC_TOL
+
+
+def test_a_ray_answers_only_past_its_bound(monkeypatch):
+    s = sample_surface(hull_from_raw(RawBounds(0, 0, 0.2, 1, 1, 0.7))[0]
+                       .bounds, 41)
+    a = np.vstack([s.x, s.y, np.ones_like(s.x)])
+    lp = oracle._Simplex(a, -s.z)
+    outside = np.array([0.25, 0.3, 1.0])  # x*y < lz
+    with pytest.raises(Infeasible):
+        lp.solve(outside)
+    assert lp.rays.shape == (1, 3)
+    ray = lp.rays[0]
+
+    def margin(rhs):
+        return (ray @ rhs - oracle._RC_TOL) / (1.0 + oracle._RC_TOL)
+
+    # walk from a sample, where the margin is <= 0, towards the query
+    inside = a[:, 0]
+    lo, hi = margin(inside), margin(outside)
+    assert lo <= 0.0 < oracle._FEAS_TOL < hi
+    calls = _count_iterate(monkeypatch)
+    for rel, solved in ((1e-3, False), (-1e-3, True)):
+        t = (oracle._FEAS_TOL * (1.0 + rel) - lo) / (hi - lo)
+        rhs = inside + t * (outside - inside)
+        assert (margin(rhs) > oracle._FEAS_TOL) is not solved
+        del calls[:]
+        try:
+            lp.phase1(rhs)
+        except Infeasible:
+            pass
+        assert len(calls) == int(solved), rel
+
+
+def test_repeated_queries_come_from_the_store(monkeypatch):
+    calls = _count_iterate(monkeypatch)
+    for _, raw in CONFIGS:
+        s, xs, ys = _grid(raw, 61)
+        once = oracle_envelope_many(s, xs, ys)
+        first = len(calls)
+        twice = oracle_envelope_many(s, np.concatenate([xs, xs]),
+                                     np.concatenate([ys, ys]))
+        # the second copy of the grid runs no simplex iteration
+        assert len(calls) - first == first, raw
+        assert np.array_equal(twice[:xs.size], once, equal_nan=True), raw
+        assert np.array_equal(twice[xs.size:], once, equal_nan=True), raw
+        del calls[:]
+
+
+def test_queries_leave_no_reference_cycles():
+    # a certificate held by an exception, which holds the raising frame,
+    # would keep a solver's columns alive until the cyclic collector ran
+    s, xs, ys = _grid(CONFIGS[2][1], 41)
+    outside = Point3(0.5, 0.5, 0.6)
+
+    def queries():
+        assert np.isnan(oracle_envelope_many(s, xs, ys)).any()
+        assert not oracle_membership(s, outside)
+
+    queries()  # first calls of lazily set-up library code
+    gc.collect()
+    gc.disable()
+    try:
+        queries()
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_degenerate_artificial_is_driven_out():
@@ -197,7 +328,7 @@ def test_degenerate_artificial_is_driven_out():
     s = sample_surface(d.bounds, 61)
     a = np.vstack([s.x, s.y, np.ones_like(s.x)])
     rhs = np.array([1.0, 0.4, 1.0])
-    lp = oracle._Simplex(a)
+    lp = oracle._Simplex(a, -s.z)
     v = lp.phase1(rhs)
     stuck = [i for i, j in enumerate(v.basis) if j >= lp.n]
     assert stuck
