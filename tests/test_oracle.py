@@ -255,8 +255,8 @@ def test_stored_certificates_hold_over_every_column():
 
 
 def test_a_ray_answers_only_past_its_bound(monkeypatch):
-    s = sample_surface(hull_from_raw(RawBounds(0, 0, 0.2, 1, 1, 0.7))[0]
-                       .bounds, 41)
+    d, _ = hull_from_raw(RawBounds(0, 0, 0.2, 1, 1, 0.7))
+    s = sample_surface(d.bounds, 41)
     a = np.vstack([s.x, s.y, np.ones_like(s.x)])
     lp = oracle._Simplex(a, -s.z)
     outside = np.array([0.25, 0.3, 1.0])  # x*y < lz
