@@ -29,7 +29,7 @@ FEAS_TOL = 1e-9
 BOUNDARY_TOL = 1e-12
 
 # writes a field on an instance that is already built; only a lazily
-# filled cache slot (oracle.SurfaceSample._lp) needs it
+# filled cache slot (oracle.SurfaceSample._lp, ._frame) needs it
 _set = object.__setattr__
 
 
@@ -56,7 +56,7 @@ class _Frozen:
     a value type declares __slots__ and nothing else.  RawBounds, Scaling,
     NormalizedBounds, Psd2 and LinearInequality write their own to check
     their arguments, CaseTag for a default, HullDescription to derive rows
-    and SurfaceSample to start its cache empty.
+    and SurfaceSample to start its caches empty.
     """
 
     __slots__ = ()

@@ -2,14 +2,16 @@
 
 The surface is sampled on a grid plus traces along the two product-bound
 curves; the convex hull of the samples is then interrogated with a small
-revised simplex (3 or 4 equality rows, one column per sample).  The solver
-keeps an explicit inverse of the small basis and iterates over a working
-set of columns, pricing every sample only to certify a result.  Between the
-queries of one solver only the right-hand side changes, so it keeps the
-certificates it has proved, optimal bases and phase-1 Farkas rays, and
-answers a later query from them when they cover it.  Everything here is
-deliberately independent of the constraint formulas so the two sides can
-be compared in tests.
+revised simplex (3 or 4 equality rows) over the sample's frame columns.
+z = xy is linear along every line of constant x or constant y, so a sample
+strictly between the two end samples of its run of equal x (or equal y) is
+a convex combination of them and never a vertex of the sampled hull: the
+frame, the ends of every such run, spans the same hull to rounding with at
+most 6n + 4 columns.  Between the queries of one solver only the
+right-hand side changes, so it keeps the certificates it has proved,
+optimal bases and phase-1 Farkas rays, and answers a later query from them
+when they cover it.  Everything here is deliberately independent of the
+constraint formulas so the two sides can be compared in tests.
 """
 
 from __future__ import annotations
@@ -28,8 +30,15 @@ _PIVOT_TOL = 1e-11
 # nothing with the closed forms it checks
 _FEAS_TOL = 1e-9
 _MAX_ITER = 20000
+_STALL_LIMIT = 100  # non-improving pivots before Bland's rule takes over
 _REFACTOR_EVERY = 16  # eta updates between two fresh basis inverses
-_PRICE_ADD = 16  # columns one full pricing pass adds to the working set
+
+
+def _run_ends(v: np.ndarray) -> np.ndarray:
+    """Mask of the first and the last entry of every run of equal values."""
+    step = np.ones(v.size + 1, dtype=bool)
+    step[1:-1] = v[1:] != v[:-1]
+    return step[:-1] | step[1:]
 
 
 class SurfaceSample(_Frozen):
@@ -39,8 +48,8 @@ class SurfaceSample(_Frozen):
     array objects it raises for arrays of more than one element.
     """
 
-    __slots__ = ("x", "y", "z", "bounds", "n", "_lp")
-    _names = __slots__[:-1]  # not _lp, a cache
+    __slots__ = ("x", "y", "z", "bounds", "n", "_lp", "_frame")
+    _names = __slots__[:-2]  # not _lp or _frame, caches
 
     def __new__(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray,
                bounds: NormalizedBounds, n: int) -> SurfaceSample:
@@ -51,20 +60,34 @@ class SurfaceSample(_Frozen):
         self.bounds = bounds
         self.n = n
         self._lp = None
+        self._frame = None
         self.__class__ = cls
         return self
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
+    @property
+    def frame(self) -> np.ndarray:
+        """Sorted indices of the two end samples of every run of equal x
+        and of every run of equal y, computed on first use.  The samples
+        are sorted by x and then y, so the equal-x runs are contiguous,
+        and one lexsort groups the equal-y runs in order of x."""
+        if self._frame is None:
+            ends = _run_ends(self.x)
+            order = np.lexsort((self.x, self.y))
+            ends[order] |= _run_ends(self.y[order])
+            _set(self, "_frame", np.flatnonzero(ends))
+        return self._frame
+
     def _membership_lp(self) -> _Simplex:
         """The solver of every oracle_membership query on this sample,
-        built on the first: its columns (x, y, z, 1) are built once, and
-        its working set and Farkas rays carry over from one query to the
-        next."""
+        built on the first: its frame columns (x, y, z, 1) are built once,
+        and its Farkas rays carry over from one query to the next."""
         if self._lp is None:
-            a = np.vstack([self.x, self.y, self.z, np.ones_like(self.x)])
-            _set(self, "_lp", _Simplex(a, np.zeros(len(self))))
+            f = self.frame
+            a = np.vstack([self.x[f], self.y[f], self.z[f], np.ones(f.size)])
+            _set(self, "_lp", _Simplex(a, np.zeros(f.size)))
         return self._lp
 
 
@@ -118,8 +141,8 @@ def sample_surface(b: NormalizedBounds, n: int) -> SurfaceSample:
 
 class _Vertex(NamedTuple):
     """A basis (column indices; n + i is row i's artificial), the inverse
-    of its matrix, the basic solution and, when a full pricing pass
-    certified the basis, the dual that pass accepted."""
+    of its matrix, the basic solution and, when a pricing pass certified
+    the basis, the dual that pass accepted."""
 
     basis: list[int]
     binv: np.ndarray
@@ -128,37 +151,28 @@ class _Vertex(NamedTuple):
 
 
 class _Simplex:
-    """Revised simplex on  min c'w  s.t.  A w = rhs, w >= 0  over a working
-    set of columns.
+    """Revised simplex on  min c'w  s.t.  A w = rhs, w >= 0.
 
     One instance serves every query against one column matrix A (3 or 4
-    rows, one column per sample, the last row all ones) and one cost, and
-    copies neither; only the right-hand side, whose last entry is 1, comes
-    with each query.  Phase 1 gives a row whose right-hand side is
+    rows, one column per frame sample, the last row all ones) and one
+    cost, and copies neither; only the right-hand side, whose last entry is
+    1, comes with each query.  Phase 1 gives a row whose right-hand side is
     negative a negated artificial column, which is the same LP as flipping
-    the row.
-
-    Working set (sifting): the iterations run over a sorted subset of the
-    columns that persists across the queries of one instance and only
-    grows.  When no working column prices out below -_RC_TOL, every column
-    is priced once; the _PRICE_ADD most negative join the set and the
-    iterations go on.  Optimality, and the phase-1 optimum that certifies
-    infeasibility, are declared only after a full pricing pass finds no
-    column below -_RC_TOL, so both certificates are those of a simplex
-    over every column.  A phase-1 run whose working set already brings the
-    total artificial within tolerance stops there: a feasible point needs
-    no certificate.
+    the row.  Every pivot prices every column, so the loop ends only when
+    no column prices out below -_RC_TOL, at a certificate over every
+    column; only a phase-1 run that already brings the total artificial
+    within tolerance stops before: a feasible point needs no certificate.
 
     Certificate store: since only the right-hand side changes, what one
     query proved carries over to the next.
-    - Optimal bases.  A basis that a full pricing pass certified optimal
-      for the cost keeps its reduced costs, which depend on the basis and
-      the cost but not on the right-hand side.  It is therefore optimal,
-      with no further pricing, for every rhs with B^-1 rhs >= -_PIVOT_TOL.
+    - Optimal bases.  A basis that a pricing pass certified optimal for
+      the cost keeps its reduced costs, which depend on the basis and the
+      cost but not on the right-hand side.  It is therefore optimal, with
+      no further pricing, for every rhs with B^-1 rhs >= -_PIVOT_TOL.
     - Farkas rays.  When phase 1 proves a query infeasible, the dual y of
-      its final full pricing pass has y.a_j <= _RC_TOL for every column
-      and y_i sign_i <= 1 + _RC_TOL for every artificial.  Because A's
-      last row is all ones and rhs ends in 1, (y - _RC_TOL e_last) /
+      its final pricing pass has y.a_j <= _RC_TOL for every column and
+      y_i sign_i <= 1 + _RC_TOL for every artificial.  Because A's last
+      row is all ones and rhs ends in 1, (y - _RC_TOL e_last) /
       (1 + _RC_TOL) is then feasible for the dual of the phase-1 LP of any
       rhs whose signs also give y_i sign_i <= 1 + _RC_TOL, so by weak
       duality that phase-1 optimum is at least (y.rhs - _RC_TOL) /
@@ -169,9 +183,11 @@ class _Simplex:
 
     Deterministic pivoting: the entering column has the most negative
     reduced cost (first index on ties); the leaving row breaks ratio ties
-    by the smallest basic variable index.  The sample grids make these LPs
-    heavily degenerate, so after a run of non-improving pivots the entering
-    rule drops to Bland's first-negative-index rule, which cannot cycle.
+    by the smallest basic variable index, and reads a basic value that
+    rounding left below zero as zero, so no step goes backwards.  The
+    sample grids make these LPs heavily degenerate, so after _STALL_LIMIT
+    non-improving pivots the entering rule drops to Bland's
+    first-negative-index rule, which cannot cycle.
 
     The inverse of the basis matrix is kept explicitly: each pivot applies
     an eta (rank-one) update, every _REFACTOR_EVERY pivots it is inverted
@@ -185,8 +201,6 @@ class _Simplex:
         self.a = a
         self.cost = cost
         self.m, self.n = a.shape
-        self.work = np.empty(0, dtype=np.intp)
-        self._rc = np.empty(self.n)
         self._zero = np.zeros(self.n)
         # certified optimal (basis, inverse) pairs, their stacked inverses,
         # and the phase-1 Farkas rays, one per row
@@ -213,51 +227,35 @@ class _Simplex:
         except np.linalg.LinAlgError:
             raise SolverError("singular simplex basis") from None
 
-    def _price(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Reduced costs of every real column, zero on the working set,
-        which was priced already.  The result lives in a buffer that the
-        next call overwrites."""
-        rc = self._rc
-        np.matmul(y, self.a, out=rc)
-        np.subtract(cost, rc, out=rc)
-        rc[self.work] = 0.0
-        return rc
-
-    def _candidates(self, cost: np.ndarray, signs: np.ndarray | None):
-        """Global indices, columns and costs of the working set, followed
-        in phase 1 by the artificial columns at cost 1."""
-        idx = self.work
-        cols = self.a[:, idx]
-        c = cost[idx]
-        if signs is not None:
-            m, n = self.m, self.n
-            idx = np.concatenate([idx, np.arange(n, n + m)])
-            cols = np.hstack([cols, np.diag(signs)])
-            c = np.concatenate([c, np.ones(m)])
-        return idx, cols, c
-
     def _iterate(self, rhs: np.ndarray, cost: np.ndarray, v: _Vertex,
                  signs: np.ndarray | None = None,
                  good_enough: float = -np.inf) -> _Vertex:
         """Optimal vertex for the real columns at `cost` plus, when `signs`
-        is given (phase 1), the artificial columns, carrying the dual that
-        the certifying full pricing pass accepted.  A phase-1 run stops
-        without that pass, and with no dual, once the working set is
-        optimal at an objective of at most `good_enough`.
+        is given (phase 1), the artificial columns at cost 1, carrying the
+        dual that certified it.  A phase-1 run stops at the first vertex
+        whose objective is at most `good_enough`, with no dual.
         """
         m = self.m
         basis, binv, xb = list(v.basis), v.binv, v.xb
-        idx, cols, c = self._candidates(cost, signs)
-        pos = np.searchsorted(idx, basis)
+        cols, c = self.a, cost
+        if signs is not None:
+            cols = np.hstack([cols, np.diag(signs)])
+            c = np.concatenate([c, np.ones(m)])
         bland = False
         stall = 0
         best_obj = np.inf
         fresh = 0
         for _ in range(_MAX_ITER):
-            cb = c[pos]
+            cb = c[basis]
+            obj = float(cb @ xb)
+            if obj <= good_enough:
+                done = self._vertex(basis, rhs, signs)
+                if float(cb @ done.xb) <= good_enough:
+                    return done
             y = cb @ binv
             rc = c - y @ cols
-            rc[pos] = 0.0
+            rc[basis] = 0.0
+            bland = bland or stall >= _STALL_LIMIT
             if bland:
                 neg = np.flatnonzero(rc < -_RC_TOL)
                 j = int(neg[0]) if neg.size else -1
@@ -266,42 +264,30 @@ class _Simplex:
                 if rc[j] >= -_RC_TOL:
                     j = -1
             if j < 0:
-                if float(cb @ xb) <= good_enough:
-                    done = self._vertex(basis, rhs, signs)
-                    if float(c[pos] @ done.xb) <= good_enough:
-                        return done
-                # the working set is optimal: price every column once
-                rc_all = self._price(cost, y)
-                if rc_all[np.argmin(rc_all)] >= -_RC_TOL:
-                    break
-                neg = np.flatnonzero(rc_all < -_RC_TOL)
-                if neg.size > _PRICE_ADD:
-                    part = np.argpartition(rc_all[neg], _PRICE_ADD)
-                    neg = neg[part[:_PRICE_ADD]]
-                self.work = np.union1d(self.work, neg)
-                idx, cols, c = self._candidates(cost, signs)
-                pos = np.searchsorted(idx, basis)
-                continue
+                break
             d = binv @ cols[:, j]
             dl = d.tolist()
             xl = xb.tolist()
-            ratios = [xl[i] / dl[i] if dl[i] > _PIVOT_TOL else math.inf
-                      for i in range(m)]
+            ratios = [max(xl[i], 0.0) / dl[i] if dl[i] > _PIVOT_TOL
+                      else math.inf for i in range(m)]
             best = min(ratios)
             if best == math.inf:
                 raise SolverError("unbounded LP direction")
             leave = min((i for i in range(m) if ratios[i] <= best + 1e-12),
                         key=basis.__getitem__)
-            obj = float(cb @ xb)
+            if fresh and dl[leave] <= _PIVOT_TOL * max(map(abs, dl)):
+                # a pivot this small may be the eta updates' rounding:
+                # price again from a fresh inverse
+                binv = np.linalg.inv(self._basis_matrix(basis, signs))
+                xb = binv @ rhs
+                fresh = 0
+                continue
             if obj < best_obj - 1e-12:
                 best_obj = obj
                 stall = 0
             else:
                 stall += 1
-                if stall > 100:
-                    bland = True
-            basis[leave] = int(idx[j])
-            pos[leave] = j
+            basis[leave] = j
             fresh += 1
             if fresh == _REFACTOR_EVERY:
                 binv = np.linalg.inv(self._basis_matrix(basis, signs))
@@ -359,7 +345,6 @@ class _Simplex:
             binv -= np.outer(d, pivot)
             binv[i] = pivot
             basis[i] = j
-            self.work = np.union1d(self.work, [j])
         return self._vertex(basis, rhs)
 
     def solve(self, rhs: np.ndarray) -> _Vertex:
@@ -406,17 +391,18 @@ def oracle_envelope(s: SurfaceSample, x: float, y: float) -> float:
 
 def oracle_envelope_many(s: SurfaceSample, xs: np.ndarray, ys: np.ndarray
                          ) -> np.ndarray:
-    """Vectorized envelope queries on one solver, whose working set and
-    certificate store all of them share: a query that a basis certified
-    optimal for an earlier one keeps primal feasible is answered with no
-    pivot and no pricing pass, and one that an earlier phase-1 Farkas ray
-    proves infeasible with no phase 1 (see _Simplex).
+    """Vectorized envelope queries on one solver over the frame of `s`,
+    whose certificate store all of them share: a query that a basis
+    certified optimal for an earlier one keeps primal feasible is answered
+    with no pivot and no pricing pass, and one that an earlier phase-1
+    Farkas ray proves infeasible with no phase 1 (see _Simplex).
 
     Entries where the LP is infeasible come back as NaN.
     """
-    a = np.vstack([s.x, s.y, np.ones_like(s.x)])
-    cost = -s.z  # maximize total z
-    lp = _Simplex(a, cost)
+    f = s.frame
+    a = np.vstack([s.x[f], s.y[f], np.ones(f.size)])
+    z = s.z[f]
+    lp = _Simplex(a, -z)  # maximize total z
     out = np.full(len(xs), np.nan)
     for k in range(len(xs)):
         rhs = np.array([xs[k], ys[k], 1.0])
@@ -425,7 +411,7 @@ def oracle_envelope_many(s: SurfaceSample, xs: np.ndarray, ys: np.ndarray
         except Infeasible:
             continue
         _check_solution(a, rhs, v)
-        out[k] = -float(cost[v.basis] @ v.xb)
+        out[k] = float(z[v.basis] @ v.xb)
     return out
 
 
@@ -433,10 +419,10 @@ def oracle_membership(s: SurfaceSample, p: Point3) -> bool:
     """Whether p is a convex combination of the surface samples.
 
     False only when phase 1 certifies, with a pricing pass over every
-    sample, that no combination comes within _FEAS_TOL (total artificial)
-    of p; a solver breakdown raises SolverError.  The queries on one
-    sample share one solver, so each starts from the working set that the
-    earlier ones grew, and two threads must not query one sample at once.
+    frame column, that no combination comes within _FEAS_TOL (total
+    artificial) of p; a solver breakdown raises SolverError.  The queries
+    on one sample share one solver and its Farkas rays, so two threads
+    must not query one sample at once.
     """
     rhs = np.array([p.x, p.y, p.z, 1.0])
     try:

@@ -1,11 +1,13 @@
 """Sampled-hull LP oracle: surface clouds, envelope and membership queries."""
 
 import gc
+import pickle
 
 import numpy as np
 import pytest
 
 from bilinear_hull import (
+    BilinearHullError,
     Infeasible,
     NormalizedBounds,
     Point3,
@@ -21,6 +23,8 @@ from bilinear_hull import (
 )
 from bilinear_hull import oracle
 from test_acceptance import CONFIGS
+
+EPS = np.finfo(float).eps
 
 
 def test_two_point_grid_is_the_corners():
@@ -186,8 +190,7 @@ def _grid(raw, n):
 
 
 def test_working_set_queries_match_cold_queries():
-    # one shared working set and certificate store against a fresh solver
-    # per query
+    # one shared certificate store against a fresh solver per query
     for _, raw in CONFIGS:
         s, xs, ys = _grid(raw, 61)
         shared = oracle_envelope_many(s, xs, ys)
@@ -245,6 +248,19 @@ def test_stored_certificates_hold_over_every_column():
             assert rc.min() >= -oracle._RC_TOL, raw
         for ray in lp.rays:
             assert (ray @ a).max() <= oracle._RC_TOL, raw
+        # a solver over the frame columns, checked over every sample
+        f = s.frame
+        lp = oracle._Simplex(a[:, f], cost[f])
+        for x, y in zip(xs, ys):
+            try:
+                lp.solve(np.array([x, y, 1.0]))
+            except Infeasible:
+                pass
+        assert lp.bases and lp.rays.size, raw
+        for basis, binv in lp.bases:
+            rc = cost - (cost[f][basis] @ binv) @ a
+            assert rc.min() >= -oracle._RC_TOL, raw
+        assert (lp.rays @ a).max() <= oracle._RC_TOL, raw
     # the rays of the membership solver kept on a sample
     s, xs, ys = _grid(CONFIGS[2][1], 41)
     for x, y in zip(xs, ys):
@@ -252,6 +268,8 @@ def test_stored_certificates_hold_over_every_column():
     lp = s._lp
     assert len(lp.rays)
     assert (lp.rays @ lp.a).max() <= oracle._RC_TOL
+    every = np.vstack([s.x, s.y, s.z, np.ones(len(s))])
+    assert (lp.rays @ every).max() <= oracle._RC_TOL
 
 
 def test_a_ray_answers_only_past_its_bound(monkeypatch):
@@ -361,3 +379,162 @@ def test_check_solution_raises_solver_error():
     oracle._check_solution(a, np.array([0.5, 1.0]), v)
     with pytest.raises(SolverError):
         oracle._check_solution(a, np.array([0.5, 1.5]), v)
+
+
+@pytest.mark.parametrize("n", [61, 201])
+def test_frame_drops_only_samples_on_a_chord(n):
+    # every sample outside the frame lies strictly between the two ends of
+    # its equal-x run and of its equal-y run, and z = xy is linear along
+    # both, so the frame spans the sampled hull
+    for _, raw in CONFIGS:
+        d, _ = hull_from_raw(raw)
+        s = sample_surface(d.bounds, n)
+        before = repr(s), pickle.dumps(s)
+        frame = s.frame
+        assert (repr(s), pickle.dumps(s)) == before
+        assert s.frame is frame
+        dropped = np.ones(len(s), dtype=bool)
+        dropped[frame] = False
+        ends = set()
+        for along, other in ((s.x, s.y), (s.y, s.x)):
+            for u in np.unique(along):
+                run = np.flatnonzero(along == u)
+                lo = run[np.argmin(other[run])]
+                hi = run[np.argmax(other[run])]
+                ends.update((int(lo), int(hi)))
+                mid = run[dropped[run]]
+                assert np.all(other[lo] < other[mid]), raw
+                assert np.all(other[mid] < other[hi]), raw
+                t = (other[mid] - other[lo]) / (other[hi] - other[lo])
+                chord = s.z[lo] + t * (s.z[hi] - s.z[lo])
+                assert np.all(np.abs(s.z[mid] - chord) <= 4 * EPS), raw
+        assert frame.tolist() == sorted(ends), raw
+
+
+@pytest.mark.parametrize("n", [61, 201])
+def test_frame_has_at_most_6n_plus_4_columns(n):
+    for _, raw in CONFIGS:
+        d, _ = hull_from_raw(raw)
+        s = sample_surface(d.bounds, n)
+        assert len(s.frame) <= 6 * n + 4, raw
+
+
+def _random_bounds(count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        lx, ly = rng.uniform(0.0, 0.6, 2) * (rng.random(2) < 0.7)
+        lz, uz = np.sort(rng.uniform(lx * ly, 1.0, 2))
+        try:
+            out.append(hull_from_raw(RawBounds(lx, ly, lz, 1.0, 1.0, uz))
+                       [0].bounds)
+        except BilinearHullError:
+            pass
+    return out
+
+
+def _envelopes(lp, z, xs, ys):
+    """The envelope values of an LP over columns (x, y, 1) at cost -z,
+    NaN where infeasible."""
+    out = np.full(xs.size, np.nan)
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        try:
+            v = lp.solve(np.array([x, y, 1.0]))
+        except Infeasible:
+            continue
+        out[k] = z[v.basis] @ v.xb
+    return out
+
+
+def _every_sample_answers(s, xs, ys, points):
+    """Envelope and membership answers of solvers over every sample."""
+    ones = np.ones(len(s))
+    env = _envelopes(oracle._Simplex(np.vstack([s.x, s.y, ones]), -s.z),
+                     s.z, xs, ys)
+    lp = oracle._Simplex(np.vstack([s.x, s.y, s.z, ones]), np.zeros(len(s)))
+    member = []
+    for p in points:
+        try:
+            lp.phase1(np.array([p.x, p.y, p.z, 1.0]))
+        except Infeasible:
+            member.append(False)
+        else:
+            member.append(True)
+    return env, member
+
+
+def _probe_points(s, env, xs, ys, rng):
+    """Points 1e-6 above and below the sampled envelope, and centroids of
+    a few samples."""
+    pts = []
+    for k in np.flatnonzero(~np.isnan(env))[::4]:
+        for dz in (-1e-6, 1e-6):
+            pts.append(Point3(xs[k], ys[k], env[k] + dz))
+    for _ in range(5):
+        pick = rng.choice(len(s), 3, replace=False)
+        pts.append(Point3(*(float(c[pick].mean()) for c in (s.x, s.y, s.z))))
+    return pts
+
+
+@pytest.mark.parametrize("boxes", ["configs", "random"])
+def test_frame_solver_matches_every_sample_solver(boxes):
+    rng = np.random.default_rng(21)
+    if boxes == "configs":
+        cases = [(hull_from_raw(raw)[0].bounds, 61) for _, raw in CONFIGS]
+    else:
+        cases = [(b, int(rng.integers(5, 42)))
+                 for b in _random_bounds(24, 21)]
+    for b, n in cases:
+        s = sample_surface(b, n)
+        xs, ys = [a.ravel() for a in np.meshgrid(
+            np.linspace(b.lx, 1.0, 9), np.linspace(b.ly, 1.0, 9),
+            indexing="ij")]
+        got = oracle_envelope_many(s, xs, ys)
+        pts = _probe_points(s, got, xs, ys, rng)
+        ref, member = _every_sample_answers(s, xs, ys, pts)
+        assert np.array_equal(np.isnan(got), np.isnan(ref)), b
+        feas = ~np.isnan(ref)
+        assert feas.any(), b
+        assert np.max(np.abs(got[feas] - ref[feas])) <= 1e-12, b
+        assert [oracle_membership(s, p) for p in pts] == member, b
+
+
+def test_zero_envelope_is_positive_zero():
+    s = sample_surface(NormalizedBounds(0, 0, 0, 1), 11)
+    got = oracle_envelope_many(s, np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+    assert got.tolist() == [0.0, 0.0]
+    assert not np.signbit(got).any()
+
+
+@pytest.mark.parametrize("n", [61, 201])
+def test_blands_rule_gives_the_default_answers(monkeypatch, n):
+    # with no stall allowed, Bland's rule picks every entering column.  It
+    # ends at other optimal bases of these degenerate LPs, some of them
+    # ill-conditioned, so the values agree to the optimality tolerance.
+    # Every box at n = 61; at n = 201, where Bland's rule takes seconds a
+    # box, the two whose grids once ended in a cycle or a singular basis
+    boxes = [raw for _, raw in CONFIGS] if n == 61 else [
+        RawBounds(0, 0, 0.2, 1, 1, 1), RawBounds(0, 0, 0.2, 1, 1, 0.7)]
+    for raw in boxes:
+        s, xs, ys = _grid(raw, n)
+        f = s.frame
+        a = np.vstack([s.x[f], s.y[f], np.ones(f.size)])
+        default = oracle._Simplex(a, -s.z[f])
+        want = _envelopes(default, s.z[f], xs, ys)
+        assert np.array_equal(want, oracle_envelope_many(s, xs, ys),
+                              equal_nan=True), raw
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_STALL_LIMIT", 0)
+            bland = oracle._Simplex(a, -s.z[f])
+            got = _envelopes(bland, s.z[f], xs, ys)
+        assert [b for b, _ in bland.bases] != [b for b, _ in default.bases]
+        assert np.array_equal(np.isnan(got), np.isnan(want)), raw
+        feas = ~np.isnan(want)
+        assert np.max(np.abs(got[feas] - want[feas])) <= oracle._RC_TOL, raw
+
+
+def test_iteration_limit_raises_solver_error(monkeypatch):
+    s, xs, ys = _grid(CONFIGS[2][1], 41)
+    monkeypatch.setattr(oracle, "_MAX_ITER", 2)
+    with pytest.raises(SolverError, match="iteration limit"):
+        oracle_envelope_many(s, xs, ys)
