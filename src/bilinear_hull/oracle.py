@@ -190,11 +190,14 @@ class _Simplex:
     first-negative-index rule, which cannot cycle.
 
     The inverse of the basis matrix is kept explicitly: each pivot applies
-    an eta (rank-one) update, every _REFACTOR_EVERY pivots it is inverted
-    afresh, and a vertex the iterations end on carries a fresh inverse and
-    a basic solution solved from the basis matrix itself.  solve stores
-    that inverse and returns B^-1 rhs from it, also for the query that
-    found the basis.
+    an eta (rank-one) update, and every _REFACTOR_EVERY pivots it is
+    inverted afresh.  So it is before a pivot on an element within
+    _PIVOT_TOL of zero relative to its column: on an ill-conditioned basis
+    the updates' rounding can exceed _PIVOT_TOL, and a pivot on it would
+    make the basis singular.  A vertex the iterations end on carries a
+    fresh inverse and a basic solution solved from the basis matrix
+    itself.  solve stores that inverse and returns B^-1 rhs from it, also
+    for the query that found the basis.
     """
 
     def __init__(self, a: np.ndarray, cost: np.ndarray):
@@ -276,8 +279,8 @@ class _Simplex:
             leave = min((i for i in range(m) if ratios[i] <= best + 1e-12),
                         key=basis.__getitem__)
             if fresh and dl[leave] <= _PIVOT_TOL * max(map(abs, dl)):
-                # a pivot this small may be the eta updates' rounding:
-                # price again from a fresh inverse
+                # a pivot this small may be rounding: price again from a
+                # fresh inverse
                 binv = np.linalg.inv(self._basis_matrix(basis, signs))
                 xb = binv @ rhs
                 fresh = 0
