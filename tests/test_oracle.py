@@ -512,7 +512,8 @@ def test_blands_rule_gives_the_default_answers(monkeypatch, n):
     # ends at other optimal bases of these degenerate LPs, some of them
     # ill-conditioned, so the values agree to the optimality tolerance.
     # Every box at n = 61; at n = 201, where Bland's rule takes seconds a
-    # box, the two whose grids once ended in a cycle or a singular basis
+    # box, the two whose grids reach a rounding-sized pivot element, which
+    # would make the basis singular without a fresh inverse
     boxes = [raw for _, raw in CONFIGS] if n == 61 else [
         RawBounds(0, 0, 0.2, 1, 1, 1), RawBounds(0, 0, 0.2, 1, 1, 0.7)]
     for raw in boxes:
