@@ -31,7 +31,6 @@ _PIVOT_TOL = 1e-11
 _FEAS_TOL = 1e-9
 _MAX_ITER = 20000
 _STALL_LIMIT = 100  # non-improving pivots before Bland's rule takes over
-_REFACTOR_EVERY = 16  # eta updates between two fresh basis inverses
 
 
 def _run_ends(v: np.ndarray) -> np.ndarray:
@@ -150,6 +149,16 @@ class _Vertex(NamedTuple):
     y: np.ndarray | None = None
 
 
+def _vertex(cols: np.ndarray, basis: list[int], rhs: np.ndarray) -> _Vertex:
+    """The vertex of `basis` over the columns `cols`, its matrix inverted
+    afresh."""
+    try:
+        binv = np.linalg.inv(cols.take(basis, axis=1))
+    except np.linalg.LinAlgError:
+        raise SolverError("singular simplex basis") from None
+    return _Vertex(basis, binv, binv @ rhs)
+
+
 class _Simplex:
     """Revised simplex on  min c'w  s.t.  A w = rhs, w >= 0.
 
@@ -189,73 +198,49 @@ class _Simplex:
     non-improving pivots the entering rule drops to Bland's
     first-negative-index rule, which cannot cycle.
 
-    The inverse of the basis matrix is kept explicitly: each pivot applies
-    an eta (rank-one) update, and every _REFACTOR_EVERY pivots it is
-    inverted afresh.  So it is before a pivot on an element within
-    _PIVOT_TOL of zero relative to its column: on an ill-conditioned basis
-    the updates' rounding can exceed _PIVOT_TOL, and a pivot on it would
-    make the basis singular.  A vertex the iterations end on carries a
-    fresh inverse and a basic solution solved from the basis matrix
-    itself.  solve stores that inverse and returns B^-1 rhs from it, also
-    for the query that found the basis.
+    Every pricing pass inverts the basis matrix afresh and takes the basic
+    solution B^-1 rhs from that inverse.  No oracle LP reaches "unbounded
+    LP direction": over the rows whose basic column ends in 1, the entries
+    of B^-1 a_j sum to the last entry of a_j, which is 1 for every real
+    column, and an artificial enters only in phase 1, whose objective
+    cannot fall below zero.
     """
 
     def __init__(self, a: np.ndarray, cost: np.ndarray):
         self.a = a
         self.cost = cost
         self.m, self.n = a.shape
-        self._zero = np.zeros(self.n)
+        self._phase1_cost = np.concatenate([np.zeros(self.n), np.ones(self.m)])
         # certified optimal (basis, inverse) pairs, their stacked inverses,
         # and the phase-1 Farkas rays, one per row
         self.bases: list[tuple[list[int], np.ndarray]] = []
         self.binvs = np.empty((0, self.m, self.m))
         self.rays = np.empty((0, self.m))
 
-    def _basis_matrix(self, basis: list[int], signs: np.ndarray | None
-                      ) -> np.ndarray:
-        bmat = np.zeros((self.m, self.m))
-        for i, j in enumerate(basis):
-            if j < self.n:
-                bmat[:, i] = self.a[:, j]
-            else:
-                bmat[j - self.n, i] = signs[j - self.n]
-        return bmat
+    def _columns(self, signs: np.ndarray) -> np.ndarray:
+        """The phase-1 columns: the real ones, then column n + i, row i's
+        artificial, whose one nonzero entry is signs[i]."""
+        return np.hstack([self.a, np.diag(signs)])
 
-    def _vertex(self, basis: list[int], rhs: np.ndarray,
-                signs: np.ndarray | None = None) -> _Vertex:
-        bmat = self._basis_matrix(basis, signs)
-        try:
-            return _Vertex(basis, np.linalg.inv(bmat),
-                           np.linalg.solve(bmat, rhs))
-        except np.linalg.LinAlgError:
-            raise SolverError("singular simplex basis") from None
-
-    def _iterate(self, rhs: np.ndarray, cost: np.ndarray, v: _Vertex,
-                 signs: np.ndarray | None = None,
-                 good_enough: float = -np.inf) -> _Vertex:
-        """Optimal vertex for the real columns at `cost` plus, when `signs`
-        is given (phase 1), the artificial columns at cost 1, carrying the
-        dual that certified it.  A phase-1 run stops at the first vertex
-        whose objective is at most `good_enough`, with no dual.
+    def _iterate(self, rhs: np.ndarray, cols: np.ndarray, c: np.ndarray,
+                 basis: list[int], good_enough: float = -np.inf) -> _Vertex:
+        """Optimal vertex of  min c'w  s.t.  cols w = rhs, w >= 0  from the
+        feasible `basis`, carrying the dual that certified it.  A phase-1
+        run stops at the first vertex whose objective is at most
+        `good_enough`, with no dual.
         """
         m = self.m
-        basis, binv, xb = list(v.basis), v.binv, v.xb
-        cols, c = self.a, cost
-        if signs is not None:
-            cols = np.hstack([cols, np.diag(signs)])
-            c = np.concatenate([c, np.ones(m)])
+        basis = list(basis)
         bland = False
         stall = 0
         best_obj = np.inf
-        fresh = 0
         for _ in range(_MAX_ITER):
-            cb = c[basis]
-            obj = float(cb @ xb)
+            v = _vertex(cols, basis, rhs)
+            cb = c.take(basis)
+            obj = float(cb @ v.xb)
             if obj <= good_enough:
-                done = self._vertex(basis, rhs, signs)
-                if float(cb @ done.xb) <= good_enough:
-                    return done
-            y = cb @ binv
+                return v
+            y = cb @ v.binv
             rc = c - y @ cols
             rc[basis] = 0.0
             bland = bland or stall >= _STALL_LIMIT
@@ -267,10 +252,9 @@ class _Simplex:
                 if rc[j] >= -_RC_TOL:
                     j = -1
             if j < 0:
-                break
-            d = binv @ cols[:, j]
-            dl = d.tolist()
-            xl = xb.tolist()
+                return v._replace(y=y)
+            dl = (v.binv @ cols[:, j]).tolist()
+            xl = v.xb.tolist()
             ratios = [max(xl[i], 0.0) / dl[i] if dl[i] > _PIVOT_TOL
                       else math.inf for i in range(m)]
             best = min(ratios)
@@ -278,31 +262,13 @@ class _Simplex:
                 raise SolverError("unbounded LP direction")
             leave = min((i for i in range(m) if ratios[i] <= best + 1e-12),
                         key=basis.__getitem__)
-            if fresh and dl[leave] <= _PIVOT_TOL * max(map(abs, dl)):
-                # a pivot this small may be rounding: price again from a
-                # fresh inverse
-                binv = np.linalg.inv(self._basis_matrix(basis, signs))
-                xb = binv @ rhs
-                fresh = 0
-                continue
             if obj < best_obj - 1e-12:
                 best_obj = obj
                 stall = 0
             else:
                 stall += 1
             basis[leave] = j
-            fresh += 1
-            if fresh == _REFACTOR_EVERY:
-                binv = np.linalg.inv(self._basis_matrix(basis, signs))
-                fresh = 0
-            else:
-                row = binv[leave] / dl[leave]
-                binv = binv - np.outer(d, row)
-                binv[leave] = row
-            xb = binv @ rhs
-        else:
-            raise SolverError("simplex iteration limit hit")
-        return self._vertex(basis, rhs, signs)._replace(y=y)
+        raise SolverError("simplex iteration limit hit")
 
     def phase1(self, rhs: np.ndarray) -> _Vertex:
         """A basis whose solution meets A w = rhs within _FEAS_TOL; it may
@@ -319,8 +285,8 @@ class _Simplex:
         bound = (rays @ rhs - _RC_TOL) / (1.0 + _RC_TOL)
         if np.any(fits & (bound > _FEAS_TOL)):
             raise Infeasible("point outside the sampled hull")
-        start = _Vertex(list(range(n, n + m)), np.diag(signs), np.abs(rhs))
-        v = self._iterate(rhs, self._zero, start, signs, good_enough=_FEAS_TOL)
+        v = self._iterate(rhs, self._columns(signs), self._phase1_cost,
+                          list(range(n, n + m)), good_enough=_FEAS_TOL)
         if sum(x for j, x in zip(v.basis, v.xb.tolist()) if j >= n) > _FEAS_TOL:
             if v.y is not None:
                 self.rays = np.vstack([rays, v.y])
@@ -331,24 +297,21 @@ class _Simplex:
         """Swap every (degenerate) basic artificial for the first real
         column with a nonzero entry in its row of B^-1 A."""
         n = self.n
-        basis, binv = list(v.basis), v.binv.copy()
-        if all(j < n for j in basis):
+        if all(j < n for j in v.basis):
             return v
+        cols = self._columns(np.where(rhs < 0.0, -1.0, 1.0))
         for i in range(self.m):
-            if basis[i] < n:
+            if v.basis[i] < n:
                 continue
-            row = binv[i] @ self.a
-            row[[j for j in basis if j < n]] = 0.0
+            row = v.binv[i] @ self.a
+            row[[j for j in v.basis if j < n]] = 0.0
             hits = np.flatnonzero(np.abs(row) > _PIVOT_TOL)
             if hits.size == 0:
                 raise SolverError("artificial variable stuck in basis")
-            j = int(hits[0])
-            d = binv @ self.a[:, j]
-            pivot = binv[i] / d[i]
-            binv -= np.outer(d, pivot)
-            binv[i] = pivot
-            basis[i] = j
-        return self._vertex(basis, rhs)
+            basis = list(v.basis)
+            basis[i] = int(hits[0])
+            v = _vertex(cols, basis, rhs)
+        return v
 
     def solve(self, rhs: np.ndarray) -> _Vertex:
         """Optimal vertex of  min cost'w  s.t.  A w = rhs, w >= 0.
@@ -365,8 +328,8 @@ class _Simplex:
         if ok.size:
             basis, binv = self.bases[ok[0]]
         else:
-            v = self._iterate(rhs, self.cost,
-                              self._drive_out(self.phase1(rhs), rhs))
+            start = self._drive_out(self.phase1(rhs), rhs)
+            v = self._iterate(rhs, self.a, self.cost, start.basis)
             basis, binv = v.basis, v.binv
             self.bases.append((basis, binv))
             self.binvs = np.concatenate([self.binvs, binv[None]])
@@ -400,8 +363,14 @@ def oracle_envelope_many(s: SurfaceSample, xs: np.ndarray, ys: np.ndarray
     with no pivot and no pricing pass, and one that an earlier phase-1
     Farkas ray proves infeasible with no phase 1 (see _Simplex).
 
-    Entries where the LP is infeasible come back as NaN.
+    Entries where the LP is infeasible come back as NaN.  Raises
+    ValueError unless xs and ys are 1-D and of the same length.
     """
+    xs = np.asarray(xs)
+    ys = np.asarray(ys)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError("xs and ys must be 1-D and of the same length, "
+                         "got shapes %s and %s" % (xs.shape, ys.shape))
     f = s.frame
     a = np.vstack([s.x[f], s.y[f], np.ones(f.size)])
     z = s.z[f]

@@ -109,6 +109,20 @@ def test_oracle_envelope_many_is_deterministic():
     assert np.array_equal(o1, o2, equal_nan=True)
 
 
+def test_oracle_envelope_many_checks_its_query_shapes():
+    s = sample_surface(NormalizedBounds(0, 0, 0, 0.4), 21)
+    # lists work, as arrays do
+    got = oracle_envelope_many(s, [0.5, 0.6], [0.5, 0.6])
+    want = oracle_envelope_many(s, np.array([0.5, 0.6]), np.array([0.5, 0.6]))
+    assert np.array_equal(got, want)
+    for xs, ys in (([0.5, 0.6], [0.5]),
+                   ([0.5], [0.5, 0.6]),
+                   (np.full((2, 2), 0.5), np.full((2, 2), 0.5)),
+                   (0.5, 0.5)):
+        with pytest.raises(ValueError, match="1-D and of the same length"):
+            oracle_envelope_many(s, xs, ys)
+
+
 def test_oracle_agrees_with_analytic_envelopes():
     for raw in [RawBounds(0, 0, 0, 1, 1, 0.4),
                 RawBounds(0.14, 0.2, 0.1, 1, 1, 0.7)]:
@@ -351,7 +365,7 @@ def test_degenerate_artificial_is_driven_out():
     stuck = [i for i, j in enumerate(v.basis) if j >= lp.n]
     assert stuck
     # the column a search over every non-basic column would pick
-    bmat = lp._basis_matrix(v.basis, np.ones(3))
+    bmat = np.hstack([a, np.eye(3)])[:, v.basis]
     i = stuck[0]
     want = next(j for j in range(lp.n) if j not in v.basis
                 and abs(np.linalg.solve(bmat, a[:, j])[i]) > oracle._PIVOT_TOL)
@@ -371,6 +385,21 @@ def test_solver_breakdown_is_not_a_non_member(monkeypatch):
     monkeypatch.setattr(oracle._Simplex, "_iterate", broken)
     with pytest.raises(SolverError):
         oracle_membership(s, Point3(0.5, 0.5, 0.2))
+
+
+def test_breakdown_paths_raise_solver_error():
+    # the smallest inputs that reach each breakdown: a column that lowers
+    # the cost with no row to stop it, a row that no real column reaches
+    # from the artificial's, and a basis whose two columns are equal
+    lp = oracle._Simplex(np.array([[1.0, -1.0]]), np.array([-1.0, 0.0]))
+    with pytest.raises(SolverError, match="^unbounded LP direction$"):
+        lp.solve(np.array([0.0]))
+    lp = oracle._Simplex(np.ones((2, 2)), np.array([0.0, -1.0]))
+    with pytest.raises(SolverError,
+                       match="^artificial variable stuck in basis$"):
+        lp.solve(np.ones(2))
+    with pytest.raises(SolverError, match="^singular simplex basis$"):
+        oracle._vertex(np.array([[1.0, 1.0], [2.0, 2.0]]), [0, 1], np.ones(2))
 
 
 def test_check_solution_raises_solver_error():
