@@ -6,12 +6,15 @@ revised simplex (3 or 4 equality rows) over the sample's frame columns.
 z = xy is linear along every line of constant x or constant y, so a sample
 strictly between the two end samples of its run of equal x (or equal y) is
 a convex combination of them and never a vertex of the sampled hull: the
-frame, the ends of every such run, spans the same hull to rounding with at
+frame, the samples that end both their run of equal x and their run of
+equal y, holds every vertex and so spans the same hull to rounding with at
 most 6n + 4 columns.  Between the queries of one solver only the
 right-hand side changes, so it keeps the certificates it has proved,
 optimal bases and phase-1 Farkas rays, and answers a later query from them
-when they cover it.  Everything here is deliberately independent of the
-constraint formulas so the two sides can be compared in tests.
+when they cover it; a query they miss starts phase 2 from a basis the
+solver has already priced, where one is feasible for it.  Everything here
+is deliberately independent of the constraint formulas so the two sides
+can be compared in tests.
 """
 
 from __future__ import annotations
@@ -68,14 +71,16 @@ class SurfaceSample(_Frozen):
 
     @property
     def frame(self) -> np.ndarray:
-        """Sorted indices of the two end samples of every run of equal x
-        and of every run of equal y, computed on first use.  The samples
-        are sorted by x and then y, so the equal-x runs are contiguous,
-        and one lexsort groups the equal-y runs in order of x."""
+        """Sorted indices of the samples that end both their run of equal
+        x and their run of equal y, computed on first use.  A vertex of the
+        sampled hull lies strictly inside no such run, so these span it.
+        The samples are sorted by x and then y, so the equal-x runs are
+        contiguous, and one lexsort groups the equal-y runs in order of
+        x."""
         if self._frame is None:
             ends = _run_ends(self.x)
             order = np.lexsort((self.x, self.y))
-            ends[order] |= _run_ends(self.y[order])
+            ends[order] &= _run_ends(self.y[order])
             _set(self, "_frame", np.flatnonzero(ends))
         return self._frame
 
@@ -105,11 +110,13 @@ def _surface_parts(b: NormalizedBounds, n: int) -> list[np.ndarray]:
         xhi = min(1.0, b.lz / b.ly) if b.ly > 0.0 else 1.0
         if xhi >= xlo:
             cx = np.linspace(xlo, xhi, n)
-            parts.append(np.column_stack([cx, b.lz / cx]))
+            parts.append(np.column_stack([cx, np.maximum(b.lz / cx, b.ly)]))
     if b.uz < 1.0:
         xlo = max(b.lx, b.uz)
-        cx = np.linspace(xlo, 1.0, n)
-        parts.append(np.column_stack([cx, b.uz / cx]))
+        xhi = min(1.0, b.uz / b.ly) if b.ly > 0.0 else 1.0
+        if xhi >= xlo:
+            cx = np.linspace(xlo, xhi, n)
+            parts.append(np.column_stack([cx, np.maximum(b.uz / cx, b.ly)]))
     corners = []
     for px in (b.lx, 1.0):
         for py in (b.ly, 1.0):
@@ -149,14 +156,15 @@ class _Vertex(NamedTuple):
     y: np.ndarray | None = None
 
 
-def _vertex(cols: np.ndarray, basis: list[int], rhs: np.ndarray) -> _Vertex:
-    """The vertex of `basis` over the columns `cols`, its matrix inverted
-    afresh."""
+def _vertex(cols: np.ndarray, basis: list[int], rhs: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of `basis`'s matrix over the columns `cols`, inverted
+    afresh, and the basic solution it gives for `rhs`."""
     try:
         binv = np.linalg.inv(cols.take(basis, axis=1))
     except np.linalg.LinAlgError:
         raise SolverError("singular simplex basis") from None
-    return _Vertex(basis, binv, binv @ rhs)
+    return binv, binv @ rhs
 
 
 class _Simplex:
@@ -188,7 +196,16 @@ class _Simplex:
       (1 + _RC_TOL).  Where this exceeds _FEAS_TOL the query is
       infeasible: the decision a full phase 1 reaches, except within
       rounding of the threshold.
-    Both stores only grow, and a query scans each in the order it grew.
+    - Visited bases.  Every phase-2 pricing pass leaves its basis, its
+      inverse and its dual y = c_B B^-1, saved once per solve.  A basis
+      with B^-1 rhs >= 0 is a basic feasible solution for rhs, whose
+      objective is c_B B^-1 rhs = y.rhs, so any primal simplex run may
+      start there; a query that no optimal basis covers starts phase 2
+      from the feasible one with the least y.rhs, with no phase 1.  The
+      run still ends only at a full pricing pass, so the answer carries
+      the same certificate as after phase 1, which runs only where no
+      visited basis is feasible.
+    The stores only grow, and a query scans each in the order it grew.
 
     Deterministic pivoting: the entering column has the most negative
     reduced cost (first index on ties); the leaving row breaks ratio ties
@@ -216,6 +233,11 @@ class _Simplex:
         self.bases: list[tuple[list[int], np.ndarray]] = []
         self.binvs = np.empty((0, self.m, self.m))
         self.rays = np.empty((0, self.m))
+        # every basis a phase-2 pricing pass priced, with its stacked
+        # inverses and duals
+        self.visited: list[list[int]] = []
+        self.vbinvs = np.empty((0, self.m, self.m))
+        self.vys = np.empty((0, self.m))
 
     def _columns(self, signs: np.ndarray) -> np.ndarray:
         """The phase-1 columns: the real ones, then column n + i, row i's
@@ -223,45 +245,51 @@ class _Simplex:
         return np.hstack([self.a, np.diag(signs)])
 
     def _iterate(self, rhs: np.ndarray, cols: np.ndarray, c: np.ndarray,
-                 basis: list[int], good_enough: float = -np.inf) -> _Vertex:
+                 basis: list[int], good_enough: float = -np.inf,
+                 visits: list | None = None) -> _Vertex:
         """Optimal vertex of  min c'w  s.t.  cols w = rhs, w >= 0  from the
         feasible `basis`, carrying the dual that certified it.  A phase-1
         run stops at the first vertex whose objective is at most
-        `good_enough`, with no dual.
+        `good_enough`, with no dual.  Each pricing pass appends its basis,
+        inverse and dual to `visits` when given.
         """
-        m = self.m
         basis = list(basis)
         bland = False
         stall = 0
         best_obj = np.inf
         for _ in range(_MAX_ITER):
-            v = _vertex(cols, basis, rhs)
+            binv, xb = _vertex(cols, basis, rhs)
             cb = c.take(basis)
-            obj = float(cb @ v.xb)
+            obj = float(cb @ xb)
             if obj <= good_enough:
-                return v
-            y = cb @ v.binv
+                return _Vertex(basis, binv, xb)
+            y = cb @ binv
+            if visits is not None:
+                visits.append((basis[:], binv, y))
             rc = c - y @ cols
-            rc[basis] = 0.0
+            rc.put(basis, 0.0)
             bland = bland or stall >= _STALL_LIMIT
             if bland:
                 neg = np.flatnonzero(rc < -_RC_TOL)
                 j = int(neg[0]) if neg.size else -1
             else:
-                j = int(np.argmin(rc))
+                j = int(rc.argmin())
                 if rc[j] >= -_RC_TOL:
                     j = -1
             if j < 0:
-                return v._replace(y=y)
-            dl = (v.binv @ cols[:, j]).tolist()
-            xl = v.xb.tolist()
-            ratios = [max(xl[i], 0.0) / dl[i] if dl[i] > _PIVOT_TOL
-                      else math.inf for i in range(m)]
-            best = min(ratios)
-            if best == math.inf:
+                return _Vertex(basis, binv, xb, y)
+            # least ratio, ties within 1e-12 to the least basic index
+            leave, best = -1, math.inf
+            for i, (x, d) in enumerate(zip(xb.tolist(),
+                                           (binv @ cols[:, j]).tolist())):
+                if d > _PIVOT_TOL:
+                    r = max(x, 0.0) / d
+                    if r < best - 1e-12 or (r <= best + 1e-12
+                                            and basis[i] < basis[leave]):
+                        leave = i
+                    best = min(best, r)
+            if leave < 0:
                 raise SolverError("unbounded LP direction")
-            leave = min((i for i in range(m) if ratios[i] <= best + 1e-12),
-                        key=basis.__getitem__)
             if obj < best_obj - 1e-12:
                 best_obj = obj
                 stall = 0
@@ -310,7 +338,7 @@ class _Simplex:
                 raise SolverError("artificial variable stuck in basis")
             basis = list(v.basis)
             basis[i] = int(hits[0])
-            v = _vertex(cols, basis, rhs)
+            v = _Vertex(basis, *_vertex(cols, basis, rhs))
         return v
 
     def solve(self, rhs: np.ndarray) -> _Vertex:
@@ -318,22 +346,32 @@ class _Simplex:
 
         Returns the first stored optimal basis with B^-1 rhs >= -_PIVOT_TOL,
         with no pivot and no pricing pass: its reduced costs do not depend
-        on rhs (see the class docstring).  Otherwise solves from phase 1
-        and stores the certified basis; raises Infeasible when phase 1
-        cannot zero out the artificial variables.  Either way the basic
-        solution is B^-1 rhs from the stored inverse, so a query asked
-        twice gets the same bits.
+        on rhs (see the class docstring).  Otherwise runs phase 2 from the
+        visited basis with B^-1 rhs >= 0 and the least objective y.rhs, or
+        from phase 1 when no visited basis is feasible, and stores the
+        certified basis and every basis it priced; raises Infeasible when
+        phase 1 cannot zero out the artificial variables.  Either way the
+        basic solution is B^-1 rhs from the stored inverse, so a query
+        asked twice gets the same bits.
         """
         ok = np.flatnonzero(np.all(self.binvs @ rhs >= -_PIVOT_TOL, axis=1))
         if ok.size:
             basis, binv = self.bases[ok[0]]
+            return _Vertex(basis, binv, binv @ rhs)
+        feasible = np.flatnonzero(np.all(self.vbinvs @ rhs >= 0.0, axis=1))
+        if feasible.size:
+            start = self.visited[feasible[np.argmin(self.vys[feasible] @ rhs)]]
         else:
-            start = self._drive_out(self.phase1(rhs), rhs)
-            v = self._iterate(rhs, self.a, self.cost, start.basis)
-            basis, binv = v.basis, v.binv
-            self.bases.append((basis, binv))
-            self.binvs = np.concatenate([self.binvs, binv[None]])
-        return _Vertex(basis, binv, binv @ rhs)
+            start = self._drive_out(self.phase1(rhs), rhs).basis
+        visits: list = []
+        v = self._iterate(rhs, self.a, self.cost, start, visits=visits)
+        bases, binvs, ys = zip(*visits)
+        self.visited += bases
+        self.vbinvs = np.concatenate([self.vbinvs, binvs])
+        self.vys = np.concatenate([self.vys, ys])
+        self.bases.append((v.basis, v.binv))
+        self.binvs = np.concatenate([self.binvs, v.binv[None]])
+        return v
 
 
 def _check_solution(a: np.ndarray, rhs: np.ndarray, v: _Vertex) -> None:

@@ -53,6 +53,29 @@ def test_samples_live_on_the_surface():
         assert len(np.unique(np.column_stack([s.x, s.y]), axis=0)) == len(s)
 
 
+def test_samples_stay_in_the_box_on_random_bounds():
+    # the xy = uz trace ran past y = ly where uz < ly, which tightening
+    # rules out but NormalizedBounds allows
+    s = sample_surface(NormalizedBounds(0, 0.5, 0, 0.4), 11)
+    assert s.y.min() == 0.5
+    rng = np.random.default_rng(31)
+    boxes = _random_bounds(150, 31)
+    while len(boxes) < 300:
+        lx, ly = rng.uniform(0.0, 0.95, 2) * (rng.random(2) < 0.7)
+        lz, uz = np.sort(rng.uniform(lx * ly, 1.0, 2))
+        if rng.random() < 0.3:
+            lz = lx * ly
+        try:
+            boxes.append(NormalizedBounds(lx, ly, lz, uz))
+        except BilinearHullError:
+            pass
+    for b in boxes:
+        s = sample_surface(b, int(rng.integers(2, 40)))
+        assert np.all((s.x >= b.lx) & (s.x <= 1.0)), b
+        assert np.all((s.y >= b.ly) & (s.y <= 1.0)), b
+        assert np.all((s.z >= b.lz - 1e-12) & (s.z <= b.uz + 1e-12)), b
+
+
 def test_sampler_is_deterministic():
     b = NormalizedBounds(0.2, 0.2, 0.2, 0.7)
     s1 = sample_surface(b, 31)
@@ -243,6 +266,60 @@ def _count_iterate(monkeypatch):
     return calls
 
 
+def test_warm_starts_replace_phase1(monkeypatch):
+    # a query that no certified basis covers starts phase 2 from the
+    # visited basis that is primal feasible for it with the least
+    # objective; phase 1 runs only where no visited basis is feasible
+    phase1, iterate = oracle._Simplex.phase1, oracle._Simplex._iterate
+    events = []
+
+    def counted_phase1(self, rhs):
+        events.append("phase1")
+        return phase1(self, rhs)
+
+    def checked_iterate(self, rhs, cols, c, basis, *args, **kwargs):
+        if cols is self.a and "phase1" not in events:
+            xb = np.linalg.solve(self.a[:, basis], rhs)
+            assert xb.min() >= -1e-12
+            ok = [k for k in range(len(self.visited))
+                  if np.all(self.vbinvs[k] @ rhs >= 0.0)]
+            assert list(basis) in [self.visited[k] for k in ok]
+            least = min(self.vys[k] @ rhs for k in ok)
+            assert self.cost[basis] @ xb <= least + 1e-12
+            events.append("warm")
+        return iterate(self, rhs, cols, c, basis, *args, **kwargs)
+
+    monkeypatch.setattr(oracle._Simplex, "phase1", counted_phase1)
+    monkeypatch.setattr(oracle._Simplex, "_iterate", checked_iterate)
+    for _, raw in CONFIGS:
+        s, xs, ys = _grid(raw, 61)
+        f = s.frame
+        a = np.vstack([s.x[f], s.y[f], np.ones(f.size)])
+        lp = oracle._Simplex(a, -s.z[f])
+        got = np.full(xs.size, np.nan)
+        misses = phase1_runs = warm = 0
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            del events[:]
+            try:
+                v = lp.solve(np.array([x, y, 1.0]))
+                got[k] = s.z[f][v.basis] @ v.xb
+            except Infeasible:
+                pass
+            misses += bool(events)
+            phase1_runs += "phase1" in events
+            warm += "warm" in events
+        assert 0 < warm and phase1_runs < misses, raw
+        assert misses == phase1_runs + warm, raw
+        cold = np.array([_cold(s, x, y) for x, y in zip(xs, ys)])
+        assert np.array_equal(np.isnan(got), np.isnan(cold)), raw
+        feas = ~np.isnan(cold)
+        assert np.max(np.abs(got[feas] - cold[feas])) <= 1e-12, raw
+        assert len(lp.visited) == len(lp.vbinvs) == len(lp.vys), raw
+        for basis, binv, y in zip(lp.visited, lp.vbinvs, lp.vys):
+            assert np.allclose(binv @ a[:, basis], np.eye(3), atol=1e-12)
+            assert np.array_equal(y, lp.cost[basis] @ binv), raw
+
+
 def test_stored_certificates_hold_over_every_column():
     for _, raw in CONFIGS:
         s, xs, ys = _grid(raw, 61)
@@ -412,9 +489,10 @@ def test_check_solution_raises_solver_error():
 
 @pytest.mark.parametrize("n", [61, 201])
 def test_frame_drops_only_samples_on_a_chord(n):
-    # every sample outside the frame lies strictly between the two ends of
-    # its equal-x run and of its equal-y run, and z = xy is linear along
-    # both, so the frame spans the sampled hull
+    # a sample strictly inside its run of equal x or of equal y lies on the
+    # chord between the run's ends, as z = xy is linear along the run, so it
+    # is never a vertex of the sampled hull; the frame, the samples that end
+    # both their runs, holds every vertex and spans the hull
     for _, raw in CONFIGS:
         d, _ = hull_from_raw(raw)
         s = sample_surface(d.bounds, n)
@@ -422,22 +500,27 @@ def test_frame_drops_only_samples_on_a_chord(n):
         frame = s.frame
         assert (repr(s), pickle.dumps(s)) == before
         assert s.frame is frame
-        dropped = np.ones(len(s), dtype=bool)
-        dropped[frame] = False
-        ends = set()
+        ends_both = np.ones(len(s), dtype=bool)
+        inside = np.zeros(len(s), dtype=bool)
         for along, other in ((s.x, s.y), (s.y, s.x)):
+            ends = np.zeros(len(s), dtype=bool)
             for u in np.unique(along):
                 run = np.flatnonzero(along == u)
                 lo = run[np.argmin(other[run])]
                 hi = run[np.argmax(other[run])]
-                ends.update((int(lo), int(hi)))
-                mid = run[dropped[run]]
+                ends[[lo, hi]] = True
+                mid = run[(run != lo) & (run != hi)]
                 assert np.all(other[lo] < other[mid]), raw
                 assert np.all(other[mid] < other[hi]), raw
                 t = (other[mid] - other[lo]) / (other[hi] - other[lo])
                 chord = s.z[lo] + t * (s.z[hi] - s.z[lo])
                 assert np.all(np.abs(s.z[mid] - chord) <= 4 * EPS), raw
-        assert frame.tolist() == sorted(ends), raw
+                inside[mid] = True
+            ends_both &= ends
+        assert frame.tolist() == np.flatnonzero(ends_both).tolist(), raw
+        dropped = np.ones(len(s), dtype=bool)
+        dropped[frame] = False
+        assert dropped.any() and np.all(inside[dropped]), raw
 
 
 @pytest.mark.parametrize("n", [61, 201])
