@@ -1,20 +1,22 @@
 """Sampling oracle: LP cross-checks of the closed-form hull description.
 
 The surface is sampled on a grid plus traces along the two product-bound
-curves; the convex hull of the samples is then interrogated with a small
-revised simplex (3 or 4 equality rows) over the sample's frame columns.
-z = xy is linear along every line of constant x or constant y, so a sample
-strictly between the two end samples of its run of equal x (or equal y) is
-a convex combination of them and never a vertex of the sampled hull: the
-frame, the samples that end both their run of equal x and their run of
-equal y, holds every vertex and so spans the same hull to rounding with at
-most 6n + 4 columns.  Between the queries of one solver only the
+curves, the traces merged into the grid's own sorted order with no sort of
+the whole sample; the convex hull of the samples is then interrogated with
+a small revised simplex (3 or 4 equality rows) over the sample's frame
+columns.  z = xy is linear along every line of constant x or constant y,
+so a sample strictly between the two end samples of its run of equal x (or
+equal y) is a convex combination of them and never a vertex of the sampled
+hull: the frame, the samples that end both their run of equal x and their
+run of equal y, holds every vertex and so spans the same hull to rounding
+with at most 6n + 4 columns.  Between the queries of one solver only the
 right-hand side changes, so it keeps the certificates it has proved,
 optimal bases and phase-1 Farkas rays, and answers a later query from them
 when they cover it; a query they miss starts phase 2 from a basis the
-solver has already priced, where one is feasible for it.  Everything here
-is deliberately independent of the constraint formulas so the two sides
-can be compared in tests.
+solver has already priced, where one is feasible for it.  Each basis that
+phase 2 prices is inverted and stored once, however often it is priced.
+Everything here is deliberately independent of the constraint formulas so
+the two sides can be compared in tests.
 """
 
 from __future__ import annotations
@@ -74,12 +76,12 @@ class SurfaceSample(_Frozen):
         """Sorted indices of the samples that end both their run of equal
         x and their run of equal y, computed on first use.  A vertex of the
         sampled hull lies strictly inside no such run, so these span it.
-        The samples are sorted by x and then y, so the equal-x runs are
-        contiguous, and one lexsort groups the equal-y runs in order of
-        x."""
+        The samples are unique and sorted by x and then y, so the equal-x
+        runs are contiguous, and one stable argsort on y groups the equal-y
+        runs in order of x."""
         if self._frame is None:
             ends = _run_ends(self.x)
-            order = np.lexsort((self.x, self.y))
+            order = np.argsort(self.y, kind="stable")
             ends[order] &= _run_ends(self.y[order])
             _set(self, "_frame", np.flatnonzero(ends))
         return self._frame
@@ -95,49 +97,56 @@ class SurfaceSample(_Frozen):
         return self._lp
 
 
-def _surface_parts(b: NormalizedBounds, n: int) -> list[np.ndarray]:
-    """(k, 2) blocks of (x, y) samples, duplicates included: the grid, the
-    traces of xy = lz and xy = uz, and the feasible box corners."""
-    xs = np.linspace(b.lx, 1.0, n)
-    ys = np.linspace(b.ly, 1.0, n)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    gx = gx.ravel()
-    gy = gy.ravel()
-    keep = (gx * gy >= b.lz - 1e-12) & (gx * gy <= b.uz + 1e-12)
-    parts = [np.column_stack([gx[keep], gy[keep]])]
-    if b.lz > 0.0:
-        xlo = max(b.lx, b.lz)
-        xhi = min(1.0, b.lz / b.ly) if b.ly > 0.0 else 1.0
-        if xhi >= xlo:
+def _traces(b: NormalizedBounds, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the samples off the grid, duplicates included: the traces
+    of xy = lz and xy = uz, then the feasible box corners."""
+    parts = []
+    for c, traced in ((b.lz, b.lz > 0.0), (b.uz, b.uz < 1.0)):
+        xlo = max(b.lx, c)
+        xhi = min(1.0, c / b.ly) if b.ly > 0.0 else 1.0
+        if traced and xhi >= xlo:
             cx = np.linspace(xlo, xhi, n)
-            parts.append(np.column_stack([cx, np.maximum(b.lz / cx, b.ly)]))
-    if b.uz < 1.0:
-        xlo = max(b.lx, b.uz)
-        xhi = min(1.0, b.uz / b.ly) if b.ly > 0.0 else 1.0
-        if xhi >= xlo:
-            cx = np.linspace(xlo, xhi, n)
-            parts.append(np.column_stack([cx, np.maximum(b.uz / cx, b.ly)]))
-    corners = []
-    for px in (b.lx, 1.0):
-        for py in (b.ly, 1.0):
-            if b.lz - 1e-12 <= px * py <= b.uz + 1e-12:
-                corners.append((px, py))
-    if corners:
-        parts.append(np.array(corners))
-    return parts
+            parts.append(np.column_stack([cx, np.maximum(c / cx, b.ly)]))
+    corners = [(px, py) for px in (b.lx, 1.0) for py in (b.ly, 1.0)
+               if b.lz - 1e-12 <= px * py <= b.uz + 1e-12]
+    parts.append(np.array(corners).reshape(-1, 2))
+    pts = np.vstack(parts)
+    return pts[:, 0], pts[:, 1]
 
 
 def sample_surface(b: NormalizedBounds, n: int) -> SurfaceSample:
     """Grid plus curve traces plus feasible box corners, exact duplicates
     removed, sorted by x and then y.  Every retained point satisfies the
     product bounds to 1e-12.
+
+    For x >= 0 the products x*y do not decrease along y, so every grid row
+    of equal x keeps one contiguous run of y and the kept grid, read row by
+    row, is already sorted.  Only the at most 2n + 4 trace and corner
+    samples are sorted; each is inserted after the grid samples that are
+    not above it, found by a binary search on the grid's x and then on its
+    row's y, and the first of each run of equal samples is kept: the
+    order and the bits a sort of every sample, grid first, would give.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    pts = np.vstack(_surface_parts(b, n))
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    x = pts[order, 0]
-    y = pts[order, 1]
+    xs = np.linspace(b.lx, 1.0, n)
+    # an lx within a few ulps of 1 repeats grid x, whose rows would interleave
+    xs = xs[np.append(True, xs[1:] != xs[:-1])]
+    ys = np.linspace(b.ly, 1.0, n)
+    p = np.multiply.outer(xs, ys)
+    grid = (p >= b.lz - 1e-12) & (p <= b.uz + 1e-12)
+    count = grid.sum(axis=1)
+    tx, ty = _traces(b, n)
+    order = np.lexsort((ty, tx))
+    tx = tx[order]
+    ty = ty[order]
+    i = np.searchsorted(xs, tx)  # i rows have x below tx
+    r = np.minimum(i, xs.size - 1)
+    within = np.clip(np.searchsorted(ys, ty, side="right")
+                     - grid.argmax(axis=1)[r], 0, count[r])
+    at = np.append(0, np.cumsum(count))[i] + np.where(xs[r] == tx, within, 0)
+    x = np.insert(np.repeat(xs, count), at, tx)
+    y = np.insert(np.broadcast_to(ys, grid.shape)[grid], at, ty)
     keep = np.ones(x.shape, dtype=bool)
     keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
     x = x[keep]
@@ -165,6 +174,17 @@ def _vertex(cols: np.ndarray, basis: list[int], rhs: np.ndarray
     except np.linalg.LinAlgError:
         raise SolverError("singular simplex basis") from None
     return binv, binv @ rhs
+
+
+def _grow(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """`rows`, a view of the first rows of a buffer, with `row` written to
+    the buffer's next row; the buffer doubles its rows when full."""
+    buf = rows.base
+    k = len(rows)
+    if k == len(buf):
+        buf = np.concatenate([buf, np.empty_like(buf)])
+    buf[k] = row
+    return buf[:k + 1]
 
 
 class _Simplex:
@@ -196,16 +216,18 @@ class _Simplex:
       (1 + _RC_TOL).  Where this exceeds _FEAS_TOL the query is
       infeasible: the decision a full phase 1 reaches, except within
       rounding of the threshold.
-    - Visited bases.  Every phase-2 pricing pass leaves its basis, its
-      inverse and its dual y = c_B B^-1, saved once per solve.  A basis
-      with B^-1 rhs >= 0 is a basic feasible solution for rhs, whose
-      objective is c_B B^-1 rhs = y.rhs, so any primal simplex run may
-      start there; a query that no optimal basis covers starts phase 2
-      from the feasible one with the least y.rhs, with no phase 1.  The
-      run still ends only at a full pricing pass, so the answer carries
-      the same certificate as after phase 1, which runs only where no
-      visited basis is feasible.
-    The stores only grow, and a query scans each in the order it grew.
+    - Visited bases.  The first phase-2 pricing pass on a basis stores the
+      basis, its inverse and its dual y = c_B B^-1, once per basis; a later
+      pass on it, in this solve or another, reads them back with no
+      inversion.  A basis with B^-1 rhs >= 0 is a basic feasible solution
+      for rhs, whose objective is c_B B^-1 rhs = y.rhs, so any primal
+      simplex run may start there; a query that no optimal basis covers
+      starts phase 2 from the feasible one with the least y.rhs, with no
+      phase 1.  The run still ends only at a full pricing pass, so the
+      answer carries the same certificate as after phase 1, which runs only
+      where no visited basis is feasible.
+    The stores only grow, their stacked rows in buffers that double when
+    full, and a query scans each in the order it grew.
 
     Deterministic pivoting: the entering column has the most negative
     reduced cost (first index on ties); the leaving row breaks ratio ties
@@ -215,12 +237,13 @@ class _Simplex:
     non-improving pivots the entering rule drops to Bland's
     first-negative-index rule, which cannot cycle.
 
-    Every pricing pass inverts the basis matrix afresh and takes the basic
-    solution B^-1 rhs from that inverse.  No oracle LP reaches "unbounded
-    LP direction": over the rows whose basic column ends in 1, the entries
-    of B^-1 a_j sum to the last entry of a_j, which is 1 for every real
-    column, and an artificial enters only in phase 1, whose objective
-    cannot fall below zero.
+    Every pricing pass inverts the basis matrix afresh, or reads the
+    inverse that the first pass on the basis stored, which has the same
+    bits, and takes the basic solution B^-1 rhs from that inverse.  No
+    oracle LP reaches "unbounded LP direction": over the rows whose basic
+    column ends in 1, the entries of B^-1 a_j sum to the last entry of a_j,
+    which is 1 for every real column, and an artificial enters only in
+    phase 1, whose objective cannot fall below zero.
     """
 
     def __init__(self, a: np.ndarray, cost: np.ndarray):
@@ -231,13 +254,14 @@ class _Simplex:
         # certified optimal (basis, inverse) pairs, their stacked inverses,
         # and the phase-1 Farkas rays, one per row
         self.bases: list[tuple[list[int], np.ndarray]] = []
-        self.binvs = np.empty((0, self.m, self.m))
+        self.binvs = np.empty((8, self.m, self.m))[:0]
         self.rays = np.empty((0, self.m))
-        # every basis a phase-2 pricing pass priced, with its stacked
-        # inverses and duals
+        # every basis a phase-2 pricing pass priced, its row in the store,
+        # and its stacked inverses and duals
         self.visited: list[list[int]] = []
-        self.vbinvs = np.empty((0, self.m, self.m))
-        self.vys = np.empty((0, self.m))
+        self._row: dict[tuple[int, ...], int] = {}
+        self.vbinvs = np.empty((8, self.m, self.m))[:0]
+        self.vys = np.empty((8, self.m))[:0]
 
     def _columns(self, signs: np.ndarray) -> np.ndarray:
         """The phase-1 columns: the real ones, then column n + i, row i's
@@ -246,26 +270,37 @@ class _Simplex:
 
     def _iterate(self, rhs: np.ndarray, cols: np.ndarray, c: np.ndarray,
                  basis: list[int], good_enough: float = -np.inf,
-                 visits: list | None = None) -> _Vertex:
+                 visit: bool = False) -> _Vertex:
         """Optimal vertex of  min c'w  s.t.  cols w = rhs, w >= 0  from the
         feasible `basis`, carrying the dual that certified it.  A phase-1
         run stops at the first vertex whose objective is at most
-        `good_enough`, with no dual.  Each pricing pass appends its basis,
-        inverse and dual to `visits` when given.
+        `good_enough`, with no dual.  With `visit` (phase 2, whose columns
+        are A), a pass on a basis in the visited store takes its stored
+        inverse and dual, which are the bits a fresh inversion would give,
+        and every other pass stores its basis, inverse and dual there.
         """
         basis = list(basis)
         bland = False
         stall = 0
         best_obj = np.inf
         for _ in range(_MAX_ITER):
-            binv, xb = _vertex(cols, basis, rhs)
+            k = self._row.get(tuple(basis), -1) if visit else -1
+            if k < 0:
+                binv, xb = _vertex(cols, basis, rhs)
+            else:
+                binv, y = self.vbinvs[k], self.vys[k]
+                xb = binv @ rhs
             cb = c.take(basis)
             obj = float(cb @ xb)
             if obj <= good_enough:
                 return _Vertex(basis, binv, xb)
-            y = cb @ binv
-            if visits is not None:
-                visits.append((basis[:], binv, y))
+            if k < 0:
+                y = cb @ binv
+                if visit:
+                    self._row[tuple(basis)] = len(self.visited)
+                    self.visited.append(basis[:])
+                    self.vbinvs = _grow(self.vbinvs, binv)
+                    self.vys = _grow(self.vys, y)
             rc = c - y @ cols
             rc.put(basis, 0.0)
             bland = bland or stall >= _STALL_LIMIT
@@ -309,7 +344,7 @@ class _Simplex:
         m, n = self.m, self.n
         signs = np.where(rhs < 0.0, -1.0, 1.0)
         rays = self.rays
-        fits = np.all(rays * signs <= 1.0 + _RC_TOL, axis=1)
+        fits = (rays * signs).max(axis=1) <= 1.0 + _RC_TOL
         bound = (rays @ rhs - _RC_TOL) / (1.0 + _RC_TOL)
         if np.any(fits & (bound > _FEAS_TOL)):
             raise Infeasible("point outside the sampled hull")
@@ -354,23 +389,18 @@ class _Simplex:
         basic solution is B^-1 rhs from the stored inverse, so a query
         asked twice gets the same bits.
         """
-        ok = np.flatnonzero(np.all(self.binvs @ rhs >= -_PIVOT_TOL, axis=1))
+        ok = np.flatnonzero((self.binvs @ rhs).min(axis=1) >= -_PIVOT_TOL)
         if ok.size:
             basis, binv = self.bases[ok[0]]
             return _Vertex(basis, binv, binv @ rhs)
-        feasible = np.flatnonzero(np.all(self.vbinvs @ rhs >= 0.0, axis=1))
+        feasible = np.flatnonzero((self.vbinvs @ rhs).min(axis=1) >= 0.0)
         if feasible.size:
             start = self.visited[feasible[np.argmin(self.vys[feasible] @ rhs)]]
         else:
             start = self._drive_out(self.phase1(rhs), rhs).basis
-        visits: list = []
-        v = self._iterate(rhs, self.a, self.cost, start, visits=visits)
-        bases, binvs, ys = zip(*visits)
-        self.visited += bases
-        self.vbinvs = np.concatenate([self.vbinvs, binvs])
-        self.vys = np.concatenate([self.vys, ys])
+        v = self._iterate(rhs, self.a, self.cost, start, visit=True)
         self.bases.append((v.basis, v.binv))
-        self.binvs = np.concatenate([self.binvs, v.binv[None]])
+        self.binvs = _grow(self.binvs, v.binv)
         return v
 
 
@@ -414,8 +444,7 @@ def oracle_envelope_many(s: SurfaceSample, xs: np.ndarray, ys: np.ndarray
     z = s.z[f]
     lp = _Simplex(a, -z)  # maximize total z
     out = np.full(len(xs), np.nan)
-    for k in range(len(xs)):
-        rhs = np.array([xs[k], ys[k], 1.0])
+    for k, rhs in enumerate(np.column_stack([xs, ys, np.ones(len(xs))])):
         try:
             v = lp.solve(rhs)
         except Infeasible:

@@ -13,6 +13,7 @@ from bilinear_hull import (
     Point3,
     RawBounds,
     SolverError,
+    describe,
     envelope_grid,
     envelopes,
     hull_from_raw,
@@ -202,11 +203,107 @@ def test_sampler_dedupe_matches_unique_rows():
         d, _ = hull_from_raw(raw)
         for n in (2, 17, 61):
             s = sample_surface(d.bounds, n)
-            ref = np.unique(np.vstack(oracle._surface_parts(d.bounds, n)),
-                            axis=0)
+            ref = np.unique(np.vstack(_raw_samples(d.bounds, n)), axis=0)
             assert np.array_equal(s.x, ref[:, 0])
             assert np.array_equal(s.y, ref[:, 1])
             assert np.array_equal(s.z, ref[:, 0] * ref[:, 1])
+
+
+def _raw_samples(b, n):
+    """(k, 2) blocks of (x, y) samples, duplicates included: the grid, the
+    traces of xy = lz and xy = uz, and the feasible box corners."""
+    xs = np.linspace(b.lx, 1.0, n)
+    ys = np.linspace(b.ly, 1.0, n)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    gx = gx.ravel()
+    gy = gy.ravel()
+    keep = (gx * gy >= b.lz - 1e-12) & (gx * gy <= b.uz + 1e-12)
+    parts = [np.column_stack([gx[keep], gy[keep]])]
+    for c, traced in ((b.lz, b.lz > 0.0), (b.uz, b.uz < 1.0)):
+        xlo = max(b.lx, c)
+        xhi = min(1.0, c / b.ly) if b.ly > 0.0 else 1.0
+        if traced and xhi >= xlo:
+            cx = np.linspace(xlo, xhi, n)
+            parts.append(np.column_stack([cx, np.maximum(c / cx, b.ly)]))
+    corners = [(px, py) for px in (b.lx, 1.0) for py in (b.ly, 1.0)
+               if b.lz - 1e-12 <= px * py <= b.uz + 1e-12]
+    if corners:
+        parts.append(np.array(corners))
+    return parts
+
+
+def _sorted_reference(b, n):
+    """The samples and the frame by a sort of every raw sample, grid first,
+    and a sort of the samples by y and then x."""
+    pts = np.vstack(_raw_samples(b, n))
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    x = pts[order, 0]
+    y = pts[order, 1]
+    keep = np.ones(x.shape, dtype=bool)
+    keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    x = x[keep]
+    y = y[keep]
+    ends = oracle._run_ends(x)
+    order = np.lexsort((x, y))
+    ends[order] &= oracle._run_ends(y[order])
+    return x, y, x * y, np.flatnonzero(ends)
+
+
+def _sampler_boxes(count, seed):
+    """Edge boxes, then seeded random ones: zero corners, lz = 0, uz = 1,
+    lx = lz (the lz trace starts on a grid row) and uz below ly (the uz
+    trace clamped to y = ly)."""
+    out = [NormalizedBounds(-0.0, -0.0, 0.0, 0.5),  # signed zero corner
+           NormalizedBounds(1.0 - EPS / 2, 0.0, 0.0, 1.0),  # tied grid x
+           NormalizedBounds(0.0, 1.0 - EPS / 2, 0.0, 0.7),  # tied grid y
+           NormalizedBounds(0.0, 0.5, 0.0, 0.4)]
+    rng = np.random.default_rng(seed)
+    while len(out) < count:
+        lx, ly = rng.uniform(0.0, 0.95, 2) * (rng.random(2) < 0.7)
+        lz, uz = np.sort(rng.uniform(lx * ly, 1.0, 2))
+        kind = rng.integers(5)
+        if kind == 0:
+            lz = 0.0
+        elif kind == 1:
+            uz = 1.0
+        elif kind == 2:
+            lz = lx
+        elif kind == 3:
+            uz = ly * rng.uniform(0.3, 1.0)
+        try:
+            out.append(NormalizedBounds(lx, ly, lz, uz))
+        except BilinearHullError:
+            pass
+    return out
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def test_sampler_matches_a_sort_of_every_sample():
+    # the kept grid is merged with the sorted traces and corners, in place
+    # of one sort of everything; the samples and the frame keep every bit
+    bulk = [hull_from_raw(raw)[0].bounds for _, raw in CONFIGS]
+    bulk.append(describe(NormalizedBounds(0.0, 0.0, 0.2, 0.7)).bounds)
+    rng = np.random.default_rng(24)
+    cases = [(b, n) for b in bulk[:-1] for n in (2, 17, 61, 201)]
+    cases += [(b, n) for b in bulk for n in range(2, 260)]
+    cases += [(b, int(rng.integers(2, 90))) for b in _sampler_boxes(600, 24)]
+    for b, n in cases:
+        s = sample_surface(b, n)
+        got = [_bits(a) for a in (s.x, s.y, s.z, s.frame)]
+        assert got == [_bits(a) for a in _sorted_reference(b, n)], (b, n)
+
+
+def test_sampler_boxes_reach_every_edge():
+    # the random boxes of the test above reach the cases they are drawn for
+    boxes = _sampler_boxes(600, 24)
+    assert any(b.lx == 0.0 and b.ly == 0.0 for b in boxes)
+    assert sum(b.lz == 0.0 for b in boxes) > 50
+    assert sum(b.uz == 1.0 for b in boxes) > 50
+    assert sum(b.lz == b.lx > 0.0 for b in boxes) > 50
+    assert sum(b.uz < b.ly for b in boxes) > 50  # the uz trace at y = ly
 
 
 def _cold(s, x, y):
@@ -651,3 +748,111 @@ def test_iteration_limit_raises_solver_error(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_ITER", 2)
     with pytest.raises(SolverError, match="iteration limit"):
         oracle_envelope_many(s, xs, ys)
+
+
+def _counted_vertex(monkeypatch):
+    """The (columns, basis) of every _vertex call from here on."""
+    calls = []
+    vertex = oracle._vertex
+
+    def counted(cols, basis, rhs):
+        calls.append((cols, tuple(basis)))
+        return vertex(cols, basis, rhs)
+
+    monkeypatch.setattr(oracle, "_vertex", counted)
+    return calls
+
+
+def _frame_lp(s):
+    f = s.frame
+    return oracle._Simplex(np.vstack([s.x[f], s.y[f], np.ones(f.size)]),
+                           -s.z[f])
+
+
+def test_each_visited_basis_is_inverted_once(monkeypatch):
+    # a phase-2 pass on a basis in the visited store takes the stored
+    # inverse and dual, so every inversion over A stores a new basis and
+    # the store holds each basis once
+    calls = _counted_vertex(monkeypatch)
+    for _, raw in CONFIGS:
+        s, xs, ys = _grid(raw, 61)
+        lp = _frame_lp(s)
+        inverted = 0
+        for x, y in zip(xs, ys):
+            stored = set(map(tuple, lp.visited))
+            del calls[:]
+            try:
+                lp.solve(np.array([x, y, 1.0]))
+            except Infeasible:
+                pass
+            over_a = [basis for cols, basis in calls if cols is lp.a]
+            assert not stored.intersection(over_a), raw
+            inverted += len(over_a)
+        visited = [tuple(basis) for basis in lp.visited]
+        assert len(set(visited)) == len(visited) == inverted, raw
+        # a pass on a stored basis: no inversion with the store, one
+        # without.  The basis is certified, so that pass ends the run, at
+        # any rhs the basis keeps feasible
+        basis = lp.bases[0][0]
+        weights = np.zeros(lp.n)
+        weights[basis] = 1.0 / 3.0
+        for visit, want in ((True, 0), (False, 1)):
+            del calls[:]
+            v = lp._iterate(lp.a @ weights, lp.a, lp.cost, basis,
+                            visit=visit)
+            assert v.basis == basis and len(calls) == want, raw
+        assert len(lp.visited) == len(visited), raw
+
+
+def test_store_buffers_hold_their_lists_row_for_row():
+    # the stacked inverses and duals grow in place; each is, row for row,
+    # the stack of what its list stores, and a row never moves once filled
+    s, _, _ = _grid(CONFIGS[5][1], 201)
+    g = np.linspace(s.bounds.lx, 1.0, 17)
+    h = np.linspace(s.bounds.ly, 1.0, 17)
+    xs, ys = [a.ravel() for a in np.meshgrid(g, h, indexing="ij")]
+    lp = _frame_lp(s)
+    snapshots = []
+    for k in np.random.default_rng(3).permutation(xs.size):
+        try:
+            lp.solve(np.array([xs[k], ys[k], 1.0]))
+        except Infeasible:
+            pass
+        snapshots.append((lp.binvs.copy(), lp.vbinvs.copy(), lp.vys.copy()))
+    assert len(lp.bases) > 16 and len(lp.visited) > 64
+    assert np.array_equal(lp.binvs, np.stack([b for _, b in lp.bases]))
+    assert len(lp.vbinvs) == len(lp.vys) == len(lp.visited)
+    for basis, binv, y in zip(lp.visited, lp.vbinvs, lp.vys):
+        fresh = oracle._vertex(lp.a, basis, np.ones(3))[0]
+        assert _bits(binv) == _bits(fresh)
+        assert _bits(y) == _bits(lp.cost[basis] @ fresh)
+    for binvs, vbinvs, vys in snapshots:
+        assert np.array_equal(binvs, lp.binvs[:len(binvs)])
+        assert np.array_equal(vbinvs, lp.vbinvs[:len(vbinvs)])
+        assert np.array_equal(vys, lp.vys[:len(vys)])
+
+
+def test_blands_rule_ends_beales_cycle(monkeypatch):
+    # Beale's (1955) example in equality form.  From the basis of its first
+    # three columns the most negative reduced cost pivots round six bases
+    # at objective 0; Bland's rule, after _STALL_LIMIT stalls, leaves the
+    # cycle for the optimum, -1.25
+    a = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                  [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                  [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+    cost = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+    rhs = np.array([0.0, 0.0, 1.0])
+    lp = oracle._Simplex(a, cost)
+    calls = _counted_vertex(monkeypatch)
+    v = lp._iterate(rhs, lp.a, lp.cost, [0, 1, 2])
+    passes = [basis for _, basis in calls]
+    cycle = passes[:6]
+    assert len(set(cycle)) == 6 and cycle[0] == (0, 1, 2)
+    assert passes[:oracle._STALL_LIMIT + 1] == [
+        cycle[k % 6] for k in range(oracle._STALL_LIMIT + 1)]
+    assert passes[-1] not in cycle and len(passes) == 109
+    assert v.y is not None and float(cost[v.basis] @ v.xb) == -1.25
+    # with the stall limit out of reach the run cycles to the pass limit
+    monkeypatch.setattr(oracle, "_STALL_LIMIT", oracle._MAX_ITER)
+    with pytest.raises(SolverError, match="^simplex iteration limit hit$"):
+        lp._iterate(rhs, lp.a, lp.cost, [0, 1, 2])
