@@ -1,6 +1,7 @@
 """Sampled-hull LP oracle: surface clouds, envelope and membership queries."""
 
 import gc
+import hashlib
 import pickle
 
 import numpy as np
@@ -856,3 +857,32 @@ def test_blands_rule_ends_beales_cycle(monkeypatch):
     monkeypatch.setattr(oracle, "_STALL_LIMIT", oracle._MAX_ITER)
     with pytest.raises(SolverError, match="^simplex iteration limit hit$"):
         lp._iterate(rhs, lp.a, lp.cost, [0, 1, 2])
+
+
+# sha256 of the oracle's outputs on CONFIGS x n in {151, 201}: the samples,
+# the frame, the envelope values on a 9x9 grid (NaN where infeasible) and
+# the answers for three membership points per box
+OUTPUTS_DIGEST = "f2485335aad35a39ad32b7047f664216f6f830c658b0756b27a2dd005d0bfc95"
+
+
+def _oracle_outputs():
+    h = hashlib.sha256()
+    for _, raw in CONFIGS:
+        for n in (151, 201):
+            s, xs, ys = _grid(raw, n)
+            env = oracle_envelope_many(s, xs, ys)
+            k = np.flatnonzero(~np.isnan(env))[1::2]
+            k = k[k.size // 2]
+            pick = [0, len(s) // 2, len(s) - 1]
+            centroid = (float(c[pick].mean()) for c in (s.x, s.y, s.z))
+            points = [Point3(*centroid),
+                      Point3(xs[k], ys[k], env[k] + 1e-6),
+                      Point3(xs[k], ys[k], env[k] - 1e-6)]
+            for a in (s.x, s.y, s.z, s.frame, env):
+                h.update(repr(_bits(a)).encode())
+            h.update(bytes(oracle_membership(s, p) for p in points))
+    return h.hexdigest()
+
+
+def test_oracle_outputs_keep_their_bits():
+    assert _oracle_outputs() == OUTPUTS_DIGEST
