@@ -9,14 +9,15 @@ so a sample strictly between the two end samples of its run of equal x (or
 equal y) is a convex combination of them and never a vertex of the sampled
 hull: the frame, the samples that end both their run of equal x and their
 run of equal y, holds every vertex and so spans the same hull to rounding
-with at most 6n + 4 columns.  Between the queries of one solver only the
-right-hand side changes, so it keeps the certificates it has proved,
-optimal bases and phase-1 Farkas rays, and answers a later query from them
-when they cover it; a query they miss starts phase 2 from a basis the
-solver has already priced, where one is feasible for it.  Each basis that
-phase 2 prices is inverted and stored once, however often it is priced.
-Everything here is deliberately independent of the constraint formulas so
-the two sides can be compared in tests.
+with at most 6n + 4 columns, and the sampler's merge gives it too.
+Between the queries of one solver only the right-hand side changes, so it
+keeps the certificates it has proved, optimal bases and phase-1 Farkas
+rays, and answers a later query from them when they cover it; a query they
+miss starts phase 2 from a basis the solver has already priced, where one
+is feasible for it.  Each basis that phase 2 prices is inverted and stored
+once, however often it is priced.  Everything here is deliberately
+independent of the constraint formulas so the two sides can be compared in
+tests.
 """
 
 from __future__ import annotations
@@ -74,11 +75,13 @@ class SurfaceSample(_Frozen):
     @property
     def frame(self) -> np.ndarray:
         """Sorted indices of the samples that end both their run of equal
-        x and their run of equal y, computed on first use.  A vertex of the
-        sampled hull lies strictly inside no such run, so these span it.
-        The samples are unique and sorted by x and then y, so the equal-x
-        runs are contiguous, and one stable argsort on y groups the equal-y
-        runs in order of x."""
+        x and their run of equal y.  A vertex of the sampled hull lies
+        strictly inside no such run, so these span it.  sample_surface
+        fills it from its merge; a sample built by hand or unpickled
+        computes it on first use from the definition, which the merge is
+        held to: the samples are unique and sorted by x and then y, so the
+        equal-x runs are contiguous, and one stable argsort on y groups the
+        equal-y runs in order of x."""
         if self._frame is None:
             ends = _run_ends(self.x)
             order = np.argsort(self.y, kind="stable")
@@ -126,6 +129,13 @@ def sample_surface(b: NormalizedBounds, n: int) -> SurfaceSample:
     not above it, found by a binary search on the grid's x and then on its
     row's y, and the first of each run of equal samples is kept: the
     order and the bits a sort of every sample, grid first, would give.
+
+    The merge also gives the frame (SurfaceSample.frame).  Along a column
+    of equal y the products do not decrease either, so each grid column
+    keeps one contiguous run of rows, and a sample that ends its run of
+    equal y is the first or the last kept row of its column, or a trace or
+    corner sample.  The stable argsort on y runs over these at most 4n + 4
+    samples only, with the bits it gives over all of them.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -136,6 +146,9 @@ def sample_surface(b: NormalizedBounds, n: int) -> SurfaceSample:
     p = np.multiply.outer(xs, ys)
     grid = (p >= b.lz - 1e-12) & (p <= b.uz + 1e-12)
     count = grid.sum(axis=1)
+    # the kept grid samples that end their column's run of rows
+    ends = grid.copy()
+    ends[1:-1] &= ~(grid[:-2] & grid[2:])
     tx, ty = _traces(b, n)
     order = np.lexsort((ty, tx))
     tx = tx[order]
@@ -151,7 +164,11 @@ def sample_surface(b: NormalizedBounds, n: int) -> SurfaceSample:
     keep[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
     x = x[keep]
     y = y[keep]
-    return SurfaceSample(x=x, y=y, z=x * y, bounds=b, n=n)
+    s = SurfaceSample(x=x, y=y, z=x * y, bounds=b, n=n)
+    c = np.flatnonzero(np.insert(ends[grid], at, True)[keep])
+    c = c[np.argsort(y[c], kind="stable")]
+    _set(s, "_frame", np.sort(c[_run_ends(y[c]) & _run_ends(x)[c]]))
+    return s
 
 
 class _Vertex(NamedTuple):
@@ -176,15 +193,20 @@ def _vertex(cols: np.ndarray, basis: list[int], rhs: np.ndarray
     return binv, binv @ rhs
 
 
-def _grow(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """`rows`, a view of the first rows of a buffer, with `row` written to
-    the buffer's next row; the buffer doubles its rows when full."""
-    buf = rows.base
-    k = len(rows)
-    if k == len(buf):
-        buf = np.concatenate([buf, np.empty_like(buf)])
-    buf[k] = row
-    return buf[:k + 1]
+def _room(buf: np.ndarray, k: int) -> np.ndarray:
+    """`buf`, whose columns (axis 1) from k on are zero, or when it has no
+    column k + 1 a copy with twice as many columns: a store's scan reads
+    one zero column past its k + 1 filled ones (see _Simplex)."""
+    if k + 1 < buf.shape[1]:
+        return buf
+    return np.concatenate([buf, np.zeros_like(buf)], axis=1)
+
+
+def _scan(buf: np.ndarray, k: int, rhs: np.ndarray) -> np.ndarray:
+    """Row i of the first k stored inverses times `rhs` at [i, j], by one
+    stacked product with the bits of each inverse's own product (see
+    _Simplex)."""
+    return (buf[:, :k + 1] @ rhs)[:, :k]
 
 
 class _Simplex:
@@ -226,8 +248,15 @@ class _Simplex:
       phase 1.  The run still ends only at a full pricing pass, so the
       answer carries the same certificate as after phase 1, which runs only
       where no visited basis is feasible.
-    The stores only grow, their stacked rows in buffers that double when
-    full, and a query scans each in the order it grew.
+    The stores only grow, and a query scans each in the order it grew, by
+    one stacked product: the certified inverses are kept as (m, k, m), row
+    i of the j-th at [i, j], and the visited ones with their duals as
+    (m + 1, k, m), the dual at [m, j]; `binvs`, `vbinvs` and `vys` view
+    them in the shapes (k, m, m) and (k, m).  That product gives each entry
+    the bits of the inverse-by-inverse B^-1 rhs, as a matrix-matrix product
+    or a stack of one row would not, so a scan reads one zero column past
+    the filled ones.  The rays, a few per solver, stay a (k, m) stack,
+    whose row products an (m, k) layout would not keep.
 
     Deterministic pivoting: the entering column has the most negative
     reduced cost (first index on ties); the leaving row breaks ratio ties
@@ -251,22 +280,41 @@ class _Simplex:
         self.cost = cost
         self.m, self.n = a.shape
         self._phase1_cost = np.concatenate([np.zeros(self.n), np.ones(self.m)])
-        # certified optimal (basis, inverse) pairs, their stacked inverses,
-        # and the phase-1 Farkas rays, one per row
+        # certified optimal (basis, inverse) pairs and their inverses, and
+        # the phase-1 Farkas rays, one per row
         self.bases: list[tuple[list[int], np.ndarray]] = []
-        self.binvs = np.empty((8, self.m, self.m))[:0]
+        self._binvs = np.zeros((self.m, 8, self.m))
         self.rays = np.empty((0, self.m))
-        # every basis a phase-2 pricing pass priced, its row in the store,
-        # and its stacked inverses and duals
+        # every basis a phase-2 pricing pass priced, its column in the store,
+        # and its inverse and dual
         self.visited: list[list[int]] = []
         self._row: dict[tuple[int, ...], int] = {}
-        self.vbinvs = np.empty((8, self.m, self.m))[:0]
-        self.vys = np.empty((8, self.m))[:0]
+        self._vstore = np.zeros((self.m + 1, 8, self.m))
+        # the phase-1 columns of each sign pattern met so far
+        self._phase1_cols: dict[bytes, np.ndarray] = {}
+
+    @property
+    def binvs(self) -> np.ndarray:
+        return self._binvs[:, :len(self.bases)].transpose(1, 0, 2)
+
+    @property
+    def vbinvs(self) -> np.ndarray:
+        return self._vstore[:-1, :len(self.visited)].transpose(1, 0, 2)
+
+    @property
+    def vys(self) -> np.ndarray:
+        return self._vstore[-1, :len(self.visited)]
 
     def _columns(self, signs: np.ndarray) -> np.ndarray:
         """The phase-1 columns: the real ones, then column n + i, row i's
-        artificial, whose one nonzero entry is signs[i]."""
-        return np.hstack([self.a, np.diag(signs)])
+        artificial, whose one nonzero entry is signs[i].  Built once per
+        sign pattern."""
+        key = signs.tobytes()
+        cols = self._phase1_cols.get(key)
+        if cols is None:
+            cols = np.hstack([self.a, np.diag(signs)])
+            self._phase1_cols[key] = cols
+        return cols
 
     def _iterate(self, rhs: np.ndarray, cols: np.ndarray, c: np.ndarray,
                  basis: list[int], good_enough: float = -np.inf,
@@ -284,11 +332,14 @@ class _Simplex:
         stall = 0
         best_obj = np.inf
         for _ in range(_MAX_ITER):
-            k = self._row.get(tuple(basis), -1) if visit else -1
+            k = -1
+            if visit:
+                key = tuple(basis)
+                k = self._row.get(key, -1)
             if k < 0:
                 binv, xb = _vertex(cols, basis, rhs)
             else:
-                binv, y = self.vbinvs[k], self.vys[k]
+                binv, y = self._vstore[:-1, k], self._vstore[-1, k]
                 xb = binv @ rhs
             cb = c.take(basis)
             obj = float(cb @ xb)
@@ -297,10 +348,12 @@ class _Simplex:
             if k < 0:
                 y = cb @ binv
                 if visit:
-                    self._row[tuple(basis)] = len(self.visited)
+                    k = len(self.visited)
+                    self._row[key] = k
                     self.visited.append(basis[:])
-                    self.vbinvs = _grow(self.vbinvs, binv)
-                    self.vys = _grow(self.vys, y)
+                    self._vstore = store = _room(self._vstore, k)
+                    store[:-1, k] = binv
+                    store[-1, k] = y
             rc = c - y @ cols
             rc.put(basis, 0.0)
             bland = bland or stall >= _STALL_LIMIT
@@ -389,23 +442,28 @@ class _Simplex:
         basic solution is B^-1 rhs from the stored inverse, so a query
         asked twice gets the same bits.
         """
-        ok = np.flatnonzero((self.binvs @ rhs).min(axis=1) >= -_PIVOT_TOL)
+        ok = np.flatnonzero(_scan(self._binvs, len(self.bases), rhs)
+                            .min(axis=0) >= -_PIVOT_TOL)
         if ok.size:
             basis, binv = self.bases[ok[0]]
             return _Vertex(basis, binv, binv @ rhs)
-        feasible = np.flatnonzero((self.vbinvs @ rhs).min(axis=1) >= 0.0)
+        # B^-1 rhs of each visited basis, over its y.rhs
+        xbs = _scan(self._vstore, len(self.visited), rhs)
+        feasible = np.flatnonzero(xbs[:-1].min(axis=0) >= 0.0)
         if feasible.size:
-            start = self.visited[feasible[np.argmin(self.vys[feasible] @ rhs)]]
+            start = self.visited[feasible[np.argmin(xbs[-1, feasible])]]
         else:
             start = self._drive_out(self.phase1(rhs), rhs).basis
         v = self._iterate(rhs, self.a, self.cost, start, visit=True)
+        k = len(self.bases)
+        self._binvs = _room(self._binvs, k)
+        self._binvs[:, k] = v.binv
         self.bases.append((v.basis, v.binv))
-        self.binvs = _grow(self.binvs, v.binv)
         return v
 
 
 def _check_solution(a: np.ndarray, rhs: np.ndarray, v: _Vertex) -> None:
-    err = float(np.abs(a[:, v.basis] @ v.xb - rhs).max())
+    err = float(np.abs(a.take(v.basis, axis=1) @ v.xb - rhs).max())
     if not err <= 1e-10:
         raise SolverError("simplex solution misses the constraints by %.3g"
                           % err)
@@ -450,7 +508,7 @@ def oracle_envelope_many(s: SurfaceSample, xs: np.ndarray, ys: np.ndarray
         except Infeasible:
             continue
         _check_solution(a, rhs, v)
-        out[k] = float(z[v.basis] @ v.xb)
+        out[k] = float(z.take(v.basis) @ v.xb)
     return out
 
 

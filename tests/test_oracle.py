@@ -297,6 +297,25 @@ def test_sampler_matches_a_sort_of_every_sample():
         assert got == [_bits(a) for a in _sorted_reference(b, n)], (b, n)
 
 
+def test_frame_from_the_merge_matches_its_definition():
+    # sample_surface fills the frame from its merge; a sample built by hand
+    # or unpickled computes it by the stable argsort on y, its definition
+    bulk = [hull_from_raw(raw)[0].bounds for _, raw in CONFIGS]
+    bulk.append(describe(NormalizedBounds(0.0, 0.0, 0.2, 0.7)).bounds)
+    rng = np.random.default_rng(25)
+    cases = [(b, n) for b in bulk for n in (2, 17, 61, 151, 201)]
+    cases += [(b, int(rng.integers(2, 90))) for b in _sampler_boxes(600, 25)]
+    for b, n in cases:
+        s = sample_surface(b, n)
+        merged = s._frame
+        by_hand = oracle.SurfaceSample(s.x, s.y, s.z, s.bounds, s.n)
+        unpickled = pickle.loads(pickle.dumps(s))
+        assert merged is not None
+        assert by_hand._frame is None and unpickled._frame is None
+        assert _bits(by_hand.frame) == _bits(merged), (b, n)
+        assert _bits(unpickled.frame) == _bits(merged), (b, n)
+
+
 def test_sampler_boxes_reach_every_edge():
     # the random boxes of the test above reach the cases they are drawn for
     boxes = _sampler_boxes(600, 24)
@@ -831,6 +850,34 @@ def test_store_buffers_hold_their_lists_row_for_row():
         assert np.array_equal(binvs, lp.binvs[:len(binvs)])
         assert np.array_equal(vbinvs, lp.vbinvs[:len(vbinvs)])
         assert np.array_equal(vys, lp.vys[:len(vys)])
+
+
+def test_store_scans_keep_the_bits_of_each_inverse():
+    # a scan's stacked product gives B^-1 rhs the bits of each inverse's
+    # own product, and the duals' y.rhs those of their (k, m) stack, from
+    # the first stored basis on
+    s, xs, ys = _grid(CONFIGS[5][1], 201)
+    lp = _frame_lp(s)
+    rng = np.random.default_rng(4)
+    probes = np.column_stack([rng.uniform(s.bounds.lx, 1.0, 20),
+                              rng.uniform(s.bounds.ly, 1.0, 20), np.ones(20)])
+    sizes = set()
+    for x, y in zip(xs, ys):
+        for rhs in probes:
+            got = oracle._scan(lp._binvs, len(lp.bases), rhs)
+            want = [binv @ rhs for _, binv in lp.bases]
+            assert _bits(got.T) == _bits(np.array(want).reshape(-1, 3))
+            got = oracle._scan(lp._vstore, len(lp.visited), rhs)
+            want = [np.array(binv) @ rhs for binv in lp.vbinvs]
+            assert _bits(got[:-1].T) == _bits(np.array(want).reshape(-1, 3))
+            if len(lp.visited) > 1:
+                assert _bits(got[-1]) == _bits(np.array(lp.vys) @ rhs)
+        sizes.add(len(lp.bases))
+        try:
+            lp.solve(np.array([x, y, 1.0]))
+        except Infeasible:
+            pass
+    assert {0, 1, 2} <= sizes
 
 
 def test_blands_rule_ends_beales_cycle(monkeypatch):
