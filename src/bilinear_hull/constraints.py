@@ -66,6 +66,47 @@ def _clamped_sqrt(d):
     return np.sqrt(np.maximum(d, 0.0))
 
 
+def _affine(terms):
+    """The sum of c*v over the (c, v) of terms, added in their order, for
+    array v; v None stands for the constant 1.
+
+    Zero terms are left out and unit products taken as v or -v; a leading
+    -v is subtracted from the next term (-a + b is b - a).  Once the sum is
+    a float64 array of its own it is built up in place.  For finite input
+    these are the values of the full expression up to the sign of a zero,
+    in fewer array passes and temporaries.
+    """
+    import numpy as np
+    parts = []  # (negated, value)
+    for c, v in terms:
+        if c == 0.0:
+            continue
+        if v is None or c == 1.0:
+            parts.append((False, c if v is None else v))
+        elif c == -1.0:
+            parts.append((True, v))
+        else:
+            parts.append((False, c * v))
+    if not parts:
+        return 0.0
+    if parts[0][0] and len(parts) > 1:
+        parts[0], parts[1] = parts[1], parts[0]
+    neg, out = parts[0]
+    if neg:
+        out = -out
+    own = False
+    for neg, t in parts[1:]:
+        if own and getattr(t, "shape", ()) in ((), out.shape):
+            if neg:
+                out -= t
+            else:
+                out += t
+        else:
+            out = out - t if neg else out + t
+            own = isinstance(out, np.ndarray) and out.dtype == np.float64
+    return out
+
+
 class TangentFamily(Enum):
     UPPER_ZERO = "UpperZero"
     LOWER = "Lower"
@@ -158,18 +199,30 @@ class SocConstraint(_Frozen):
     def residual(self, x, y, z):
         """(c'v + d) - ||A v + b||; >= 0 iff the constraint holds.
 
-        Three Python numbers give a float, through math; anything else is
-        evaluated as an array.
+        Three Python numbers give a float, through math.  Anything else is
+        evaluated as an array, each affine part without its zero terms and
+        unit products (_affine): for finite input the values of the full
+        expression, up to the sign of a zero, in fewer passes.
         """
         (a11, a12, a13), (a21, a22, a23) = self.A
-        r1 = a11 * x + a12 * y + a13 * z + self.b[0]
-        r2 = a21 * x + a22 * y + a23 * z + self.b[1]
-        rhs = self.c[0] * x + self.c[1] * y + self.c[2] * z + self.d
         if (isinstance(x, (int, float)) and isinstance(y, (int, float))
                 and isinstance(z, (int, float))):
+            r1 = a11 * x + a12 * y + a13 * z + self.b[0]
+            r2 = a21 * x + a22 * y + a23 * z + self.b[1]
+            rhs = self.c[0] * x + self.c[1] * y + self.c[2] * z + self.d
             return rhs - math.hypot(r1, r2)
         import numpy as np
+        rhs, r1, r2 = self._parts(x, y, z)
         return rhs - np.hypot(r1, r2)
+
+    def _parts(self, x, y, z):
+        """(c'v + d, A[0]v + b[0], A[1]v + b[1]) over arrays, each through
+        _affine."""
+        (a11, a12, a13), (a21, a22, a23) = self.A
+        c = self.c
+        return (_affine(((c[0], x), (c[1], y), (c[2], z), (self.d, None))),
+                _affine(((a11, x), (a12, y), (a13, z), (self.b[0], None))),
+                _affine(((a21, x), (a22, y), (a23, z), (self.b[1], None))))
 
     @property
     def anchor(self) -> tuple[float, float]:
@@ -214,7 +267,9 @@ class SocConstraint(_Frozen):
             kx, ky = self.anchor
             upper = f is TangentFamily.UPPER_GENERAL
             c = p["uz"] if upper else p["lz"]
-            u, v = ky * x, kx * y
+            # ky*x with ky = 1 is x, and kx*y likewise
+            u = x if ky == 1.0 else ky * x
+            v = y if kx == 1.0 else kx * y
             r = _clamped_sqrt((u - v) ** 2 + 4.0 * c * (kx - x) * (ky - y))
             out = (u + v + r) / 2.0 if upper else (u + v - r) / 2.0
         if scalar or np.ndim(out) == 0:

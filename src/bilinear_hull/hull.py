@@ -38,8 +38,10 @@ from typing import TYPE_CHECKING
 
 from .constraints import (
     LinearInequality,
+    SocConstraint,
     TangentFamily,
     TangentSegment,
+    _affine,
     _side_cone,
     rlt,
     soc_center,
@@ -156,9 +158,17 @@ class HullPiece(_Frozen):
             if np.ndim(x) == 0:
                 return True
             return np.ones(np.broadcast(x, y).shape, dtype=bool)
-        out = self.predicate[0].holds(x, y)
-        for hp in self.predicate[1:]:
-            out = out & hp.holds(x, y)
+        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+            out = self.predicate[0].holds(x, y)
+            for hp in self.predicate[1:]:
+                out = out & hp.holds(x, y)
+            return out
+        # each line through _affine: the same answers in fewer passes
+        bt = -BOUNDARY_TOL
+        out = None
+        for hp in self.predicate:
+            h = _affine(((hp.a0, None), (hp.ax, x), (hp.ay, y))) >= bt
+            out = h if out is None else out & h
         return out
 
     def to_dict(self) -> dict:
@@ -396,30 +406,54 @@ def membership(d: HullDescription, p: Point3) -> bool:
 def _row_values(q: LinearInequality, x, y, z):
     """q.residual(x, y, z) over arrays without its zero terms and unit
     products: the same values (up to the sign of a zero) in fewer passes."""
-    out = q.a0
-    for c, v in ((q.ax, x), (q.ay, y), (q.az, z)):
-        if c == 1.0:
-            out = out + v
-        elif c == -1.0:
-            out = out - v
-        elif c != 0.0:
-            out = out + c * v
-    return out
+    return _affine(((q.a0, None), (q.ax, x), (q.ay, y), (q.az, z)))
+
+
+def _cone_fails(soc: SocConstraint, x, y, z) -> np.ndarray:
+    """soc.residual(x, y, z) < -FEAS_TOL over arrays, bit for bit, with
+    np.hypot (some 20 ns an element) only where a cheaper value cannot
+    settle it.
+
+    s = sqrt(r1*r1 + r2*r2) is within 5 ulps of hypot(r1, r2), plus 2^-537
+    where a square underflows.  So e = rhs - s + FEAS_TOL is within 8 ulps
+    of |rhs| + s of the residual plus FEAS_TOL, and where |e| exceeds
+    2^-44 (|rhs| + s), at least 32 times that, e has the residual's side of
+    -FEAS_TOL.  (The underflow term counts only where |rhs| + s is far
+    below FEAS_TOL, and there e is about FEAS_TOL.)  The other points, and
+    any non-finite e, go through residual.
+    """
+    import numpy as np
+    rhs, r1, r2 = soc._parts(x, y, z)
+    s = np.sqrt(r1 * r1 + r2 * r2)
+    e = rhs - s
+    e += FEAS_TOL
+    margin = np.abs(rhs)
+    margin += s
+    margin *= 2.0 ** -44
+    fails = e < 0.0
+    near = np.flatnonzero(~(np.abs(e) > margin))
+    if near.size:
+        fails[near] = soc.residual(x[near], y[near], z[near]) < -FEAS_TOL
+    return fails
 
 
 def membership_mask(d: HullDescription, x, y, z) -> np.ndarray:
     """Vectorized membership over coordinate arrays of one broadcast shape.
 
-    It reads the same rows and pieces with the same arithmetic as
-    membership(), so the two agree point by point.  The points are walked
-    in blocks of _BLOCK, so temporaries stay block-sized whatever the input
-    size, and a cone is evaluated only at the points that pass every row
-    and lie where its piece applies.  Any non-finite coordinate raises
-    OutOfDomain.
+    It reads the same rows and pieces as membership(), with the same
+    arithmetic up to the sign of a zero (_affine), so the two agree point by
+    point.  The points are walked in blocks of _BLOCK, so temporaries stay
+    block-sized whatever the input size.  In each block the RLT planes are
+    read at every point; the points that meet them are gathered once, and
+    only those are read against the bound rows, the predicates and the
+    cones, a cone only where its piece applies.  Any non-finite coordinate
+    raises OutOfDomain.
     """
     import numpy as np
     ops = tuple(np.asarray(v, dtype=float) for v in (x, y, z))
     out = np.empty(np.broadcast(*ops).shape, dtype=bool)
+    ft = -FEAS_TOL
+    planes, bounds = d.rows[:len(d.rlt)], d.rows[len(d.rlt):]
     with np.nditer(ops + (out,),
                    flags=("external_loop", "buffered", "zerosize_ok"),
                    op_flags=[["readonly"]] * 3 + [["writeonly"]],
@@ -429,13 +463,22 @@ def membership_mask(d: HullDescription, x, y, z) -> np.ndarray:
                     and np.isfinite(zb).all()):
                 raise OutOfDomain("query points must have finite coordinates")
             ok[...] = True
-            for q in d.rows:
-                ok &= _row_values(q, xb, yb, zb) >= -FEAS_TOL
+            for q in planes:
+                ok &= _row_values(q, xb, yb, zb) >= ft
+            live = np.flatnonzero(ok)
+            if not live.size:
+                continue
+            xs, ys, zs = xb[live], yb[live], zb[live]
+            met = np.ones(live.size, dtype=bool)
+            for q in bounds:
+                met &= _row_values(q, xs, ys, zs) >= ft
             for piece in d.pieces:
-                idx = np.flatnonzero(ok & piece.applicable(xb, yb))
+                idx = np.flatnonzero(met & piece.applicable(xs, ys)
+                                     if piece.predicate else met)
                 if idx.size:
-                    res = piece.soc.residual(xb[idx], yb[idx], zb[idx])
-                    ok[idx[res < -FEAS_TOL]] = False
+                    met[idx[_cone_fails(piece.soc, xs[idx], ys[idx],
+                                        zs[idx])]] = False
+            ok[live] = met
     return out
 
 
@@ -584,12 +627,14 @@ def _wedge(d: HullDescription, x: float, y: float
     b = d.bounds
     lx, ly, lz, uz = b.lx, b.ly, b.lz, b.uz
     curve = not b.lower_trivial
-    _, _, upper_x, upper_y = rlt(b)
+    # rlt(b)'s plane, built alone
     if ly * x + y - ly <= x + lx * y - lx:
-        plane, family, upper = upper_y, TangentFamily.SIDE_X, (1.0, uz, uz)
+        plane = LinearInequality(-ly, ly, 1.0, -1.0, label="rlt_upper_y")
+        family, upper = TangentFamily.SIDE_X, (1.0, uz, uz)
         lower = (lz / ly if curve and ly > 0.0 else lx, ly, lz)
     else:
-        plane, family, upper = upper_x, TangentFamily.SIDE_Y, (uz, 1.0, uz)
+        plane = LinearInequality(-lx, 1.0, lx, -1.0, label="rlt_upper_x")
+        family, upper = TangentFamily.SIDE_Y, (uz, 1.0, uz)
         lower = (lx, lz / lx if curve and lx > 0.0 else ly, lz)
     if d.case.region in (Region.UPPER_ONLY, Region.LOWER_ONLY):
         family = d.pieces[0].soc.family
