@@ -36,6 +36,7 @@ from bilinear_hull import (
 from bilinear_hull.hull import (
     _BLOCK,
     _binding,
+    _cone_fails,
     _worst_piece,
     _worst_row,
 )
@@ -835,6 +836,150 @@ def test_membership_mask_agrees_across_block_boundaries():
         mask = membership_mask(d, x, y, z)
         assert mask.shape == (n,) and mask.dtype == bool
         assert mask.tolist() == _membership_each(d, x, y, z)
+
+
+def _beyond_the_bounds(rng, d, n):
+    """4n points 1.5 FEAS_TOL beyond the faces of the box that meet every
+    RLT plane (they follow the edges z = x, z = y, z = lx*y and z = ly*x of
+    the RLT polytope), so that only a bound row rejects them, then 2n
+    points 1.5 FEAS_TOL beyond the z bounds."""
+    b = d.bounds
+    t, zt = 1.5 * FEAS_TOL, 0.75 * FEAS_TOL
+    u = rng.uniform(b.lx, 1.0, n)
+    v = rng.uniform(b.ly, 1.0, n)
+    faces = [(u, np.full(n, 1.0 + t), u + zt),
+             (np.full(n, 1.0 + t), v, v + zt),
+             (np.full(n, b.lx - t), v, b.lx * v - zt),
+             (u, np.full(n, b.ly - t), b.ly * u - zt),
+             (u, v, np.full(n, d.zhi + t)), (u, v, np.full(n, d.zlo - t))]
+    return tuple(np.concatenate(c) for c in zip(*faces))
+
+
+def test_membership_mask_matches_membership_on_every_box():
+    """Point by point on every ALL_RAW box and its mirror, over a block
+    where no point meets the RLT planes, a block where every point meets
+    every row and cone (surface points), and points around the hull and
+    just beyond its bounds."""
+    rng = np.random.default_rng(149)
+    no_pieces = 0
+    for raw in ALL_RAW + MIRRORED_RAW:
+        d, _ = hull_from_raw(raw)
+        b = d.bounds
+        no_pieces += not d.pieces
+        above = (rng.uniform(b.lx, 1.0, _BLOCK), rng.uniform(b.ly, 1.0, _BLOCK),
+                 np.full(_BLOCK, 1.5))
+        sx = rng.uniform(b.lx, 1.0, 8 * _BLOCK)
+        sy = rng.uniform(b.ly, 1.0, 8 * _BLOCK)
+        band = (sx * sy >= d.zlo) & (sx * sy <= d.zhi)
+        sx, sy = sx[band][:_BLOCK], sy[band][:_BLOCK]
+        assert sx.size == _BLOCK
+        beyond = _beyond_the_bounds(rng, d, 50)
+        assert all((q.residual(*(c[:200] for c in beyond)) >= -FEAS_TOL).all()
+                   for q in d.rlt)
+        near = (np.concatenate(c)
+                for c in zip(_points_near_hull(rng, d, 2000), beyond))
+        x, y, z = (np.concatenate(c)
+                   for c in zip(above, (sx, sy, sx * sy), near))
+        mask = membership_mask(d, x, y, z)
+        assert not mask[:_BLOCK].any()
+        assert mask[_BLOCK:2 * _BLOCK].all()
+        assert mask[2 * _BLOCK:].any() and not mask[2 * _BLOCK:].all()
+        assert mask.tolist() == _membership_each(d, x, y, z)
+    assert no_pieces == 2  # NoZBound and its mirror
+
+
+def _full_residual(c, x, y, z):
+    """SocConstraint.residual with all six terms of each part."""
+    (a11, a12, a13), (a21, a22, a23) = c.A
+    r1 = a11 * x + a12 * y + a13 * z + c.b[0]
+    r2 = a21 * x + a22 * y + a23 * z + c.b[1]
+    rhs = c.c[0] * x + c.c[1] * y + c.c[2] * z + c.d
+    return rhs - np.hypot(r1, r2)
+
+
+def test_array_residual_is_the_full_expression():
+    """The array branch leaves out zero terms and unit products and adds
+    in place; its values are the full expression's (== ignores the sign of
+    a zero) for every family, mirrored too, on flat, broadcast, 0-d and
+    integer input, and its input arrays are left as they were."""
+    rng = np.random.default_rng(139)
+    families = set()
+    for raw in ALL_RAW + MIRRORED_RAW:
+        d, _ = hull_from_raw(raw)
+        x, y, z = _points_near_hull(rng, d, 600)
+        kept = [a.copy() for a in (x, y, z)]
+        for piece in d.pieces:
+            c = piece.soc
+            families.add(c.family)
+            assert np.array_equal(c.residual(x, y, z),
+                                  _full_residual(c, x, y, z))
+            grid = (x[:20, None], y[None, :30], z.reshape(20, 30))
+            assert np.array_equal(c.residual(*grid), _full_residual(c, *grid))
+            one = [np.array(v[0]) for v in (x, y, z)]
+            assert c.residual(*one) == _full_residual(c, *one)
+            ints = np.arange(-3, 4)
+            assert np.array_equal(c.residual(ints, ints[::-1], ints),
+                                  _full_residual(c, ints, ints[::-1], ints))
+        assert all(np.array_equal(a, k) for a, k in zip((x, y, z), kept))
+    assert families == set(TangentFamily)
+
+
+def _shell(rng, d, piece, n):
+    """Points where piece applies, with z the floats at which its cone's
+    residual crosses -FEAS_TOL, from 3 ulps below to 3 ulps above."""
+    b = d.bounds
+    x = rng.uniform(b.lx, 1.0, n)
+    y = rng.uniform(b.ly, 1.0, n)
+    app = piece.applicable(x, y)
+    x, y = x[app], y[app]
+    c = piece.soc
+    lo = c.envelope_z(x, y)
+    hi = lo + 1.0
+    ok = (c.residual(x, y, lo) >= -FEAS_TOL) & (c.residual(x, y, hi) < -FEAS_TOL)
+    x, y, lo, hi = x[ok], y[ok], lo[ok], hi[ok]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        met = c.residual(x, y, mid) >= -FEAS_TOL
+        lo, hi = np.where(met, mid, lo), np.where(met, hi, mid)
+    zs = [lo]
+    for _ in range(3):
+        zs = [np.nextafter(zs[0], -np.inf)] + zs + [np.nextafter(zs[-1], np.inf)]
+    k = len(zs)
+    return np.tile(x, k), np.tile(y, k), np.concatenate(zs)
+
+
+def _mask_reference(d, x, y, z):
+    """membership_mask written out in full: every row, predicate line and
+    cone by its full expression, at every point."""
+    ok = np.ones(x.shape, dtype=bool)
+    for q in d.rows:
+        ok &= q.residual(x, y, z) >= -FEAS_TOL
+    for piece in d.pieces:
+        app = np.ones(x.shape, dtype=bool)
+        for hp in piece.predicate:
+            app &= hp.value(x, y) >= -BOUNDARY_TOL
+        ok &= ~app | (_full_residual(piece.soc, x, y, z) >= -FEAS_TOL)
+    return ok
+
+
+def test_cone_verdicts_on_the_feasibility_shell():
+    """Within ulps of residual = -FEAS_TOL the cheap sqrt bound cannot
+    settle a cone, and np.hypot does: the verdicts are residual's, and
+    membership_mask is the full expressions', on both sides of the
+    shell."""
+    rng = np.random.default_rng(151)
+    for raw in ALL_RAW + MIRRORED_RAW:
+        d, _ = hull_from_raw(raw)
+        for piece in d.pieces:
+            x, y, z = _shell(rng, d, piece, 400)
+            fails = _cone_fails(piece.soc, x, y, z)
+            assert fails.any() and not fails.all()
+            assert np.array_equal(
+                fails, piece.soc.residual(x, y, z) < -FEAS_TOL)
+            nx, ny, nz = _points_near_hull(rng, d, 2000)
+            x, y, z = (np.concatenate(p) for p in ((x, nx), (y, ny), (z, nz)))
+            assert np.array_equal(membership_mask(d, x, y, z),
+                                  _mask_reference(d, x, y, z))
 
 
 def test_membership_mask_shapes():
