@@ -95,7 +95,9 @@ def _midpoint_volume(d: HullDescription, n: int) -> float:
     xs = b.lx + (np.arange(n) + 0.5) * hx
     ys = b.ly + (np.arange(n) + 0.5) * hy
     zmin, zmax, _ = envelope_grid(d, xs, ys)
-    return float(np.sum(np.maximum(zmax - zmin, 0.0)) * hx * hy)
+    # (zmax - zmin)+ in zmax's buffer: no grid-sized temporary
+    gap = np.subtract(zmax, zmin, out=zmax)
+    return float(np.sum(np.maximum(gap, 0.0, out=gap)) * hx * hy)
 
 
 def _mc_chunk(d: HullDescription, seed: int, chunk: int, count: int) -> int:
