@@ -27,7 +27,11 @@ the shared ones import numpy, so scalar use never loads it.  The scalar
 scans (_worst_row, _worst_piece, _binding, membership) write
 LinearInequality.residual and HullPiece.applicable out inline: the same
 expressions in the same order, so the same floats, without a method call
-per row.
+per row.  The array forms of the rows, predicate lines and cones leave out
+zero terms and unit products (constraints._affine), which changes at most
+the sign of a zero, and membership_mask reads the bound rows, predicates
+and cones only at the points that meet the RLT planes: its answers are
+membership's.
 """
 
 from __future__ import annotations
