@@ -122,7 +122,11 @@ class HalfPlane(_Frozen):
     __slots__ = ("a0", "ax", "ay")
 
     def value(self, x, y):
-        return self.a0 + self.ax * x + self.ay * y
+        """a0 + ax*x + ay*y; over arrays through _affine, the same values up
+        to the sign of a zero in fewer passes."""
+        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+            return self.a0 + self.ax * x + self.ay * y
+        return _affine(((self.a0, None), (self.ax, x), (self.ay, y)))
 
     def holds(self, x, y):
         """Whether (x, y) satisfies the half-plane to within BOUNDARY_TOL."""
@@ -162,17 +166,9 @@ class HullPiece(_Frozen):
             if np.ndim(x) == 0:
                 return True
             return np.ones(np.broadcast(x, y).shape, dtype=bool)
-        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-            out = self.predicate[0].holds(x, y)
-            for hp in self.predicate[1:]:
-                out = out & hp.holds(x, y)
-            return out
-        # each line through _affine: the same answers in fewer passes
-        bt = -BOUNDARY_TOL
-        out = None
-        for hp in self.predicate:
-            h = _affine(((hp.a0, None), (hp.ax, x), (hp.ay, y))) >= bt
-            out = h if out is None else out & h
+        out = self.predicate[0].holds(x, y)
+        for hp in self.predicate[1:]:
+            out = out & hp.holds(x, y)
         return out
 
     def to_dict(self) -> dict:

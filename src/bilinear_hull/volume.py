@@ -14,7 +14,13 @@ from enum import Enum
 import numpy as np
 
 from .geometry import _Frozen
-from .hull import HullDescription, Region, envelope_grid, membership_mask
+from .hull import (
+    _BLOCK,
+    HullDescription,
+    Region,
+    envelope_grid,
+    membership_mask,
+)
 
 _MC_CHUNK = 65536
 _SIXTH = 1.0 / 6.0
@@ -94,10 +100,15 @@ def _midpoint_volume(d: HullDescription, n: int) -> float:
     hy = (1.0 - b.ly) / n
     xs = b.lx + (np.arange(n) + 0.5) * hx
     ys = b.ly + (np.arange(n) + 0.5) * hy
-    zmin, zmax, _ = envelope_grid(d, xs, ys)
-    # (zmax - zmin)+ in zmax's buffer: no grid-sized temporary
-    gap = np.subtract(zmax, zmin, out=zmax)
-    return float(np.sum(np.maximum(gap, 0.0, out=gap)) * hx * hy)
+    # (zmax - zmin)+ a block of rows at a time, so envelope_grid's outputs
+    # stay block-sized; the one sum over the whole grid keeps its bits
+    gap = np.empty((n, n))
+    step = max(1, _BLOCK // n)
+    for lo in range(0, n, step):
+        zmin, zmax, _ = envelope_grid(d, xs[lo:lo + step], ys)
+        rows = np.subtract(zmax, zmin, out=gap[lo:lo + step])
+        np.maximum(rows, 0.0, out=rows)
+    return float(np.sum(gap) * hx * hy)
 
 
 def _mc_chunk(d: HullDescription, seed: int, chunk: int, count: int) -> int:

@@ -957,7 +957,7 @@ def _mask_reference(d, x, y, z):
     for piece in d.pieces:
         app = np.ones(x.shape, dtype=bool)
         for hp in piece.predicate:
-            app &= hp.value(x, y) >= -BOUNDARY_TOL
+            app &= hp.a0 + hp.ax * x + hp.ay * y >= -BOUNDARY_TOL
         ok &= ~app | (_full_residual(piece.soc, x, y, z) >= -FEAS_TOL)
     return ok
 

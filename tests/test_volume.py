@@ -13,6 +13,7 @@ from bilinear_hull import (
     Region,
     Side,
     describe,
+    envelope_grid,
     hull_from_raw,
     optimal_branch,
     vol_hull,
@@ -127,6 +128,31 @@ def test_numeric_matches_closed_forms():
     d, _ = hull_from_raw(RawBounds(0, 0, 0.2, 1, 1, 1))
     v, err = vol_numeric(d, 512)
     assert abs(v - vol_hull(Side.LOWER, 0.2)) <= 1e-6
+
+
+def _midpoint_over_one_grid(d, n):
+    """The midpoint sum from one envelope_grid call over the whole grid."""
+    b = d.bounds
+    hx, hy = (1.0 - b.lx) / n, (1.0 - b.ly) / n
+    xs = b.lx + (np.arange(n) + 0.5) * hx
+    ys = b.ly + (np.arange(n) + 0.5) * hy
+    zmin, zmax, _ = envelope_grid(d, xs, ys)
+    return float(np.sum(np.maximum(zmax - zmin, 0.0)) * hx * hy)
+
+
+def test_numeric_keeps_the_bits_of_one_whole_grid():
+    # vol_numeric walks its grids a block of rows at a time; with n = 200
+    # and 512 the fine grid spans 3 and 16 blocks, the last one short
+    for raw in (RawBounds(0, 0, 0.2, 1, 1, 0.7),
+                RawBounds(0.14, 0.3, 0.1, 1, 1, 0.7),
+                RawBounds(0.3, 0.5, 0.3, 1, 1, 1)):
+        d, _ = hull_from_raw(raw)
+        for n in (200, 512):
+            fine = _midpoint_over_one_grid(d, n)
+            coarse = _midpoint_over_one_grid(d, n // 2)
+            want = (fine + (fine - coarse) / 3.0, abs(fine - coarse) / 3.0)
+            assert [v.hex() for v in vol_numeric(d, n)] == \
+                [v.hex() for v in want]
 
 
 def test_numeric_grid_validation():
