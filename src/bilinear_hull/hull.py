@@ -411,8 +411,8 @@ def _row_values(q: LinearInequality, x, y, z):
 
 def _cone_fails(soc: SocConstraint, x, y, z) -> np.ndarray:
     """soc.residual(x, y, z) < -FEAS_TOL over arrays, bit for bit, with
-    np.hypot (some 20 ns an element) only where a cheaper value cannot
-    settle it.
+    np.hypot, several times the cost of a square root, only where a
+    cheaper value cannot settle it.
 
     s = sqrt(r1*r1 + r2*r2) is within 5 ulps of hypot(r1, r2), plus 2^-537
     where a square underflows.  So e = rhs - s + FEAS_TOL is within 8 ulps
