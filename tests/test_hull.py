@@ -11,6 +11,8 @@ from bilinear_hull import (
     CaseTag,
     DegenerateBounds,
     HullDescription,
+    HullPiece,
+    NegativeDiscriminant,
     NormalizedBounds,
     OutOfDomain,
     Point3,
@@ -30,6 +32,11 @@ from bilinear_hull import (
     membership_mask,
     region_map_polylines,
     separate,
+    soc_center,
+    soc_lower,
+    soc_sides,
+    soc_upper_general,
+    soc_upper_zero,
     tighten,
     worst_violation,
 )
@@ -802,6 +809,112 @@ def test_scalar_scans_agree_with_the_methods():
     # the cone binds at most of the points inside, so _binding is seen
     # reading the piece there
     assert bound >= checked // 2, (bound, checked)
+
+
+def _cones_of_every_family():
+    """Cones of the six families over seeded bounds, the bounds' extremes
+    among them, each as built and mirrored."""
+    rng = np.random.default_rng(211)
+    bounds = [(0.0, 1.0, 0.0, 0.5), (0.2, 1.0, 0.2, 0.9), (0.0, 0.4, 0.3, 0.0)]
+    for _ in range(12):
+        uz = rng.uniform(0.05, 1.0)
+        lz = rng.uniform(0.0, uz)
+        lx, ly = rng.uniform(0.0, 1.0, 2).tolist()
+        bounds.append((lz, uz, lx, min(ly, 0.99 * uz / max(lx, 1e-3))))
+    for lz, uz, lx, ly in bounds:
+        for c in (soc_upper_zero(uz), soc_lower(lz), soc_center(lz, uz),
+                  *soc_sides(lz, uz), soc_upper_general(lx, ly, uz)):
+            yield c
+            yield c.mirrored()
+
+
+def _clamp_edge(c, y):
+    """The floats x on the row y where c.envelope_z starts to raise, 4 ulps
+    either side: their discriminants are the ones nearest DISC_CLAMP.
+    Empty when the row has no such change."""
+    def raises(x):
+        try:
+            c.envelope_z(x, y)
+        except NegativeDiscriminant:
+            return True
+        return False
+    xs = np.linspace(-2.0, 3.0, 51).tolist()
+    flags = [raises(x) for x in xs]
+    for i in range(len(xs) - 1):
+        if flags[i] != flags[i + 1]:
+            a, b = xs[i], xs[i + 1]
+            while True:
+                m = 0.5 * (a + b)
+                if m in (a, b):
+                    break
+                a, b = (m, b) if raises(m) == flags[i] else (a, m)
+            out = [a]
+            for _ in range(4):
+                out = [math.nextafter(out[0], -math.inf)] + out \
+                    + [math.nextafter(out[-1], math.inf)]
+            return out
+    return []
+
+
+def _envelope_outcome(c, x, y):
+    """envelope_z's value by float.hex, a zero taken as +0.0, or the
+    message it raised."""
+    try:
+        v = c.envelope_z(x, y)
+    except NegativeDiscriminant as e:
+        return "raises: %s" % e
+    assert type(v) is float
+    return (v + 0.0).hex()
+
+
+def test_scalar_cone_forms_keep_their_bits():
+    """The scalar cone arithmetic, bit for bit, for every family as built
+    and mirrored: at seeded points around the box, on the predicate lines
+    of the ALL_RAW boxes and their mirrors, and on both sides of the points
+    where a discriminant crosses DISC_CLAMP.  The scans' inline cone
+    residual is SocConstraint.residual's scalar expression, and a float
+    envelope_z is the 0-d array one up to the sign of a zero, raising on the
+    same inputs."""
+    rng = np.random.default_rng(223)
+    base = describe(NormalizedBounds(0.0, 0.0, 0.0, 1.0))
+
+    def check(c, pts):
+        alone = HullDescription(base.bounds, base.case, base.rlt, base.zlo,
+                                base.zhi, (HullPiece((), c, True),))
+        for x, y, z in pts:
+            res, piece = _worst_piece(alone, Point3(x, y, z))
+            assert piece is not None
+            assert res.hex() == c.residual(x, y, z).hex(), (c, x, y, z)
+            assert _envelope_outcome(c, x, y) == _envelope_outcome(
+                c, np.array(x), np.array(y)), (c, x, y)
+
+    families, edges = set(), set()
+    for i, c in enumerate(_cones_of_every_family()):
+        pts = rng.uniform(-0.2, 1.2, (40, 3)).tolist()
+        pts += [(1.0, 1.0, 1.0), (0.0, 0.0, 0.0), c.anchor + (0.5,)]
+        for y in (0.25, 0.5, 1.0):
+            edge = _clamp_edge(c, y)
+            pts += [(x, y, 0.5) for x in edge]
+            if edge:
+                edges.add((c.family, i % 2))
+        check(c, pts)
+        families.add((c.family, i % 2))
+    assert families == {(f, m) for f in TangentFamily for m in (0, 1)}
+    # the lower and side discriminants are sums of squares and products of
+    # one sign; the others go negative, as built (0) and mirrored (1)
+    assert edges == {(f, m) for m in (0, 1) for f in (
+        TangentFamily.UPPER_ZERO, TangentFamily.CENTER,
+        TangentFamily.UPPER_GENERAL)}
+    on_lines = 0
+    for d, pc, hp, inside, outside in _predicate_lines():
+        ax, ay = pc.soc.anchor
+        pts = [(ax - t * hp.ay, ay + t * hp.ax, z)
+               for t in np.linspace(-1.0, 1.0, 21).tolist()
+               for z in (d.zlo, 0.5 * (d.zlo + d.zhi), d.zhi)]
+        pts += [inside + (d.zhi,), outside + (d.zhi,)]
+        check(pc.soc, pts)
+        on_lines += 1
+    assert on_lines >= 20
 
 
 # ------------------------------------------------- blocked array kernels
