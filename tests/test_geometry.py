@@ -1,11 +1,16 @@
 """Bounds handling: validation, normalization, tightening, rescaling."""
 
+import contextlib
+import io
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from bilinear_hull import (
+    BilinearHullError,
     DegenerateBounds,
     InfeasibleBounds,
     NormalizedBounds,
@@ -242,6 +247,64 @@ def test_normalize_snaps_roundoff_uz_to_the_trivial_bound():
 def test_underflowing_scale_factors_raise_degenerate_bounds(raw):
     with pytest.raises(DegenerateBounds):
         hull_from_raw(raw)
+
+
+# lz and uz of this box are one ulp apart; normalization keeps them apart,
+# and the tightening pass, which rescales z by 1/(ax*ay), rounds them
+# together
+COLLAPSING_BOX = ("0.35835001880970857", "0.5077764142155341",
+                  "0.35835001880970857", "1", "1", "0.3583500188097086")
+
+
+def test_tightening_that_collapses_the_z_range_is_infeasible():
+    from bilinear_hull import cli
+    raw = RawBounds(*map(float, COLLAPSING_BOX))
+    nb, _ = normalize(raw)
+    assert nb.lz < nb.uz
+    for call in (lambda: tighten_with_scaling(nb), lambda: hull_from_raw(raw)):
+        with pytest.raises(InfeasibleBounds) as e:
+            call()
+        assert str(e.value) == "bound tightening collapsed the z range"
+    out, err = io.StringIO(), io.StringIO()
+    args = [a for k, v in zip(("lx", "ly", "lz", "ux", "uy", "uz"),
+                              COLLAPSING_BOX) for a in ("--" + k, v)]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["describe", *args]) == 3
+    assert out.getvalue() == ""
+    assert err.getvalue() == (
+        "infeasible bounds: bound tightening collapsed the z range\n")
+
+
+def test_a_tightened_corner_sits_at_most_two_ulps_above_uz():
+    """In exact arithmetic the pass leaves lx, ly <= uz: it rescales x by
+    ax = uz/ly, so the implied bound x <= uz/ly becomes x <= 1.  The pass
+    rounds ax, ay, the divisions by them and their product, and a tightened
+    lx or ly can sit above the tightened uz.  Pinned: on 20,000 seeded raw
+    boxes (corners up to 0.9, widths up to 2) by 1 ulp or 2, both of which
+    occur, and never by more.  is_tightened allows BOUNDARY_TOL there, so
+    the box counts as tightened and tightening it again is the identity."""
+    rng = random.Random(5)
+    above = Counter()
+    for _ in range(20_000):
+        lx, ly = rng.uniform(0.0, 0.9), rng.uniform(0.0, 0.9)
+        ux, uy = lx + rng.uniform(0.01, 2.0), ly + rng.uniform(0.01, 2.0)
+        lz = rng.uniform(0.0, ux * uy)
+        uz = rng.uniform(max(lz, lx * ly), ux * uy)
+        try:
+            t, _ = tighten_with_scaling(
+                normalize(RawBounds(lx, ly, lz, ux, uy, uz))[0])
+        except BilinearHullError:
+            continue
+        for v in (t.lx, t.ly):
+            ulps, w = 0, t.uz
+            while w < v:
+                w, ulps = math.nextafter(w, math.inf), ulps + 1
+            above[ulps] += 1
+            if ulps:
+                assert t.is_tightened()
+                assert tighten_with_scaling(t) == (t, Scaling(1.0, 1.0))
+    assert sorted(above) == [0, 1, 2], above
+    assert above[0] > 0.95 * sum(above.values())
 
 
 def test_point3_astuple():
