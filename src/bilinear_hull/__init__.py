@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _MODULE_OF = {
     **dict.fromkeys((
-        "LinearInequality", "Psd2", "SocConstraint", "TangentFamily",
+        "LinearInequality", "SocConstraint", "TangentFamily",
         "TangentSegment", "evaluate", "rlt", "soc_center", "soc_lower",
         "soc_sides", "soc_upper_general", "soc_upper_zero"), "constraints"),
     **dict.fromkeys((

@@ -23,14 +23,14 @@ floats of SocConstraint.mirrored(), without building the canonical cone.
 The cones are written in closed form.  The center and upper cones are
 rotated cones p*q >= w^2 with p, q >= 0, that is ||(2w, p - q)|| <= p + q;
 the lower and side cones are sqrt(h'Mh) <= c'v over hats h affine in
-(x, y), that is ||R h|| <= c'v with R the rows of Psd2.cholesky_rows.  Each
-builder writes the floats of its general form directly, by the same
-expressions in the same order, leaving out only the products by 0 and +-1,
-which are exact.  Psd2, cholesky_rows, lower_quadratic_form and
-side_quadratic_forms are the reference that the tests hold them to.
+(x, y), with M a PSD 2x2 matrix, that is ||R h|| <= c'v with R the rows of
+M's Cholesky factor.  Each builder writes the floats of its general form
+directly, by the same expressions in the same order, leaving out only the
+products by 0 and +-1, which are exact; the tests hold them to that general
+form.  The cones of one description share one params record.
 
-LinearInequality, Psd2, SocConstraint and TangentSegment are value types,
-whose contract geometry._Frozen states.
+LinearInequality, SocConstraint and TangentSegment are value types, whose
+contract geometry._Frozen states.
 """
 
 from __future__ import annotations
@@ -48,9 +48,12 @@ DISC_CLAMP = -1e-12
 def _clamped_sqrt(d):
     """sqrt with the documented negative-roundoff clamp at DISC_CLAMP.
 
-    A Python number gives a float, through math; anything else is
-    evaluated as an array, and only then is numpy imported.
+    A Python number gives a float, through math, a float at or above the
+    clamp without further checks; anything else is evaluated as an array,
+    and only then is numpy imported.
     """
+    if type(d) is float and d >= DISC_CLAMP:
+        return math.sqrt(max(d, 0.0))
     scalar = isinstance(d, (int, float))
     if scalar:
         low = d
@@ -115,6 +118,10 @@ class TangentFamily(Enum):
     SIDE_Y = "SideY"
     UPPER_GENERAL = "UpperGeneral"
 
+    # members are singletons compared by identity, so the identity hash
+    # serves, in C, where Enum's own hashes the name in Python
+    __hash__ = object.__hash__
+
 
 _MIRROR_FAMILY = {
     TangentFamily.SIDE_X: TangentFamily.SIDE_Y,
@@ -146,45 +153,6 @@ class LinearInequality(_Frozen):
     def to_dict(self) -> dict:
         return {"type": "linear", "a0": self.a0, "ax": self.ax,
                 "ay": self.ay, "az": self.az}
-
-
-class Psd2(_Frozen):
-    """Symmetric 2x2 matrix constrained to be positive semidefinite."""
-
-    __slots__ = ("m11", "m12", "m22")
-
-    def __new__(cls, m11: float, m12: float, m22: float) -> Psd2:
-        self = object.__new__(cls._twin)
-        self.m11 = m11
-        self.m12 = m12
-        self.m22 = m22
-        if m11 < 0.0 or m22 < 0.0 or self.det < -1e-12:
-            raise ValueError("matrix is not positive semidefinite")
-        self.__class__ = cls
-        return self
-
-    @property
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m12
-
-    def eigenvalues(self) -> tuple[float, float]:
-        tr = self.m11 + self.m22
-        gap = math.hypot(self.m11 - self.m22, 2.0 * self.m12)
-        return ((tr - gap) / 2.0, (tr + gap) / 2.0)
-
-    def cholesky_rows(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Upper-triangular factor rows (r1, r2) with M = r1 r1' + r2 r2'.
-
-        Requires m11 > 0; the inner square root is clamped the same way as
-        envelope discriminants so exactly-singular matrices factor cleanly.
-        """
-        if self.m11 <= 0.0:
-            raise DegenerateBounds("cholesky factor needs m11 > 0")
-        l11 = math.sqrt(self.m11)
-        l12 = self.m12 / l11
-        inner = self.m22 - l12 * l12
-        l22 = float(_clamped_sqrt(inner))
-        return ((l11, l12), (0.0, l22))
 
 
 class SocConstraint(_Frozen):
@@ -249,8 +217,13 @@ class SocConstraint(_Frozen):
         (ky*x - z)(kx*y - z) = c*(kx - x)*(ky - y), the larger one for the
         upper cone.  Raises NegativeDiscriminant when evaluated far outside
         the region on which the formula is real (beyond the -1e-12 clamp).
+
+        Python numbers give a float, through math, a pair of floats tested
+        first; anything else is evaluated as an array, the same expressions
+        in numpy, which give the same floats up to the sign of a zero.
         """
-        scalar = isinstance(x, (int, float)) and isinstance(y, (int, float))
+        scalar = (type(x) is float and type(y) is float
+                  or isinstance(x, (int, float)) and isinstance(y, (int, float)))
         if not scalar:
             import numpy as np
             x = np.asarray(x, dtype=float)
@@ -277,9 +250,12 @@ class SocConstraint(_Frozen):
         return out
 
     def mirrored(self) -> "SocConstraint":
-        """The same constraint with the roles of x and y interchanged."""
-        return _oriented(self.A, self.b, self.c, self.d, self.family,
-                         dict(self.params), True)
+        """The same constraint with the roles of x and y interchanged, the
+        lx and ly params too."""
+        p = self.params
+        p = (dict(p, lx=p["ly"], ly=p["lx"]) if "lx" in p and "ly" in p
+             else dict(p))
+        return _oriented(self.A, self.b, self.c, self.d, self.family, p, True)
 
     def to_dict(self) -> dict:
         return {
@@ -295,14 +271,13 @@ class SocConstraint(_Frozen):
 
 def _oriented(A, b, c, d, family, params, swapped) -> SocConstraint:
     """The cone, or with swapped its mirror: the x and y columns of A and
-    entries of c, SideX and SideY, and the lx and ly params interchanged."""
+    entries of c, and SideX and SideY, interchanged.  params is taken as
+    given, in the frame of the cone returned."""
     if swapped:
         (a11, a12, a13), (a21, a22, a23) = A
         A = ((a12, a11, a13), (a22, a21, a23))
         c = (c[1], c[0], c[2])
         family = _MIRROR_FAMILY.get(family, family)
-        if "lx" in params and "ly" in params:
-            params = dict(params, lx=params["ly"], ly=params["lx"])
     return SocConstraint(A, b, c, d, family, params)
 
 
@@ -313,8 +288,7 @@ def evaluate(c, p) -> float:
 
 
 # the RLT plane anchored at (1, 1) does not depend on the bounds
-_RLT_LOWER_ONES = LinearInequality(1.0, -1.0, -1.0, 1.0,
-                                   label="rlt_lower_ones")
+_RLT_LOWER_ONES = LinearInequality(1.0, -1.0, -1.0, 1.0, "rlt_lower_ones")
 
 
 def rlt(b: NormalizedBounds) -> list[LinearInequality]:
@@ -325,9 +299,9 @@ def rlt(b: NormalizedBounds) -> list[LinearInequality]:
     """
     return [
         _RLT_LOWER_ONES,
-        LinearInequality(b.lx * b.ly, -b.ly, -b.lx, 1.0, label="rlt_lower_corner"),
-        LinearInequality(-b.lx, 1.0, b.lx, -1.0, label="rlt_upper_x"),
-        LinearInequality(-b.ly, b.ly, 1.0, -1.0, label="rlt_upper_y"),
+        LinearInequality(b.lx * b.ly, -b.ly, -b.lx, 1.0, "rlt_lower_corner"),
+        LinearInequality(-b.lx, 1.0, b.lx, -1.0, "rlt_upper_x"),
+        LinearInequality(-b.ly, b.ly, 1.0, -1.0, "rlt_upper_y"),
     ]
 
 
@@ -341,18 +315,10 @@ def soc_upper_zero(uz: float, swapped: bool = False) -> SocConstraint:
                      {"uz": uz}, swapped)
 
 
-def lower_quadratic_form(lz: float) -> Psd2:
-    return Psd2(1.0, 2.0 * lz - 1.0, 1.0)
-
-
-def side_quadratic_forms(lz: float, uz: float) -> tuple[Psd2, Psd2]:
-    return (Psd2(uz * uz, 2.0 * lz - uz, 1.0),
-            Psd2(1.0, 2.0 * lz - uz, uz * uz))
-
-
 def soc_lower(lz: float) -> SocConstraint:
     """sqrt((1-x,1-y) M (1-x,1-y)') <= x+y-2z for the lower product bound,
-    M = lower_quadratic_form(lz), whose factor rows are (1, l12), (0, l22)."""
+    M = [[1, l12], [l12, 1]] with l12 = 2lz - 1, whose factor rows are
+    (1, l12), (0, l22)."""
     if not 0.0 <= lz < 1.0:
         raise DegenerateBounds("need 0 <= lz < 1")
     l12 = 2.0 * lz - 1.0
@@ -368,14 +334,20 @@ def soc_center(lz: float, uz: float, swapped: bool = False) -> SocConstraint:
     q = y.  At lz = 0 this is exactly soc_upper_zero(uz), matrices
     included.
     """
+    return _center({"lz": lz, "uz": uz}, swapped)
+
+
+def _center(p: dict, swapped: bool) -> SocConstraint:
+    """soc_center from its params record p = {"lz": lz, "uz": uz}, which
+    the cone keeps: the center and side cones of a description share one."""
+    lz, uz = p["lz"], p["uz"]
     if not 0.0 <= lz < uz <= 1.0:
         raise DegenerateBounds("need 0 <= lz < uz <= 1")
     r = math.sqrt(lz * uz)
     # (sqrt(lz)+sqrt(uz))^2 expanded; the sum form is exact at lz = 0
     ss = lz + uz + 2.0 * r
     return _oriented(((0.0, 0.0, 2.0), (ss, -1.0, 0.0)), (2.0 * r, 0.0),
-                     (ss, 1.0, 0.0), 0.0, TangentFamily.CENTER,
-                     {"lz": lz, "uz": uz}, swapped)
+                     (ss, 1.0, 0.0), 0.0, TangentFamily.CENTER, p, swapped)
 
 
 def soc_sides(lz: float, uz: float) -> tuple[SocConstraint, SocConstraint]:
@@ -383,21 +355,28 @@ def soc_sides(lz: float, uz: float) -> tuple[SocConstraint, SocConstraint]:
     (1, uz) and (uz, 1).  At uz = 1 both reduce to soc_lower(lz); at lz = 0
     they flatten to the RLT planes z <= y and z <= x.
     """
-    return (_side_cone(lz, uz, TangentFamily.SIDE_X),
-            _side_cone(lz, uz, TangentFamily.SIDE_Y))
+    p = {"lz": lz, "uz": uz}
+    return (_side(p, TangentFamily.SIDE_X, False),
+            _side(p, TangentFamily.SIDE_Y, False))
 
 
 def _side_cone(lz: float, uz: float, family: TangentFamily,
                swapped: bool = False) -> SocConstraint:
-    """One of the soc_sides cones, sqrt(h' M h) <= c'v with M the
-    matching side_quadratic_forms matrix and h its hats."""
+    """One of the soc_sides cones, or with swapped its mirror."""
+    return _side({"lz": lz, "uz": uz}, family, swapped)
+
+
+def _side(p: dict, family: TangentFamily, swapped: bool) -> SocConstraint:
+    """_side_cone from its params record p, as _center: sqrt(h' M h) <= c'v
+    with M PSD and h the hats, M = [[uz^2, m12], [m12, 1]] for SideX and
+    [[1, m12], [m12, uz^2]] for SideY, m12 = 2lz - uz."""
+    lz, uz = p["lz"], p["uz"]
     if not 0.0 <= lz < uz <= 1.0:
         raise DegenerateBounds("need 0 <= lz < uz <= 1")
     # a subnormal uz^2 is as degenerate as 0: SideX's l12 would pass 1
     uu = uz * uz
     if uu < sys.float_info.min:
         raise DegenerateBounds("cholesky factor needs m11 > 0")
-    p = {"lz": lz, "uz": uz}
     m12 = 2.0 * lz - uz
     if family is TangentFamily.SIDE_X:
         # h = (1 - x, uz - y), M = [[uz^2, m12], [m12, 1]]
@@ -435,7 +414,8 @@ def soc_upper_general(lx: float, ly: float, uz: float,
     return _oriented(((0.0, 0.0, 2.0 * r), (w, -w, lx - ly)),
                      (2.0 * (-r * lx * ly), p0 - q0), (w, w, lx + ly),
                      p0 + q0, TangentFamily.UPPER_GENERAL,
-                     {"lx": lx, "ly": ly, "uz": uz}, swapped)
+                     {"lx": ly, "ly": lx, "uz": uz} if swapped
+                     else {"lx": lx, "ly": ly, "uz": uz}, swapped)
 
 
 class TangentSegment(_Frozen):

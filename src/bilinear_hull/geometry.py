@@ -54,8 +54,8 @@ class _Frozen:
     A class that neither defines nor inherits a __new__ gets one, compiled
     here as namedtuple compiles its own, that only stores the fields: such
     a value type declares __slots__ and nothing else.  RawBounds, Scaling,
-    NormalizedBounds, Psd2 and LinearInequality write their own to check
-    their arguments, CaseTag for a default, HullDescription to derive rows
+    NormalizedBounds and LinearInequality write their own to check their
+    arguments, CaseTag for a default, HullDescription to derive rows
     and SurfaceSample to start its caches empty.
     """
 

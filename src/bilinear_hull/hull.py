@@ -24,10 +24,12 @@ BOUNDARY_TOL of the diagonal.
 The scalar queries evaluate floats through math.  Only the array kernels
 (membership_mask, envelope_grid, region_map_polylines) and array input to
 the shared ones import numpy, so scalar use never loads it.  The scalar
-scans (_worst_row, _worst_piece, _binding, membership) write
-LinearInequality.residual and HullPiece.applicable out inline: the same
-expressions in the same order, so the same floats, without a method call
-per row.  The array forms of the rows, predicate lines and cones leave out
+scans (_worst_row, _worst_piece, _binding, membership) and separate's test
+of its cut write LinearInequality.residual, HullPiece.applicable and the
+scalar branch of SocConstraint.residual out inline: the same expressions in
+the same order, so the same floats, without a method call per row or cone.
+_binding reads SocConstraint.envelope_z, which tests for a pair of floats
+first.  The array forms of the rows, predicate lines and cones leave out
 zero terms and unit products (constraints._affine), which changes at most
 the sign of a zero, and membership_mask reads the bound rows, predicates
 and cones only at the points that meet the RLT planes: its answers are
@@ -46,9 +48,9 @@ from .constraints import (
     TangentFamily,
     TangentSegment,
     _affine,
-    _side_cone,
+    _center,
+    _side,
     rlt,
-    soc_center,
     soc_lower,
     soc_upper_general,
 )
@@ -78,6 +80,9 @@ class Region(Enum):
     B = "RegionB"
     C = "RegionC"
     D = "RegionD"
+
+    # as TangentFamily's: the identity hash, in C
+    __hash__ = object.__hash__
 
 
 # elements per block of the array kernels (membership_mask, envelope_grid):
@@ -178,8 +183,8 @@ class HullPiece(_Frozen):
 
 # the box's upper bounds are 1 in every normalized frame, so all
 # descriptions share these two rows
-_X_UPPER = LinearInequality(1.0, -1.0, 0.0, 0.0, label="x_upper")
-_Y_UPPER = LinearInequality(1.0, 0.0, -1.0, 0.0, label="y_upper")
+_X_UPPER = LinearInequality(1.0, -1.0, 0.0, 0.0, "x_upper")
+_Y_UPPER = LinearInequality(1.0, 0.0, -1.0, 0.0, "y_upper")
 
 
 class HullDescription(_Frozen):
@@ -209,11 +214,11 @@ class HullDescription(_Frozen):
         self.zhi = zhi
         self.pieces = pieces
         self.rows = tuple(rlt) + (
-            LinearInequality(-zlo, 0.0, 0.0, 1.0, label="z_lower"),
-            LinearInequality(zhi, 0.0, 0.0, -1.0, label="z_upper"),
-            LinearInequality(-bounds.lx, 1.0, 0.0, 0.0, label="x_lower"),
+            LinearInequality(-zlo, 0.0, 0.0, 1.0, "z_lower"),
+            LinearInequality(zhi, 0.0, 0.0, -1.0, "z_upper"),
+            LinearInequality(-bounds.lx, 1.0, 0.0, 0.0, "x_lower"),
             _X_UPPER,
-            LinearInequality(-bounds.ly, 0.0, 1.0, 0.0, label="y_lower"),
+            LinearInequality(-bounds.ly, 0.0, 1.0, 0.0, "y_lower"),
             _Y_UPPER,
         )
         self.__class__ = cls
@@ -289,16 +294,17 @@ def _pieces(region: Region, lx: float, ly: float, lz: float, uz: float,
     if region is Region.LOWER_ONLY:
         return (HullPiece((), soc_lower(lz), True),)
     hp = _yx if sw else HalfPlane
+    p = {"lz": lz, "uz": uz}  # the one params record of the description
     if region is Region.B or region is Region.BOTH_ZERO_LB:
         # center cone between the fans into (1, uz) and (uz, 1), side
         # cones beyond the lines y = uz*x and x = uz*y
         return (
-            HullPiece((hp(0.0, -uz, 1.0), hp(0.0, 1.0, -uz)),
-                      soc_center(lz, uz, sw), True),
+            HullPiece((hp(0.0, -uz, 1.0), hp(0.0, 1.0, -uz)), _center(p, sw),
+                      True),
             HullPiece((hp(0.0, uz, -1.0),),
-                      _side_cone(lz, uz, TangentFamily.SIDE_X, sw), False),
+                      _side(p, TangentFamily.SIDE_X, sw), False),
             HullPiece((hp(0.0, -1.0, uz),),
-                      _side_cone(lz, uz, TangentFamily.SIDE_Y, sw), False),
+                      _side(p, TangentFamily.SIDE_Y, sw), False),
         )
     ug_y = soc_upper_general(lz / ly, ly, uz, sw)
     if region is Region.D:
@@ -306,24 +312,23 @@ def _pieces(region: Region, lx: float, ly: float, lz: float, uz: float,
         return (
             HullPiece((hp(line.intercept, line.slope, -1.0),), ug_y, False),
             HullPiece((hp(-line.intercept, -line.slope, 1.0),),
-                      _side_cone(lz, uz, TangentFamily.SIDE_Y, sw), False),
+                      _side(p, TangentFamily.SIDE_Y, sw), False),
         )
     center_lo = hp(0.0, -ly * ly / lz, 1.0)
     ug_y_piece = HullPiece((hp(0.0, ly * ly / lz, -1.0),), ug_y, False)
     if region is Region.A:
         return (
             HullPiece((center_lo, hp(0.0, lz / (lx * lx), -1.0)),
-                      soc_center(lz, uz, sw), True),
+                      _center(p, sw), True),
             ug_y_piece,
             HullPiece((hp(0.0, -lz / (lx * lx), 1.0),),
                       soc_upper_general(lx, lz / lx, uz, sw), False),
         )
     return (  # Region.C
-        HullPiece((center_lo, hp(0.0, 1.0, -uz)), soc_center(lz, uz, sw),
-                  True),
+        HullPiece((center_lo, hp(0.0, 1.0, -uz)), _center(p, sw), True),
         ug_y_piece,
-        HullPiece((hp(0.0, -1.0, uz),),
-                  _side_cone(lz, uz, TangentFamily.SIDE_Y, sw), False),
+        HullPiece((hp(0.0, -1.0, uz),), _side(p, TangentFamily.SIDE_Y, sw),
+                  False),
     )
 
 
@@ -369,7 +374,7 @@ def _worst_piece(d: HullDescription, p: Point3
                  ) -> tuple[float, HullPiece | None]:
     """The smallest cone residual at p over the pieces that apply there and
     its piece, the first on a tie; (inf, None) when none applies."""
-    x, y = p.x, p.y
+    x, y, z = p.x, p.y, p.z
     bt = -BOUNDARY_TOL
     res, worst = math.inf, None
     for piece in d.pieces:
@@ -378,7 +383,13 @@ def _worst_piece(d: HullDescription, p: Point3
             if not hp.a0 + hp.ax * x + hp.ay * y >= bt:
                 break
         else:
-            r = float(piece.soc.residual(x, y, p.z))
+            # the expressions of soc.residual(x, y, z), so the same float
+            soc = piece.soc
+            (a11, a12, a13), (a21, a22, a23) = soc.A
+            c1, c2, c3 = soc.c
+            r = c1 * x + c2 * y + c3 * z + soc.d - math.hypot(
+                a11 * x + a12 * y + a13 * z + soc.b[0],
+                a21 * x + a22 * y + a23 * z + soc.b[1])
             if r < res:
                 res, worst = r, piece
     return res, worst
@@ -516,7 +527,7 @@ def _binding(d: HullDescription, x: float, y: float
             if not hp.a0 + hp.ax * x + hp.ay * y >= bt:
                 break
         else:
-            z = float(piece.soc.envelope_z(x, y))
+            z = piece.soc.envelope_z(x, y)
             if z < best:
                 best, binding = z, piece
     return (best, binding) if best <= lin else (lin, None)
@@ -595,26 +606,28 @@ def _fan(d: HullDescription, piece: HullPiece, x: float, y: float
     for hp in piece.predicate:
         if hp.ax * dx + hp.ay * dy < 0.0:
             dx, dy = s * abs(hp.ay), s * abs(hp.ax)
-
-    def end(c: float) -> tuple:
-        # where the ray first meets xy = c: the root of dx*dy*t^2 + m*t + k,
-        # in the form that does not cancel
-        m, k = ax * dy + ay * dx, ax * ay - c
-        t = 2.0 * abs(k) / (abs(m) + math.sqrt(m * m - 4.0 * dx * dy * k))
-        return ax + t * dx, ay + t * dy, c
-
     # the plane through the segment and through the tangent ys*x + xs*y
     # = 2*c of the curve xy = c at its end touch = (xs, ys, c)
     if fam in _UPPER_FORM:
-        lower, upper = (ax, ay, lz), end(uz)
+        lower, upper = (ax, ay, lz), _ray_end(ax, ay, dx, dy, uz)
         touch = upper
         a = (lower[1] * upper[0] + lower[0] * upper[1] - 2.0 * uz) / (uz - lz)
     else:
-        lower = touch = end(lz)
-        upper = end(uz) if fam is TangentFamily.CENTER else (ax, ay, uz)
+        lower = touch = _ray_end(ax, ay, dx, dy, lz)
+        upper = (_ray_end(ax, ay, dx, dy, uz) if fam is TangentFamily.CENTER
+                 else (ax, ay, uz))
         a = -(lower[1] * upper[0] + lower[0] * upper[1] - 2.0 * lz) / (uz - lz)
     return LinearInequality(-(2.0 + a) * touch[2], touch[1], touch[0], a,
-                            label="lifted_tangent"), lower, upper, fam
+                            "lifted_tangent"), lower, upper, fam
+
+
+def _ray_end(ax: float, ay: float, dx: float, dy: float, c: float) -> tuple:
+    """Where the ray from (ax, ay) along (dx, dy) first meets xy = c, as
+    (x, y, c): the root of dx*dy*t^2 + m*t + k, in the form that does not
+    cancel."""
+    m, k = ax * dy + ay * dx, ax * ay - c
+    t = 2.0 * abs(k) / (abs(m) + math.sqrt(m * m - 4.0 * dx * dy * k))
+    return ax + t * dx, ay + t * dy, c
 
 
 def _wedge(d: HullDescription, x: float, y: float
@@ -629,11 +642,11 @@ def _wedge(d: HullDescription, x: float, y: float
     curve = not b.lower_trivial
     # rlt(b)'s plane, built alone
     if ly * x + y - ly <= x + lx * y - lx:
-        plane = LinearInequality(-ly, ly, 1.0, -1.0, label="rlt_upper_y")
+        plane = LinearInequality(-ly, ly, 1.0, -1.0, "rlt_upper_y")
         family, upper = TangentFamily.SIDE_X, (1.0, uz, uz)
         lower = (lz / ly if curve and ly > 0.0 else lx, ly, lz)
     else:
-        plane = LinearInequality(-lx, 1.0, lx, -1.0, label="rlt_upper_x")
+        plane = LinearInequality(-lx, 1.0, lx, -1.0, "rlt_upper_x")
         family, upper = TangentFamily.SIDE_Y, (uz, 1.0, uz)
         lower = (lx, lz / lx if curve and lx > 0.0 else ly, lz)
     if d.case.region in (Region.UPPER_ONLY, Region.LOWER_ONLY):
@@ -728,14 +741,15 @@ def separate(d: HullDescription, p: Point3) -> LinearInequality | None:
         # outside the hull's (x, y) projection: tangent to the curve xy = lz
         s = math.sqrt(d.zlo / (xq * yq))
         cut = LinearInequality(-2.0 * d.zlo, yq * s, xq * s, 0.0,
-                               label="product_lower_tangent")
+                               "product_lower_tangent")
     elif xq * yq < d.zhi:
         # the supporting plane of zmax: the binding piece's, or where a
         # linear row binds, the lower of the two upper RLT planes
         _, piece = _binding(d, xq, yq)
         cut = (_wedge(d, xq, yq) if piece is None
                else _fan(d, piece, xq, yq))[0]
-    if cut is not None and float(cut.residual(x, y, z)) < 0.0:
+    # the expression of cut.residual(x, y, z), so the same float
+    if cut is not None and cut.a0 + cut.ax * x + cut.ay * y + cut.az * z < 0.0:
         return cut
     return row
 
@@ -805,7 +819,7 @@ def disjunctive(d: HullDescription) -> ExtendedFormulation:
         return ExtendedFormulation((BranchBlock(0, d.rows, None),))
     return ExtendedFormulation(tuple(
         BranchBlock(i, d.rows + tuple(
-            LinearInequality(hp.a0, hp.ax, hp.ay, 0.0, label="predicate")
+            LinearInequality(hp.a0, hp.ax, hp.ay, 0.0, "predicate")
             for hp in piece.predicate), piece.soc)
         for i, piece in enumerate(d.pieces)))
 

@@ -13,7 +13,6 @@ from bilinear_hull import (
     NormalizedBounds,
     OutOfDomain,
     Point3,
-    Psd2,
     RawBounds,
     TangentFamily,
     evaluate,
@@ -27,12 +26,10 @@ from bilinear_hull import (
     soc_upper_zero,
     tighten,
 )
-from bilinear_hull.constraints import (
-    _side_cone,
-    lower_quadratic_form,
-    side_quadratic_forms,
-)
+from bilinear_hull.constraints import _side_cone
 from bilinear_hull.hull import _projection_alpha
+
+from _reference import Psd2, lower_quadratic_form, side_quadratic_forms
 
 
 def _surface_band(rng, b, n):

@@ -25,7 +25,6 @@ from bilinear_hull import (
     LinearInequality,
     NormalizedBounds,
     Point3,
-    Psd2,
     RawBounds,
     Region,
     Scaling,
@@ -39,6 +38,8 @@ from bilinear_hull import (
     sample_surface,
 )
 from bilinear_hull.geometry import _Frozen
+
+from _reference import Psd2
 
 P = Point3(0.25, 0.5, 0.125)
 Q = LinearInequality(-0.5, 1.0, 0.5, -1.0, "rlt_upper_x")
@@ -273,7 +274,11 @@ def test_every_value_type_builds_in_its_own_new():
             twin = sub.__dict__.get("__setattr__") is object.__setattr__
             if sub.__module__.startswith("bilinear_hull.") and not twin:
                 found.append(sub)
-    assert sorted(c.__name__ for c in found) == sorted(IDS)
+    # the Psd2 of the tests' reference is held to the contract above, but
+    # is no type of the package
+    assert sorted(c.__name__ for c in found) == sorted(
+        case[0].__name__ for case in CASES
+        if case[0].__module__.startswith("bilinear_hull."))
     for cls in found:
         assert "__init__" not in cls.__dict__, cls
         assert "__new__" in cls.__dict__, cls
