@@ -27,7 +27,8 @@ the lower and side cones are sqrt(h'Mh) <= c'v over hats h affine in
 M's Cholesky factor.  Each builder writes the floats of its general form
 directly, by the same expressions in the same order, leaving out only the
 products by 0 and +-1, which are exact; the tests hold them to that general
-form.  The cones of one description share one params record.
+form.  The center and side cones of one description share one params
+record.
 
 LinearInequality, SocConstraint and TangentSegment are value types, whose
 contract geometry._Frozen states.
@@ -48,9 +49,9 @@ DISC_CLAMP = -1e-12
 def _clamped_sqrt(d):
     """sqrt with the documented negative-roundoff clamp at DISC_CLAMP.
 
-    A Python number gives a float, through math, a float at or above the
-    clamp without further checks; anything else is evaluated as an array,
-    and only then is numpy imported.
+    A Python number gives a float, through math, and a float at or above
+    the clamp takes no further test; anything else is evaluated as an
+    array, and only then is numpy imported.
     """
     if type(d) is float and d >= DISC_CLAMP:
         return math.sqrt(max(d, 0.0))
@@ -218,9 +219,10 @@ class SocConstraint(_Frozen):
         upper cone.  Raises NegativeDiscriminant when evaluated far outside
         the region on which the formula is real (beyond the -1e-12 clamp).
 
-        Python numbers give a float, through math, a pair of floats tested
-        first; anything else is evaluated as an array, the same expressions
-        in numpy, which give the same floats up to the sign of a zero.
+        Python numbers are evaluated through math and give a float; a pair
+        of floats is tested for first.  Anything else is evaluated as an
+        array, by the same expressions in numpy, which give the same floats
+        up to the sign of a zero.
         """
         scalar = (type(x) is float and type(y) is float
                   or isinstance(x, (int, float)) and isinstance(y, (int, float)))
