@@ -162,14 +162,12 @@ class HullPiece(_Frozen):
 
     def applicable(self, x, y):
         """Whether (x, y) lies where the piece binds, allowing BOUNDARY_TOL
-        outside each predicate line: a bool for scalar x, else a boolean
+        outside each predicate line: a bool for two numbers, else a boolean
         array of the broadcast shape."""
         if not self.predicate:
-            if isinstance(x, (int, float)):
+            if isinstance(x, (int, float)) and isinstance(y, (int, float)):
                 return True
             import numpy as np
-            if np.ndim(x) == 0:
-                return True
             return np.ones(np.broadcast(x, y).shape, dtype=bool)
         out = self.predicate[0].holds(x, y)
         for hp in self.predicate[1:]:

@@ -769,6 +769,24 @@ def test_pieces_apply_within_the_pinned_boundary_slack():
     assert checked >= 20
 
 
+def test_applicable_broadcasts_a_number_against_an_array():
+    """With or without a predicate, a piece answers one bool for two
+    numbers and else an array of the broadcast shape, pair by pair."""
+    free = describe(NormalizedBounds(0.0, 0.0, 0.0, 0.4)).pieces[0]
+    center = describe(NormalizedBounds(0.14, 0.2, 0.1, 0.7)).pieces[0]
+    assert not free.predicate and center.predicate
+    ys = np.array([0.25, 0.5, 0.9])
+    for pc in (free, center):
+        for x in (0.5, np.array(0.5), np.array([0.3, 0.5, 0.5])):
+            got = pc.applicable(x, ys)
+            assert isinstance(got, np.ndarray) and got.dtype == bool
+            want = [pc.applicable(a, b) for a, b in
+                    zip(np.broadcast_to(x, ys.shape).tolist(), ys.tolist())]
+            assert all(type(a) is bool for a in want)
+            assert got.tolist() == want
+    assert center.applicable(0.5, ys).tolist() == [False, True, False]
+
+
 def test_scalar_scans_agree_with_the_methods():
     """The scans write residual() and applicable() out inline.  Just inside
     and just outside the BOUNDARY_TOL slack of every predicate line:
