@@ -16,15 +16,15 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     **dict.fromkeys((
         "LinearInequality", "SocConstraint", "TangentFamily",
-        "TangentSegment", "evaluate", "rlt", "soc_center", "soc_lower",
-        "soc_sides", "soc_upper_general", "soc_upper_zero"), "constraints"),
+        "TangentSegment", "rlt", "soc_center", "soc_lower", "soc_sides",
+        "soc_upper_general", "soc_upper_zero"), "constraints"),
     **dict.fromkeys((
         "BilinearHullError", "DegenerateBounds", "Infeasible",
         "InfeasibleBounds", "NegativeDiscriminant", "OutOfDomain",
         "SolverError"), "errors"),
     **dict.fromkeys((
         "BOUNDARY_TOL", "FEAS_TOL", "NormalizedBounds", "Point3", "RawBounds",
-        "Scaling", "normalize", "tighten", "tighten_with_scaling"), "geometry"),
+        "Scaling", "normalize", "tighten_with_scaling"), "geometry"),
     **dict.fromkeys((
         "BoundaryLine", "BranchBlock", "CaseTag", "ExtendedFormulation",
         "HalfPlane", "HullDescription", "HullPiece", "Region", "classify",

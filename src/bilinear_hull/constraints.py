@@ -283,12 +283,6 @@ def _oriented(A, b, c, d, family, params, swapped) -> SocConstraint:
     return SocConstraint(A, b, c, d, family, params)
 
 
-def evaluate(c, p) -> float:
-    """Residual of a linear or SOC constraint at a point; >= 0 iff satisfied."""
-    x, y, z = p.astuple() if isinstance(p, Point3) else p
-    return float(c.residual(x, y, z))
-
-
 # the RLT plane anchored at (1, 1) does not depend on the bounds
 _RLT_LOWER_ONES = LinearInequality(1.0, -1.0, -1.0, 1.0, "rlt_lower_ones")
 
@@ -362,16 +356,11 @@ def soc_sides(lz: float, uz: float) -> tuple[SocConstraint, SocConstraint]:
             _side(p, TangentFamily.SIDE_Y, False))
 
 
-def _side_cone(lz: float, uz: float, family: TangentFamily,
-               swapped: bool = False) -> SocConstraint:
-    """One of the soc_sides cones, or with swapped its mirror."""
-    return _side({"lz": lz, "uz": uz}, family, swapped)
-
-
 def _side(p: dict, family: TangentFamily, swapped: bool) -> SocConstraint:
-    """_side_cone from its params record p, as _center: sqrt(h' M h) <= c'v
-    with M PSD and h the hats, M = [[uz^2, m12], [m12, 1]] for SideX and
-    [[1, m12], [m12, uz^2]] for SideY, m12 = 2lz - uz."""
+    """One of the soc_sides cones, or with swapped its mirror, from its
+    params record p, as _center: sqrt(h' M h) <= c'v with M PSD and h the
+    hats, M = [[uz^2, m12], [m12, 1]] for SideX and [[1, m12], [m12, uz^2]]
+    for SideY, m12 = 2lz - uz."""
     lz, uz = p["lz"], p["uz"]
     if not 0.0 <= lz < uz <= 1.0:
         raise DegenerateBounds("need 0 <= lz < uz <= 1")

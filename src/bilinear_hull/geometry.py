@@ -55,8 +55,8 @@ class _Frozen:
     here as namedtuple compiles its own, that only stores the fields: such
     a value type declares __slots__ and nothing else.  RawBounds, Scaling,
     NormalizedBounds and LinearInequality write their own to check their
-    arguments, CaseTag for a default, HullDescription to derive rows
-    and SurfaceSample to start its caches empty.
+    arguments, HullDescription to derive rows and SurfaceSample to start
+    its caches empty.
     """
 
     __slots__ = ()
@@ -283,13 +283,3 @@ def tighten_with_scaling(b: NormalizedBounds) -> tuple[NormalizedBounds, Scaling
     if not lz < uz:
         raise InfeasibleBounds("bound tightening collapsed the z range")
     return NormalizedBounds(lx, ly, lz, uz), Scaling(ax, ay)
-
-
-def tighten(b: NormalizedBounds) -> NormalizedBounds:
-    """One pass of the implied-bound reductions; feasible set unchanged.
-
-    When the upper reductions bite, coordinates are rescaled; use
-    tighten_with_scaling to map points between the two frames.
-    """
-    tb, _ = tighten_with_scaling(b)
-    return tb

@@ -21,7 +21,7 @@ rule: the first of tied pieces; a piece over a linear row for zmax; a
 linear row over a cone for the most violated constraint; no mirror within
 BOUNDARY_TOL of the diagonal.
 
-The scalar queries evaluate floats through math.  Only the array kernels
+The scalar queries compute in floats through math.  Only the array kernels
 (membership_mask, envelope_grid, region_map_polylines) and array input to
 the shared ones import numpy, so scalar use never loads it.  The scalar
 scans (_worst_row, _worst_piece, _binding, membership) and separate's test
@@ -98,13 +98,6 @@ class CaseTag(_Frozen):
     region of their own and get the map letters E and F."""
 
     __slots__ = ("region", "swapped")
-
-    def __new__(cls, region: Region, swapped: bool = False) -> CaseTag:
-        self = object.__new__(cls._twin)
-        self.region = region
-        self.swapped = swapped
-        self.__class__ = cls
-        return self
 
     @property
     def letter(self) -> str | None:
@@ -346,7 +339,8 @@ def describe(b: NormalizedBounds) -> HullDescription:
 
 
 def hull_from_raw(raw: RawBounds) -> tuple[HullDescription, Scaling]:
-    """normalize + tighten + describe; the scaling maps raw to final frame."""
+    """normalize + tighten_with_scaling + describe; the scaling maps raw to
+    final frame."""
     nb, sc1 = normalize(raw)
     tb, sc2 = tighten_with_scaling(nb)
     return describe(tb), sc2.compose(sc1)

@@ -15,7 +15,6 @@ from bilinear_hull import (
     Point3,
     RawBounds,
     TangentFamily,
-    evaluate,
     hull_from_raw,
     lifted_tangent,
     rlt,
@@ -24,9 +23,9 @@ from bilinear_hull import (
     soc_sides,
     soc_upper_general,
     soc_upper_zero,
-    tighten,
+    tighten_with_scaling,
 )
-from bilinear_hull.constraints import _side_cone
+from bilinear_hull.constraints import _side
 from bilinear_hull.hull import _projection_alpha
 
 from _reference import Psd2, lower_quadratic_form, side_quadratic_forms
@@ -304,7 +303,7 @@ def test_closed_form_cones_match_the_cholesky_route():
         assert [_cone_hex(s) for s in soc_sides(lz, uz)] == [sx, sy]
         for family, ref in ((TangentFamily.SIDE_X, sx),
                             (TangentFamily.SIDE_Y, sy)):
-            assert _cone_hex(_side_cone(lz, uz, family, swapped=True)) \
+            assert _cone_hex(_side({"lz": lz, "uz": uz}, family, True)) \
                 == _mirror_hex(ref)
         r = math.sqrt(lz * uz)
         ss = lz + uz + 2.0 * r
@@ -351,7 +350,7 @@ def test_a_side_cone_whose_uz_squared_underflows_is_degenerate():
             for family in (TangentFamily.SIDE_X, TangentFamily.SIDE_Y):
                 for swapped in (False, True):
                     try:
-                        _side_cone(lz, uz, family, swapped)
+                        _side({"lz": lz, "uz": uz}, family, swapped)
                         built += 1
                     except DegenerateBounds:
                         degenerate += 1
@@ -418,13 +417,14 @@ def test_cones_tight_on_generating_curves():
     assert worst(ug, xup, yup) <= 1e-12
 
 
-def test_evaluate_dispatch():
+def test_residual_at_a_point():
     p = Point3(0.5, 0.5, 0.25)
     lin = LinearInequality(1.0, -1.0, -1.0, 1.0)
-    assert abs(evaluate(lin, p) - 0.25) <= 1e-15
-    assert evaluate(lin, (0.5, 0.5, 0.25)) == evaluate(lin, p)
+    assert abs(lin.residual(p.x, p.y, p.z) - 0.25) <= 1e-15
+    # uz*x + y - ||(2z, uz*x - y)|| with uz = 0.4
     c = soc_upper_zero(0.4)
-    assert abs(evaluate(c, p) - float(c.residual(0.5, 0.5, 0.25))) <= 1e-15
+    r = c.residual(p.x, p.y, p.z)
+    assert type(r) is float and abs(r - (0.7 - math.sqrt(0.34))) <= 1e-15
 
 
 # ------------------------------------------------------------ lifted tangents
@@ -467,9 +467,9 @@ def test_tangent_lower_only_example():
 def test_tangent_requires_band_interior():
     b = NormalizedBounds(0.0, 0.0, 0.2, 0.7)
     with pytest.raises(OutOfDomain):
-        lifted_tangent(tighten(b), 0.3, 0.3)  # x*y below lz
+        lifted_tangent(tighten_with_scaling(b)[0], 0.3, 0.3)  # x*y below lz
     with pytest.raises(OutOfDomain):
-        lifted_tangent(tighten(b), 0.95, 0.9)  # x*y above uz
+        lifted_tangent(tighten_with_scaling(b)[0], 0.95, 0.9)  # x*y above uz
     with pytest.raises(OutOfDomain):
         lifted_tangent(NormalizedBounds(0.1, 0.1, 0.2, 1.0), 0.5, 0.5)
     with pytest.raises(OutOfDomain):
@@ -478,14 +478,14 @@ def test_tangent_requires_band_interior():
 
 def _tangent_cases():
     return [
-        tighten(NormalizedBounds(0.0, 0.0, 0.0, 0.4)),
-        tighten(NormalizedBounds(0.0, 0.0, 0.2, 1.0)),
-        tighten(NormalizedBounds(0.0, 0.0, 0.2, 0.7)),
-        tighten(NormalizedBounds(0.32, 0.28, 0.1, 0.7)),
-        tighten(NormalizedBounds(0.14, 0.2, 0.1, 0.7)),
-        tighten(NormalizedBounds(0.14, 0.3, 0.1, 0.7)),
-        tighten(NormalizedBounds(0.14, 0.5, 0.1, 0.7)),
-        tighten(NormalizedBounds(0.5, 0.3, 0.3, 1.0)),
+        tighten_with_scaling(NormalizedBounds(0.0, 0.0, 0.0, 0.4))[0],
+        tighten_with_scaling(NormalizedBounds(0.0, 0.0, 0.2, 1.0))[0],
+        tighten_with_scaling(NormalizedBounds(0.0, 0.0, 0.2, 0.7))[0],
+        tighten_with_scaling(NormalizedBounds(0.32, 0.28, 0.1, 0.7))[0],
+        tighten_with_scaling(NormalizedBounds(0.14, 0.2, 0.1, 0.7))[0],
+        tighten_with_scaling(NormalizedBounds(0.14, 0.3, 0.1, 0.7))[0],
+        tighten_with_scaling(NormalizedBounds(0.14, 0.5, 0.1, 0.7))[0],
+        tighten_with_scaling(NormalizedBounds(0.5, 0.3, 0.3, 1.0))[0],
     ]
 
 
@@ -508,7 +508,7 @@ def test_tangent_plane_contains_its_segment():
             cut, seg = lifted_tangent(b, x, y)
             for t in (0.0, 0.25, 0.5, 0.75, 1.0):
                 p = seg.point_at(t)
-                assert abs(evaluate(cut, p)) <= 1e-10
+                assert abs(cut.residual(p.x, p.y, p.z)) <= 1e-10
             # endpoints sit on the product surface inside the box
             for p in (seg.lower, seg.upper):
                 assert abs(p.z - p.x * p.y) <= 1e-10
@@ -532,7 +532,7 @@ def test_tangent_plane_valid_on_surface():
 def test_tangent_alpha_reproduces_query():
     """Interior queries project onto the segment with the returned weight."""
     rng = np.random.default_rng(61)
-    b = tighten(NormalizedBounds(0.14, 0.2, 0.1, 0.7))
+    b = tighten_with_scaling(NormalizedBounds(0.14, 0.2, 0.1, 0.7))[0]
     xs, ys = _interior_queries(rng, b, 200)
     hits = 0
     for x, y in zip(xs, ys):

@@ -20,7 +20,6 @@ from bilinear_hull import (
     hull_from_raw,
     membership,
     normalize,
-    tighten,
     tighten_with_scaling,
 )
 
@@ -119,13 +118,13 @@ def test_normalize_preserves_surface():
 
 def test_tighten_examples():
     # z >= 0.2 with y <= 1 forces x >= 0.2; same for y
-    t = tighten(NormalizedBounds(0.1, 0.1, 0.2, 1.0))
+    t = tighten_with_scaling(NormalizedBounds(0.1, 0.1, 0.2, 1.0))[0]
     assert t == NormalizedBounds(0.2, 0.2, 0.2, 1.0)
     # already tight: unchanged
     b = NormalizedBounds(0.5, 0.3, 0.3, 1.0)
-    assert tighten(b) == b
+    assert tighten_with_scaling(b)[0] == b
     b = NormalizedBounds(0.0, 0.0, 0.0, 0.4)
-    assert tighten(b) == b
+    assert tighten_with_scaling(b)[0] == b
 
 
 def test_tighten_rescales_when_upper_bound_caps_a_side():
@@ -153,7 +152,7 @@ def test_tighten_is_idempotent():
         except InfeasibleBounds:
             continue
         try:
-            t = tighten(b)
+            t = tighten_with_scaling(b)[0]
         except InfeasibleBounds:
             continue
         count += 1
@@ -212,7 +211,7 @@ def test_tightening_settles_when_the_shrink_is_roundoff():
     nb, _ = normalize(ROUNDOFF_BOX)
     t, s = tighten_with_scaling(nb)
     assert t.is_tightened()
-    assert tighten(t) == t
+    assert tighten_with_scaling(t)[0] == t
     d, sc = hull_from_raw(ROUNDOFF_BOX)
     rng = np.random.default_rng(3)
     kept = 0

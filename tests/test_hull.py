@@ -25,7 +25,6 @@ from bilinear_hull import (
     dline,
     envelope_grid,
     envelopes,
-    evaluate,
     hull_from_raw,
     lifted_tangent,
     membership,
@@ -37,7 +36,7 @@ from bilinear_hull import (
     soc_sides,
     soc_upper_general,
     soc_upper_zero,
-    tighten,
+    tighten_with_scaling,
     worst_violation,
 )
 from bilinear_hull.hull import (
@@ -144,7 +143,7 @@ def test_classify_requires_tight_bounds():
 def test_classify_matches_tightened_zero_corner():
     b = NormalizedBounds(0.0, 0.0, 0.2, 0.7)
     assert classify(b).region is Region.BOTH_ZERO_LB
-    assert classify(tighten(b)).region is Region.B
+    assert classify(tighten_with_scaling(b)[0]).region is Region.B
 
 
 # ------------------------------------------------------------------ describe
@@ -448,7 +447,7 @@ def test_separate_example_cut():
     assert abs(cut.ax - want.ax) <= 1e-12
     assert abs(cut.ay - want.ay) <= 1e-12
     assert abs(cut.az - want.az) <= 1e-12
-    assert abs(evaluate(cut, p) + 0.067544468) <= 1e-9
+    assert abs(cut.residual(p.x, p.y, p.z) + 0.067544468) <= 1e-9
 
 
 def test_separate_below_projection_uses_product_cut():
@@ -457,7 +456,7 @@ def test_separate_below_projection_uses_product_cut():
     cut = separate(d, p)
     assert cut is not None
     assert cut.az == 0.0  # cuts the (x, y) projection, z-free
-    assert evaluate(cut, p) < 0
+    assert cut.residual(p.x, p.y, p.z) < 0
 
 
 def test_cuts_separate_and_stay_valid():
@@ -487,7 +486,7 @@ def test_cuts_separate_and_stay_valid():
             tried += 1
             cut = separate(d, p)
             assert cut is not None
-            assert evaluate(cut, p) < 1e-12
+            assert cut.residual(p.x, p.y, p.z) < 1e-12
             assert float(np.min(cut.residual(sx, sy, sz))) >= -1e-9
 
 
@@ -515,7 +514,7 @@ def test_separate_on_descriptions_built_with_fewer_planes():
                 cut = separate(one, q)
                 assert (cut is None) == membership(one, q)
                 if cut is not None:
-                    assert evaluate(cut, q) < 1e-12
+                    assert cut.residual(q.x, q.y, q.z) < 1e-12
                     assert float(np.min(cut.residual(sx, sy, sx * sy))) \
                         >= -1e-9
 
@@ -662,7 +661,7 @@ def test_cut_next_to_a_side_fan_corner_stays_valid():
     x, y = x[band], y[band]
     p = Point3(1.0, 0.75, 0.75000001)
     cut = separate(d, p)
-    assert cut is not None and evaluate(cut, p) < 0.0
+    assert cut is not None and cut.residual(p.x, p.y, p.z) < 0.0
     assert float(np.min(cut.residual(x, y, x * y))) >= -1e-12
     plane, seg = lifted_tangent(b, 1.0 - 1e-12, 0.75)
     assert seg.family is TangentFamily.SIDE_X

@@ -103,8 +103,8 @@ CASES = [
     (ExtendedFormulation, ("blocks",), ((BLK,),), ((BLK, BLK),), False,
      "ExtendedFormulation(blocks=(%s,))" % BLK_REPR),
     (HullDescription, ("bounds", "case", "rlt", "zlo", "zhi", "pieces"),
-     (NB, CaseTag(Region.B), (Q,), 0.25, 0.75, (PIECE,)),
-     (NB, CaseTag(Region.B), (Q,), 0.25, 0.5, (PIECE,)), False,
+     (NB, CaseTag(Region.B, False), (Q,), 0.25, 0.75, (PIECE,)),
+     (NB, CaseTag(Region.B, False), (Q,), 0.25, 0.5, (PIECE,)), False,
      "HullDescription(bounds=NormalizedBounds(lx=0.25, ly=0.5, lz=0.25, "
      "uz=0.75), case=CaseTag(region=<Region.B: 'RegionB'>, swapped=False), "
      "rlt=(%s,), zlo=0.25, zhi=0.75, pieces=(%s,))" % (Q_REPR, PIECE_REPR)),
@@ -139,8 +139,6 @@ def test_fields_in_order_by_position_and_keyword(case):
 def test_defaults():
     q = LinearInequality(0.0, 1.0, 0.0, 0.0)
     assert q.label == "" and q == LinearInequality(0.0, 1.0, 0.0, 0.0, "")
-    t = CaseTag(Region.A)
-    assert t.swapped is False and t == CaseTag(Region.A, False)
 
 
 def test_equality(case):
