@@ -23,9 +23,12 @@ from bilinear_hull import (
     NormalizedBounds,
     Point3,
     RawBounds,
+    Region,
+    TangentFamily,
     classify,
     describe,
     disjunctive,
+    dline,
     envelopes,
     hull_from_raw,
     lifted_tangent,
@@ -38,6 +41,8 @@ from bilinear_hull import (
     tighten_with_scaling,
     worst_violation,
 )
+
+from test_hull import ALL_RAW
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None,
@@ -375,3 +380,39 @@ def test_points_feasible_in_a_branch_block_are_members(b, seed):
     for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist()):
         if any(blk.feasible(1.0, x, y, z) for blk in blocks):
             assert membership(d, Point3(x, y, z))
+
+
+def _assert_pieces_follow_from_the_case(d):
+    """A piece is valid on the whole box exactly when it has no predicate
+    or is the center cone; its predicate rows are the ones disjunctive
+    adds to its block; Region D's are the D line, one each way."""
+    for piece, blk in zip(d.pieces, disjunctive(d).blocks):
+        assert piece.globally_valid == (
+            not piece.predicate or piece.soc.family is TangentFamily.CENTER)
+        extra = blk.rows[len(d.rows):]
+        assert [(q.a0, q.ax, q.ay, q.az, q.label) for q in extra] == [
+            (hp.a0, hp.ax, hp.ay, 0.0, "predicate") for hp in piece.predicate]
+    if d.case.region is Region.D:
+        b = d.bounds
+        sw = d.case.swapped
+        line = dline(b.lx if sw else b.ly, b.lz, b.uz)
+        a0, k = line.intercept, line.slope
+        want = [((a0, k, -1.0),), ((-a0, -k, 1.0),)]
+        if sw:
+            want = [tuple((c, y, x) for c, x, y in pred) for pred in want]
+        assert [tuple((hp.a0, hp.ax, hp.ay) for hp in pc.predicate)
+                for pc in d.pieces] == want
+
+
+def test_pieces_follow_from_the_case_on_the_pinned_boxes():
+    for raw in ALL_RAW:
+        for r in (raw, RawBounds(raw.ly, raw.lx, raw.lz, raw.uy, raw.ux,
+                                 raw.uz)):
+            _assert_pieces_follow_from_the_case(hull_from_raw(r)[0])
+
+
+@SETTINGS
+@given(b=any_bounds)
+def test_pieces_follow_from_the_case(b):
+    _assert_pieces_follow_from_the_case(describe(b))
+    _assert_pieces_follow_from_the_case(describe(b.swapped()))
