@@ -26,11 +26,11 @@ _MODULE_OF = {
         "BOUNDARY_TOL", "FEAS_TOL", "NormalizedBounds", "Point3", "RawBounds",
         "Scaling", "normalize", "tighten_with_scaling"), "geometry"),
     **dict.fromkeys((
-        "BoundaryLine", "BranchBlock", "CaseTag", "ExtendedFormulation",
-        "HalfPlane", "HullDescription", "HullPiece", "Region", "classify",
-        "describe", "disjunctive", "dline", "envelope_grid", "envelopes",
-        "hull_from_raw", "lifted_tangent", "membership", "membership_mask",
-        "region_map_polylines", "separate", "worst_violation"), "hull"),
+        "BranchBlock", "CaseTag", "ExtendedFormulation", "HullDescription",
+        "HullPiece", "Region", "classify", "describe", "disjunctive", "dline",
+        "envelope_grid", "envelopes", "hull_from_raw", "lifted_tangent",
+        "membership", "membership_mask", "region_map_polylines", "separate",
+        "worst_violation"), "hull"),
     **dict.fromkeys((
         "SurfaceSample", "oracle_envelope", "oracle_envelope_many",
         "oracle_membership", "sample_surface"), "oracle"),

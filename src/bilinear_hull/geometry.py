@@ -55,8 +55,8 @@ class _Frozen:
     here as namedtuple compiles its own, that only stores the fields: such
     a value type declares __slots__ and nothing else.  RawBounds, Scaling,
     NormalizedBounds and LinearInequality write their own to check their
-    arguments, HullDescription to derive rows and SurfaceSample to start
-    its caches empty.
+    arguments, HullDescription to derive zlo, zhi and rows, and
+    SurfaceSample to start its caches empty.
     """
 
     __slots__ = ()

@@ -5,13 +5,15 @@ on z, the box, and a short list of pieces.  The linear part is one table of
 ten rows (HullDescription.rows) that membership, worst_violation, separate
 and the disjunctive blocks read; the envelopes and the tangent planes use
 the box's own RLT planes, from its bounds.  A piece is a cone
-constraint together with the half-plane predicate that carves out the part
-of the box where the cone is the binding upper boundary; outside its
-predicate a piece imposes nothing.  Only some pieces are valid over the
-whole box, so the predicates are part of the description, not an
-optimization.  A box with lx - ly > BOUNDARY_TOL is the x<->y mirror of
-a canonical case (CaseTag.swapped); its pieces are built once, in its own
-frame: each half-plane as (a0, ay, ax), each cone as SocConstraint.mirrored().
+constraint together with its predicate, the rows a0 + ax*x + ay*y >= 0
+(LinearInequality with az = 0, labelled "predicate") that carve out the
+part of the box where the cone is the binding upper boundary; outside its
+predicate a piece imposes nothing.  Only the center cone and the pieces
+with no predicate are valid over the whole box, so the predicates are part
+of the description, not an optimization.  A box with lx - ly > BOUNDARY_TOL
+is the x<->y mirror of a canonical case (CaseTag.swapped); its pieces are
+built once, in its own frame: each predicate row with ax and ay
+interchanged, each cone as SocConstraint.mirrored().
 
 Two pinned tolerances from geometry are the only slack: a constraint
 residual down to -FEAS_TOL (1e-9) counts as met, and a point within
@@ -29,7 +31,7 @@ of its cut write LinearInequality.residual, HullPiece.applicable and the
 scalar branch of SocConstraint.residual out inline: the same expressions in
 the same order, so the same floats, without a method call per row or cone.
 _binding reads SocConstraint.envelope_z, which tests for a pair of floats
-first.  The array forms of the rows, predicate lines and cones leave out
+first.  The array forms of the rows, predicates and cones leave out
 zero terms and unit products (constraints._affine), which changes at most
 the sign of a zero, and membership_mask reads the bound rows, predicates
 and cones only at the points that meet the RLT planes: its answers are
@@ -114,61 +116,59 @@ class CaseTag(_Frozen):
 _CASES = {(r, s): CaseTag(r, s) for r in Region for s in (False, True)}
 
 
-class HalfPlane(_Frozen):
-    """a0 + ax*x + ay*y >= 0 in the (x, y) box."""
-
-    __slots__ = ("a0", "ax", "ay")
-
-    def value(self, x, y):
-        """a0 + ax*x + ay*y; over arrays through _affine, the same values up
-        to the sign of a zero in fewer passes."""
-        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-            return self.a0 + self.ax * x + self.ay * y
-        return _affine(((self.a0, None), (self.ax, x), (self.ay, y)))
-
-    def holds(self, x, y):
-        """Whether (x, y) satisfies the half-plane to within BOUNDARY_TOL."""
-        return self.value(x, y) >= -BOUNDARY_TOL
-
-    def to_dict(self) -> dict:
-        return {"a0": self.a0, "ax": self.ax, "ay": self.ay}
+def _predicate(a0: float, ax: float, ay: float) -> LinearInequality:
+    """The predicate row a0 + ax*x + ay*y >= 0."""
+    return LinearInequality(a0, ax, ay, 0.0, "predicate")
 
 
-class BoundaryLine(_Frozen):
-    """y = intercept + slope*x, the piece boundary for the far-corner case.
-
-    Joins the curve endpoint (lz/ly, ly) to the box corner point (uz, 1).
-    """
-
-    __slots__ = ("intercept", "slope")
+def _yx(a0: float, ax: float, ay: float) -> LinearInequality:
+    """_predicate(a0, ax, ay) with x and y interchanged."""
+    return LinearInequality(a0, ay, ax, 0.0, "predicate")
 
 
-def dline(ly: float, lz: float, uz: float) -> BoundaryLine:
+def dline(ly: float, lz: float, uz: float) -> LinearInequality:
+    """The predicate row a0 + ax*x - y >= 0 of the piece below the line
+    y = a0 + ax*x, the piece boundary of the far-corner case, which joins
+    the curve endpoint (lz/ly, ly) to the box corner point (uz, 1)."""
     den = uz * ly - lz
     if den <= 0.0:
         raise DegenerateBounds("boundary line needs uz*ly > lz")
-    return BoundaryLine((uz * ly * ly - lz) / den, ly * (1.0 - ly) / den)
+    return _predicate((uz * ly * ly - lz) / den, ly * (1.0 - ly) / den, -1.0)
 
 
 class HullPiece(_Frozen):
-    __slots__ = ("predicate", "soc", "globally_valid")
+    """A cone and its predicate rows, the (x, y) part of the box where the
+    cone is the binding upper boundary; no rows for the whole box."""
+
+    __slots__ = ("predicate", "soc")
+
+    @property
+    def globally_valid(self) -> bool:
+        """Whether the cone holds over the whole box: a piece without a
+        predicate, or the center cone."""
+        return not self.predicate or self.soc.family is TangentFamily.CENTER
 
     def applicable(self, x, y):
         """Whether (x, y) lies where the piece binds, allowing BOUNDARY_TOL
-        outside each predicate line: a bool for two numbers, else a boolean
+        outside each predicate row: a bool for two numbers, else a boolean
         array of the broadcast shape."""
+        bt = -BOUNDARY_TOL
+        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+            for hp in self.predicate:
+                if not hp.a0 + hp.ax * x + hp.ay * y >= bt:
+                    return False
+            return True
         if not self.predicate:
-            if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-                return True
             import numpy as np
             return np.ones(np.broadcast(x, y).shape, dtype=bool)
-        out = self.predicate[0].holds(x, y)
+        out = _row_values(self.predicate[0], x, y, 0.0) >= bt
         for hp in self.predicate[1:]:
-            out = out & hp.holds(x, y)
+            out = out & (_row_values(hp, x, y, 0.0) >= bt)
         return out
 
     def to_dict(self) -> dict:
-        return {"predicate": [hp.to_dict() for hp in self.predicate],
+        return {"predicate": [{"a0": hp.a0, "ax": hp.ax, "ay": hp.ay}
+                              for hp in self.predicate],
                 "soc": self.soc.to_dict(), "global": self.globally_valid}
 
 
@@ -181,29 +181,30 @@ _Y_UPPER = LinearInequality(1.0, 0.0, -1.0, 0.0, "y_upper")
 class HullDescription(_Frozen):
     """The hull as linear rows plus pieces.
 
-    `rows` is derived from the other fields: the RLT planes, then z >= zlo,
-    z <= zhi, x >= lx, x <= 1, y >= ly, y <= 1.  Membership,
-    worst_violation, separate and the disjunctive blocks read it, so a
-    description built through this constructor with other planes is
-    checked against exactly those planes.  envelopes, envelope_grid and
-    the tangent planes (lifted_tangent, and separate's cut for a violated
-    cone) use the box's own RLT planes, from bounds.  Equality, hashing,
-    repr and pickling read the six other fields.
+    zlo and zhi, the z range, are bounds.lz and bounds.uz, and `rows` is
+    derived from the fields: the RLT planes, then z >= zlo, z <= zhi,
+    x >= lx, x <= 1, y >= ly, y <= 1.  Membership, worst_violation,
+    separate and the disjunctive blocks read it, so a description built
+    through this constructor with other planes is checked against exactly
+    those planes.  envelopes, envelope_grid and the tangent planes
+    (lifted_tangent, and separate's cut for a violated cone) use the box's
+    own RLT planes, from bounds.  Equality, hashing, repr and pickling read
+    the four fields only.
     """
 
-    __slots__ = ("bounds", "case", "rlt", "zlo", "zhi", "pieces", "rows")
-    _names = __slots__[:-1]  # not rows, which is derived
+    __slots__ = ("bounds", "case", "rlt", "pieces", "zlo", "zhi", "rows")
+    _names = __slots__[:4]  # not zlo, zhi and rows, which are derived
 
     def __new__(cls, bounds: NormalizedBounds, case: CaseTag,
-               rlt: tuple[LinearInequality, ...], zlo: float, zhi: float,
+               rlt: tuple[LinearInequality, ...],
                pieces: tuple[HullPiece, ...]) -> HullDescription:
         self = object.__new__(cls._twin)
         self.bounds = bounds
         self.case = case
         self.rlt = rlt
-        self.zlo = zlo
-        self.zhi = zhi
         self.pieces = pieces
+        self.zlo = zlo = bounds.lz
+        self.zhi = zhi = bounds.uz
         self.rows = tuple(rlt) + (
             LinearInequality(-zlo, 0.0, 0.0, 1.0, "z_lower"),
             LinearInequality(zhi, 0.0, 0.0, -1.0, "z_upper"),
@@ -269,11 +270,6 @@ def _classify(b: NormalizedBounds) -> tuple[CaseTag, float, float]:
     return _CASES[region, swapped], lx, ly
 
 
-def _yx(a0: float, ax: float, ay: float) -> HalfPlane:
-    """HalfPlane(a0, ax, ay) with x and y interchanged."""
-    return HalfPlane(a0, ay, ax)
-
-
 def _pieces(region: Region, lx: float, ly: float, lz: float, uz: float,
             sw: bool) -> tuple[HullPiece, ...]:
     """The pieces of a case in its own frame, from the lower corner (lx, ly)
@@ -281,45 +277,43 @@ def _pieces(region: Region, lx: float, ly: float, lz: float, uz: float,
     if region is Region.NO_Z_BOUND:
         return ()
     if region is Region.UPPER_ONLY:
-        return (HullPiece((), soc_upper_general(lx, ly, uz), True),)
+        return (HullPiece((), soc_upper_general(lx, ly, uz)),)
     if region is Region.LOWER_ONLY:
-        return (HullPiece((), soc_lower(lz), True),)
-    hp = _yx if sw else HalfPlane
+        return (HullPiece((), soc_lower(lz)),)
+    hp = _yx if sw else _predicate
     p = {"lz": lz, "uz": uz}  # the one params record of the description
     if region is Region.B or region is Region.BOTH_ZERO_LB:
         # center cone between the fans into (1, uz) and (uz, 1), side
         # cones beyond the lines y = uz*x and x = uz*y
         return (
-            HullPiece((hp(0.0, -uz, 1.0), hp(0.0, 1.0, -uz)), _center(p, sw),
-                      True),
+            HullPiece((hp(0.0, -uz, 1.0), hp(0.0, 1.0, -uz)), _center(p, sw)),
             HullPiece((hp(0.0, uz, -1.0),),
-                      _side(p, TangentFamily.SIDE_X, sw), False),
+                      _side(p, TangentFamily.SIDE_X, sw)),
             HullPiece((hp(0.0, -1.0, uz),),
-                      _side(p, TangentFamily.SIDE_Y, sw), False),
+                      _side(p, TangentFamily.SIDE_Y, sw)),
         )
     ug_y = soc_upper_general(lz / ly, ly, uz, sw)
     if region is Region.D:
         line = dline(ly, lz, uz)
         return (
-            HullPiece((hp(line.intercept, line.slope, -1.0),), ug_y, False),
-            HullPiece((hp(-line.intercept, -line.slope, 1.0),),
-                      _side(p, TangentFamily.SIDE_Y, sw), False),
+            HullPiece((hp(line.a0, line.ax, -1.0),), ug_y),
+            HullPiece((hp(-line.a0, -line.ax, 1.0),),
+                      _side(p, TangentFamily.SIDE_Y, sw)),
         )
     center_lo = hp(0.0, -ly * ly / lz, 1.0)
-    ug_y_piece = HullPiece((hp(0.0, ly * ly / lz, -1.0),), ug_y, False)
+    ug_y_piece = HullPiece((hp(0.0, ly * ly / lz, -1.0),), ug_y)
     if region is Region.A:
         return (
             HullPiece((center_lo, hp(0.0, lz / (lx * lx), -1.0)),
-                      _center(p, sw), True),
+                      _center(p, sw)),
             ug_y_piece,
             HullPiece((hp(0.0, -lz / (lx * lx), 1.0),),
-                      soc_upper_general(lx, lz / lx, uz, sw), False),
+                      soc_upper_general(lx, lz / lx, uz, sw)),
         )
     return (  # Region.C
-        HullPiece((center_lo, hp(0.0, 1.0, -uz)), _center(p, sw), True),
+        HullPiece((center_lo, hp(0.0, 1.0, -uz)), _center(p, sw)),
         ug_y_piece,
-        HullPiece((hp(0.0, -1.0, uz),), _side(p, TangentFamily.SIDE_Y, sw),
-                  False),
+        HullPiece((hp(0.0, -1.0, uz),), _side(p, TangentFamily.SIDE_Y, sw)),
     )
 
 
@@ -329,11 +323,11 @@ def describe(b: NormalizedBounds) -> HullDescription:
     RLT planes are always emitted, even when some are redundant for the
     case at hand.  Pieces come in a fixed order per case so downstream
     piece indices are stable.  They are built once, in the case's own
-    frame: a swapped case's half-planes as (a0, ay, ax) and its cones as
-    SocConstraint.mirrored() give them.
+    frame: a swapped case's predicate rows with ax and ay interchanged and
+    its cones as SocConstraint.mirrored() give them.
     """
     case, lx, ly = _classify(b)
-    return HullDescription(b, case, tuple(rlt(b)), b.lz, b.uz,
+    return HullDescription(b, case, tuple(rlt(b)),
                            _pieces(case.region, lx, ly, b.lz, b.uz,
                                    case.swapped))
 
@@ -803,16 +797,14 @@ def disjunctive(d: HullDescription) -> ExtendedFormulation:
     """The branch-block formulation of a description.
 
     Each block holds the description's rows plus its piece's predicate
-    half-planes.  With no curved pieces the hull is already polyhedral; a
+    rows.  With no curved pieces the hull is already polyhedral; a
     single block carrying just the rows is returned so the aggregation
     shape is uniform.
     """
     if not d.pieces:
         return ExtendedFormulation((BranchBlock(0, d.rows, None),))
     return ExtendedFormulation(tuple(
-        BranchBlock(i, d.rows + tuple(
-            LinearInequality(hp.a0, hp.ax, hp.ay, 0.0, "predicate")
-            for hp in piece.predicate), piece.soc)
+        BranchBlock(i, d.rows + piece.predicate, piece.soc)
         for i, piece in enumerate(d.pieces)))
 
 

@@ -261,8 +261,8 @@ def test_criterion_7():
     """Adjacent envelope pieces agree along their predicate lines."""
     with _report(7, "piecewise envelopes continuous across boundaries") as info:
         dl = dline(0.5, 0.1, 0.7)
-        assert abs(dl.intercept - 0.3) <= 1e-12
-        assert abs(dl.slope - 1.0) <= 1e-12
+        assert abs(dl.a0 - 0.3) <= 1e-12
+        assert abs(dl.ax - 1.0) <= 1e-12
         rng = np.random.default_rng(20240821)
         worst = 0.0
         pairs = 0
@@ -307,10 +307,9 @@ def test_criterion_8():
         # the description: the corner product plane never binds
         d, _ = hull_from_raw(RawBounds(0.0, 0.0, 0.2, 1.0, 1.0, 1.0))
         assert d.rlt[0].label == "rlt_lower_ones"
-        kept = HullDescription(d.bounds, d.case, (d.rlt[0],), d.zlo, d.zhi,
-                               d.pieces)
-        corner_only = HullDescription(d.bounds, d.case, (d.rlt[1],), d.zlo,
-                                      d.zhi, d.pieces)
+        kept = HullDescription(d.bounds, d.case, (d.rlt[0],), d.pieces)
+        corner_only = HullDescription(d.bounds, d.case, (d.rlt[1],),
+                                      d.pieces)
         rng = np.random.default_rng(20240823)
         x = rng.uniform(0.2, 1.0, 100_000)
         y = rng.uniform(0.2, 1.0, 100_000)

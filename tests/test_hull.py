@@ -222,16 +222,16 @@ def test_describe_region_d_layout():
     fams = [p.soc.family for p in d.pieces]
     assert fams == [TangentFamily.UPPER_GENERAL, TangentFamily.SIDE_Y]
     line = dline(b.ly, lz, uz)
-    assert abs(line.intercept - 0.3) <= 1e-12
-    assert abs(line.slope - 1.0) <= 1e-12
+    assert abs(line.a0 - 0.3) <= 1e-12
+    assert abs(line.ax - 1.0) <= 1e-12
     ug, sy = d.pieces
     # the split line enters the predicates with opposite orientations
     hp = ug.predicate[0]
-    assert abs(hp.a0 - line.intercept) <= 1e-12
-    assert abs(hp.ax - line.slope) <= 1e-12 and hp.ay == -1.0
+    assert abs(hp.a0 - line.a0) <= 1e-12
+    assert abs(hp.ax - line.ax) <= 1e-12 and hp.ay == -1.0
     hp = sy.predicate[0]
-    assert abs(hp.a0 + line.intercept) <= 1e-12
-    assert abs(hp.ax + line.slope) <= 1e-12 and hp.ay == 1.0
+    assert abs(hp.a0 + line.a0) <= 1e-12
+    assert abs(hp.ax + line.ax) <= 1e-12 and hp.ay == 1.0
 
 
 def test_dline_interpolates_its_endpoints():
@@ -243,8 +243,8 @@ def test_dline_interpolates_its_endpoints():
         ly = rng.uniform(lz / uz + 1e-3, 1.0)
         line = dline(ly, lz, uz)
         # runs from the corner on the lz curve to (uz, 1)
-        assert abs(line.intercept + line.slope * (lz / ly) - ly) <= 1e-10
-        assert abs(line.intercept + line.slope * uz - 1.0) <= 1e-10
+        assert abs(line.a0 + line.ax * (lz / ly) - ly) <= 1e-10
+        assert abs(line.a0 + line.ax * uz - 1.0) <= 1e-10
     with pytest.raises(DegenerateBounds):
         dline(0.2, 0.2, 0.7)
 
@@ -495,8 +495,7 @@ def test_separate_on_descriptions_built_with_fewer_planes():
     # the tangent plane of a linear wedge is the box's RLT plane, which a
     # description built through the constructor need not carry
     d, _ = hull_from_raw(RawBounds(0.14, 0.3, 0.1, 1, 1, 0.7))
-    kept = HullDescription(d.bounds, d.case, (d.rlt[0],), d.zlo, d.zhi,
-                           d.pieces)
+    kept = HullDescription(d.bounds, d.case, (d.rlt[0],), d.pieces)
     p = Point3(0.5840670096539379, 0.41285167507677434, 0.6967654475228062)
     assert separate(kept, p) == d.rlt[3]
     rng = np.random.default_rng(5)
@@ -508,7 +507,7 @@ def test_separate_on_descriptions_built_with_fewer_planes():
         on = (b.lz <= x * y) & (x * y <= b.uz)
         sx, sy = x[on], y[on]
         for planes in [()] + [(q,) for q in d.rlt]:
-            one = HullDescription(b, d.case, planes, d.zlo, d.zhi, d.pieces)
+            one = HullDescription(b, d.case, planes, d.pieces)
             for k in range(40):
                 q = Point3(x[k], y[k], rng.uniform(-0.1, 1.1))
                 cut = separate(one, q)
@@ -716,7 +715,8 @@ def test_predicate_lines_pass_through_the_fan_anchor():
         for pc in d.pieces:
             ax, ay = pc.soc.anchor
             for hp in pc.predicate:
-                assert abs(hp.value(ax, ay)) <= 1e-15, (raw, pc.soc.family)
+                assert abs(hp.residual(ax, ay, 0.0)) <= 1e-15, (
+                    raw, pc.soc.family)
                 assert hp.ax * hp.ay <= 0.0, (raw, pc.soc.family)
 
 
@@ -740,14 +740,14 @@ def _predicate_lines():
                       for t in np.linspace(-2.0, 2.0, 81).tolist()]
                 on = [(x, y) for x, y in on
                       if b.lx < x < 1.0 and b.ly < y < 1.0
-                      and all(q.value(x, y) > 1e-3 for q in others)]
+                      and all(q.residual(x, y, 0.0) > 1e-3 for q in others)]
                 x0, y0 = on[len(on) // 2]
                 n2 = hp.ax * hp.ax + hp.ay * hp.ay
                 pts = []
                 for k in (0.5, 2.0):
-                    s = (-k * BOUNDARY_TOL - hp.value(x0, y0)) / n2
+                    s = (-k * BOUNDARY_TOL - hp.residual(x0, y0, 0.0)) / n2
                     x, y = x0 + s * hp.ax, y0 + s * hp.ay
-                    assert abs(hp.value(x, y) + k * BOUNDARY_TOL) \
+                    assert abs(hp.residual(x, y, 0.0) + k * BOUNDARY_TOL) \
                         <= 0.1 * BOUNDARY_TOL
                     pts.append((x, y))
                 yield d, pc, hp, pts[0], pts[1]
@@ -797,7 +797,7 @@ def test_scalar_scans_agree_with_the_methods():
         b = d.bounds
         # the description with this piece alone, so a piece read is a piece
         # returned
-        alone = HullDescription(b, d.case, d.rlt, d.zlo, d.zhi, (pc,))
+        alone = HullDescription(b, d.case, d.rlt, (pc,))
         for (x, y), app in ((inside, True), (outside, False)):
             assert pc.applicable(x, y) is app
             lin = min(x + b.lx * y - b.lx, b.ly * x + y - b.ly, d.zhi)
@@ -896,8 +896,8 @@ def test_scalar_cone_forms_keep_their_bits():
     base = describe(NormalizedBounds(0.0, 0.0, 0.0, 1.0))
 
     def check(c, pts):
-        alone = HullDescription(base.bounds, base.case, base.rlt, base.zlo,
-                                base.zhi, (HullPiece((), c, True),))
+        alone = HullDescription(base.bounds, base.case, base.rlt,
+                                (HullPiece((), c),))
         for x, y, z in pts:
             res, piece = _worst_piece(alone, Point3(x, y, z))
             assert piece is not None

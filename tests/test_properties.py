@@ -17,9 +17,9 @@ from bilinear_hull import (
     BOUNDARY_TOL,
     FEAS_TOL,
     CaseTag,
-    HalfPlane,
     HullPiece,
     InfeasibleBounds,
+    LinearInequality,
     NormalizedBounds,
     Point3,
     RawBounds,
@@ -211,16 +211,17 @@ def test_predicate_lines_pass_through_the_fan_anchor(b):
     for pc in describe(b).pieces:
         ax, ay = pc.soc.anchor
         for hp in pc.predicate:
-            assert abs(hp.value(ax, ay)) <= 1e-15
+            assert abs(hp.residual(ax, ay, 0.0)) <= 1e-15
             assert hp.ax * hp.ay <= 0.0
 
 
 def _mirrored_piece(pc):
-    """The piece with x and y interchanged: each half-plane as (a0, ay, ax),
-    the cone as SocConstraint.mirrored()."""
-    return HullPiece(tuple(HalfPlane(hp.a0, hp.ay, hp.ax)
+    """The piece with x and y interchanged: each predicate row with ax and
+    ay interchanged, the cone as SocConstraint.mirrored()."""
+    return HullPiece(tuple(LinearInequality(hp.a0, hp.ay, hp.ax, 0.0,
+                                            "predicate")
                            for hp in pc.predicate),
-                     pc.soc.mirrored(), pc.globally_valid)
+                     pc.soc.mirrored())
 
 
 @SETTINGS
@@ -396,7 +397,7 @@ def _assert_pieces_follow_from_the_case(d):
         b = d.bounds
         sw = d.case.swapped
         line = dline(b.lx if sw else b.ly, b.lz, b.uz)
-        a0, k = line.intercept, line.slope
+        a0, k = line.a0, line.ax
         want = [((a0, k, -1.0),), ((-a0, -k, 1.0),)]
         if sw:
             want = [tuple((c, y, x) for c, x, y in pred) for pred in want]

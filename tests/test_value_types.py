@@ -13,12 +13,10 @@ import pytest
 
 import bilinear_hull
 from bilinear_hull import (
-    BoundaryLine,
     BranchBlock,
     BranchReport,
     CaseTag,
     ExtendedFormulation,
-    HalfPlane,
     HullDescription,
     HullPiece,
     InfeasibleBounds,
@@ -46,7 +44,7 @@ Q = LinearInequality(-0.5, 1.0, 0.5, -1.0, "rlt_upper_x")
 SOC = SocConstraint(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (0.0, 0.5),
                     (0.0, 0.0, 1.0), 0.25, TangentFamily.CENTER,
                     {"lz": 0.0, "uz": 0.5})
-HP = HalfPlane(0.5, -1.0, 0.25)
+HP = LinearInequality(0.5, -1.0, 0.25, 0.0, "predicate")
 BLK = BranchBlock(0, (Q,), SOC)
 
 SOC_REPR = ("SocConstraint(A=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), b=(0.0, 0.5), "
@@ -56,9 +54,9 @@ Q_REPR = ("LinearInequality(a0=-0.5, ax=1.0, ay=0.5, az=-1.0, "
           "label='rlt_upper_x')")
 BLK_REPR = "BranchBlock(index=0, rows=(%s,), soc=%s)" % (Q_REPR, SOC_REPR)
 NB = NormalizedBounds(0.25, 0.5, 0.25, 0.75)
-PIECE = HullPiece((HP,), SOC, False)
-PIECE_REPR = ("HullPiece(predicate=(HalfPlane(a0=0.5, ax=-1.0, ay=0.25),), "
-              "soc=%s, globally_valid=False)" % SOC_REPR)
+PIECE = HullPiece((HP,), SOC)
+PIECE_REPR = ("HullPiece(predicate=(LinearInequality(a0=0.5, ax=-1.0, "
+              "ay=0.25, az=0.0, label='predicate'),), soc=%s)" % SOC_REPR)
 # one-element arrays, so that reports holding equal copies compare equal
 ARRAYS = tuple(np.array([v]) for v in (0.5, 0.25, 0.75, 1.0))
 
@@ -92,22 +90,18 @@ CASES = [
      "family=<TangentFamily.LOWER: 'Lower'>)"),
     (CaseTag, ("region", "swapped"), (Region.C, True), (Region.C, False), True,
      "CaseTag(region=<Region.C: 'RegionC'>, swapped=True)"),
-    (HalfPlane, ("a0", "ax", "ay"), (0.5, -1.0, 0.25), (0.5, 0.25, -1.0), True,
-     "HalfPlane(a0=0.5, ax=-1.0, ay=0.25)"),
-    (BoundaryLine, ("intercept", "slope"), (0.5, 0.25), (0.25, 0.5), True,
-     "BoundaryLine(intercept=0.5, slope=0.25)"),
-    (HullPiece, ("predicate", "soc", "globally_valid"), ((HP,), SOC, False),
-     ((HP,), SOC, True), False, PIECE_REPR),
+    (HullPiece, ("predicate", "soc"), ((HP,), SOC), ((), SOC), False,
+     PIECE_REPR),
     (BranchBlock, ("index", "rows", "soc"), (0, (Q,), SOC), (1, (Q,), SOC),
      False, BLK_REPR),
     (ExtendedFormulation, ("blocks",), ((BLK,),), ((BLK, BLK),), False,
      "ExtendedFormulation(blocks=(%s,))" % BLK_REPR),
-    (HullDescription, ("bounds", "case", "rlt", "zlo", "zhi", "pieces"),
-     (NB, CaseTag(Region.B, False), (Q,), 0.25, 0.75, (PIECE,)),
-     (NB, CaseTag(Region.B, False), (Q,), 0.25, 0.5, (PIECE,)), False,
+    (HullDescription, ("bounds", "case", "rlt", "pieces"),
+     (NB, CaseTag(Region.B, False), (Q,), (PIECE,)),
+     (NB, CaseTag(Region.B, False), (Q,), ()), False,
      "HullDescription(bounds=NormalizedBounds(lx=0.25, ly=0.5, lz=0.25, "
      "uz=0.75), case=CaseTag(region=<Region.B: 'RegionB'>, swapped=False), "
-     "rlt=(%s,), zlo=0.25, zhi=0.75, pieces=(%s,))" % (Q_REPR, PIECE_REPR)),
+     "rlt=(%s,), pieces=(%s,))" % (Q_REPR, PIECE_REPR)),
     (BranchReport, ("b_star", "sum_ratio", "grid", "upper_ratio",
                     "lower_ratio", "total_ratio"),
      (0.25, 0.5) + ARRAYS, (0.25, 0.75) + ARRAYS, False,
@@ -148,7 +142,7 @@ def test_equality(case):
     assert v != cls(*other) and not v == cls(*other)
     # never equal to a plain tuple, nor to another type with the same values
     assert v != values and values != v
-    twin = HalfPlane(0.25, 0.5, 0.125) if cls is Point3 else P
+    twin = BranchBlock(0.25, 0.5, 0.125) if cls is Point3 else P
     assert v != twin and not v == twin
 
 
@@ -321,17 +315,31 @@ def test_hull_description_derives_its_rows():
         (-0.1, 0.0, 0.0, 1.0, "z_lower"), (0.7, 0.0, 0.0, -1.0, "z_upper"),
         (-0.14, 1.0, 0.0, 0.0, "x_lower"), (1.0, -1.0, 0.0, 0.0, "x_upper"),
         (-0.3, 0.0, 1.0, 0.0, "y_lower"), (1.0, 0.0, -1.0, 0.0, "y_upper")]
-    # rows is neither shown, nor compared, nor pickled, nor assignable
-    assert "rows" not in repr(d)
-    assert len(d.__reduce__()[1]) == 6
+    # the z range is the bounds'
+    assert (d.zlo, d.zhi) == (d.bounds.lz, d.bounds.uz) == (0.1, 0.7)
+    # rows, zlo and zhi are neither shown, nor compared, nor pickled, nor
+    # assignable
+    assert "rows" not in repr(d) and "zlo" not in repr(d)
+    assert "zhi" not in repr(d)
+    assert len(d.__reduce__()[1]) == 4
     w = pickle.loads(pickle.dumps(d))
-    assert w == d and w.rows == d.rows
-    with pytest.raises(AttributeError):
-        d.rows = ()
+    assert w == d and (w.rows, w.zlo, w.zhi) == (d.rows, d.zlo, d.zhi)
+    for name in ("rows", "zlo", "zhi"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, ())
     # a description built with other planes is queried with those planes
-    one = HullDescription(d.bounds, d.case, (d.rlt[0],), d.zlo, d.zhi,
-                          d.pieces)
+    one = HullDescription(d.bounds, d.case, (d.rlt[0],), d.pieces)
     assert one != d and one.rows == (d.rlt[0],) + d.rows[4:]
+
+
+def test_hull_piece_derives_its_flag():
+    # the center cone and a piece with no predicate hold on the whole box
+    center, side_x, _ = describe(NormalizedBounds(0.14, 0.2, 0.1, 0.7)).pieces
+    assert center.globally_valid and not side_x.globally_valid
+    assert HullPiece((), side_x.soc).globally_valid
+    with pytest.raises(AttributeError):
+        side_x.globally_valid = True
+    assert "globally_valid" not in repr(side_x)
 
 
 def test_branch_reports_compare_their_arrays():
