@@ -526,15 +526,19 @@ def envelope_grid(d: HullDescription, xs: np.ndarray, ys: np.ndarray
     piece_id holds the index of the piece whose envelope attains zmax (the
     lowest index on a tie), or -1 where a linear constraint (RLT plane or z
     bound) is the binding one.  Grid values are clipped to the box before
-    evaluation.  The grid is walked in blocks of about _BLOCK nodes, so
-    temporaries stay block-sized, and a piece's envelope is evaluated only
-    at the nodes where the piece applies: outside its predicate the
-    discriminant can go negative (general upper cones).
+    evaluation; a non-finite grid value raises OutOfDomain.  The grid is
+    walked in blocks of about _BLOCK nodes, so temporaries stay
+    block-sized, and a piece's envelope is evaluated only at the nodes
+    where the piece applies: outside its predicate the discriminant can go
+    negative (general upper cones).
     """
     import numpy as np
     b = d.bounds
-    x = np.clip(np.asarray(xs, dtype=float), b.lx, 1.0)[:, None]
-    y = np.clip(np.asarray(ys, dtype=float), b.ly, 1.0)[None, :]
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise OutOfDomain("grid values must be finite")
+    x = np.clip(x, b.lx, 1.0)[:, None]
+    y = np.clip(y, b.ly, 1.0)[None, :]
     shape = np.broadcast(x, y).shape
     zmin, zmax = np.empty(shape), np.empty(shape)
     piece_id = np.empty(shape, dtype=int)

@@ -1230,6 +1230,22 @@ def test_envelope_grid_empty_axes():
         assert [a.shape for a in out] == [(len(xs), len(ys))] * 3
 
 
+def test_envelope_grid_rejects_non_finite_axes():
+    # as envelopes and membership_mask do; finite values are still clipped
+    d, _ = hull_from_raw(RawBounds(0.14, 0.3, 0.1, 1, 1, 0.7))
+    b = d.bounds
+    good = np.linspace(0.3, 1, 4)
+    for bad in (np.nan, np.inf, -np.inf):
+        axis = np.array([0.5, bad])
+        for xs, ys in ((axis, good), (good, axis)):
+            with pytest.raises(OutOfDomain):
+                envelope_grid(d, xs, ys)
+    far = envelope_grid(d, np.array([-1e300, 1e300]), good)
+    edge = envelope_grid(d, np.array([b.lx, 1.0]), good)
+    for got, want in zip(far, edge):
+        assert np.array_equal(got, want)
+
+
 def test_scalar_and_array_branches_agree():
     # float input goes through math, arrays and 0-d input through numpy;
     # math.hypot and np.hypot may round one ulp apart
