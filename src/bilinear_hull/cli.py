@@ -408,6 +408,8 @@ def _usage_error(args) -> str | None:
             return "--grid must be even and at least 8 for --method numeric"
         if args.method == "mc" and args.samples < 1:
             return "--samples must be at least 1 for --method mc"
+        if args.method == "mc" and not 0 <= args.seed < 2 ** 64:
+            return "--seed must be in [0, 2**64) for --method mc"
     elif getattr(args, "grid", 0) < 0:
         return "--grid must not be negative"
     return None

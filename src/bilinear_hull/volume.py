@@ -126,10 +126,13 @@ def vol_mc(d: HullDescription, n_samples: int, seed: int = 0,
     """Monte Carlo volume with a 3-sigma half width.
 
     Sampling is keyed per 65536-sample chunk, so the estimate is identical
-    whether chunks run serially or on a thread pool.
+    whether chunks run serially or on a thread pool.  The seed is an
+    integer in [0, 2**64).
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64):
+        raise ValueError("need an integer seed in [0, 2**64)")
     b = d.bounds
     chunks = range(math.ceil(n_samples / _MC_CHUNK))
 

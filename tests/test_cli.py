@@ -322,6 +322,8 @@ def test_exit_codes():
     ["volume", "--method", "numeric", "--grid", "9"],
     ["volume", "--method", "numeric", "--grid", "1"],
     ["volume", "--method", "mc", "--samples", "0"],
+    ["volume", "--method", "mc", "--seed", "-1"],
+    ["volume", "--method", "mc", "--seed", str(2 ** 64)],
     ["oracle", "--samples", "1", "--at", "0.5,0.5"],
     ["mesh", "--grid", "-1"],
     ["envelope", "--grid", "-1"],

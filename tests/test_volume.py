@@ -117,6 +117,13 @@ def test_domain_checks():
     d, _ = hull_from_raw(RawBounds(0, 0, 0, 1, 1, 0.3))
     with pytest.raises(ValueError, match="n_samples"):
         vol_mc(d, 0)
+    # numpy would raise OverflowError for the first two and run the third
+    # as seed 1
+    for seed in (-1, 2 ** 64, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            vol_mc(d, 16, seed=seed)
+    assert vol_mc(d, 16, seed=2 ** 64 - 1) == vol_mc(
+        d, 16, seed=np.uint64(2 ** 64 - 1))
 
 
 def test_numeric_matches_closed_forms():
