@@ -4,15 +4,14 @@ A description is the conjunction of the four RLT planes, the product bounds
 on z, the box, and a short list of pieces.  The linear part is one table of
 ten rows (HullDescription.rows) that membership, worst_violation, separate
 and the disjunctive blocks read; the envelopes and the tangent planes use
-the box's own RLT planes, from its bounds.  A piece is a cone
-constraint together with its predicate, the rows a0 + ax*x + ay*y >= 0
-(LinearInequality with az = 0, labelled "predicate") that carve out the
-part of the box where the cone is the binding upper boundary; outside its
-predicate a piece imposes nothing.  Only the center cone and the pieces
-with no predicate are valid over the whole box, so the predicates are part
-of the description, not an optimization.  A box with lx - ly > BOUNDARY_TOL
-is the x<->y mirror of a canonical case (CaseTag.swapped); its pieces are
-built once, in its own frame: each predicate row with ax and ay
+the box's own RLT planes, from its bounds.  A piece is a cone and its
+predicate, rows a0 + ax*x + ay*y >= 0 (az = 0, label "predicate") that
+carve out the part of the box where the cone is the binding upper
+boundary; outside its predicate a piece imposes nothing.  Only the center
+cone and the pieces without one hold on the whole box, so the predicates
+are part of the description, not an optimization.  A box with lx - ly >
+BOUNDARY_TOL is the x<->y mirror of a canonical case (CaseTag.swapped);
+its pieces are built in its own frame: each predicate row with ax and ay
 interchanged, each cone as SocConstraint.mirrored().
 
 Two pinned tolerances from geometry are the only slack: a constraint
@@ -144,8 +143,7 @@ class HullPiece(_Frozen):
 
     @property
     def globally_valid(self) -> bool:
-        """Whether the cone holds over the whole box: a piece without a
-        predicate, or the center cone."""
+        """Whether the cone holds on the whole box: no predicate, or CENTER."""
         return not self.predicate or self.soc.family is TangentFamily.CENTER
 
     def applicable(self, x, y):
@@ -181,15 +179,14 @@ _Y_UPPER = LinearInequality(1.0, 0.0, -1.0, 0.0, "y_upper")
 class HullDescription(_Frozen):
     """The hull as linear rows plus pieces.
 
-    zlo and zhi, the z range, are bounds.lz and bounds.uz, and `rows` is
-    derived from the fields: the RLT planes, then z >= zlo, z <= zhi,
-    x >= lx, x <= 1, y >= ly, y <= 1.  Membership, worst_violation,
-    separate and the disjunctive blocks read it, so a description built
-    through this constructor with other planes is checked against exactly
-    those planes.  envelopes, envelope_grid and the tangent planes
-    (lifted_tangent, and separate's cut for a violated cone) use the box's
-    own RLT planes, from bounds.  Equality, hashing, repr and pickling read
-    the four fields only.
+    Derived from the fields: the z range zlo, zhi (bounds.lz, bounds.uz)
+    and `rows`, the RLT planes, then z >= zlo, z <= zhi, x >= lx, x <= 1,
+    y >= ly, y <= 1.  Membership, worst_violation, separate and the
+    disjunctive blocks read rows, so a description built through this
+    constructor with other planes is checked against exactly those planes.
+    envelopes, envelope_grid and the tangent planes (lifted_tangent, and
+    separate's cut for a violated cone) use the box's own RLT planes, from
+    bounds.  Equality, hashing, repr and pickling read the four fields.
     """
 
     __slots__ = ("bounds", "case", "rlt", "pieces", "zlo", "zhi", "rows")
