@@ -49,7 +49,8 @@ def _above(rng, v):
 
 
 def _near(rng, v):
-    """v itself, or up to 5 ulps either side of it (not below 0)."""
+    """v itself, or up to 5 ulps either side of it (not below 0); 1e308
+    for a product that overflowed."""
     return _ulps(v, rng.randint(-5, 5)) if math.isfinite(v) else 1e308
 
 
