@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from _boxes import raw_box
 from bilinear_hull import (
     BilinearHullError,
     DegenerateBounds,
@@ -17,11 +18,13 @@ from bilinear_hull import (
     Point3,
     RawBounds,
     Scaling,
+    describe,
     hull_from_raw,
     membership,
     normalize,
     tighten_with_scaling,
 )
+from test_hull import ALL_RAW, MIRRORED_RAW
 
 
 def test_raw_bounds_validation():
@@ -308,3 +311,65 @@ def test_a_tightened_corner_sits_at_most_two_ulps_above_uz():
 
 def test_point3_astuple():
     assert Point3(0.1, 0.2, 0.3).astuple() == (0.1, 0.2, 0.3)
+
+
+def _chain(raw):
+    """hull_from_raw written out as its public steps."""
+    nb, sc1 = normalize(raw)
+    tb, sc2 = tighten_with_scaling(nb)
+    return describe(tb), sc2.compose(sc1)
+
+
+def _outcome(build, raw):
+    """("ok", the bounds and scale factors by float.hex, the description),
+    or the exception class and message that build(raw) raised."""
+    try:
+        d, sc = build(raw)
+    except BilinearHullError as e:
+        return type(e), str(e)
+    b = d.bounds
+    return "ok", tuple(map(float.hex, (b.lx, b.ly, b.lz, b.uz, sc.sx, sc.sy))), d
+
+
+# two boxes whose outcome the seeded sweep rarely draws: the final box's
+# 0 <= lx < 1 check fails, and the tightening pass collapses the z range
+RARE_RAW = [
+    (1.0230361177009169e-10, 8.841894686886554e-244, 9.045577613592783e-254,
+     9.92004514650646e+183, 8.321739090516305e-241, 9.045577613592784e-254),
+    tuple(map(float, COLLAPSING_BOX)),
+]
+
+SCALES = (1.0, 3.7e-7, 6.1e5, 1e-150, 1e150, 2.0 ** -1000)
+
+
+def _scaled(r, sx, sy):
+    return (r.lx * sx, r.ly * sy, r.lz * sx * sy, r.ux * sx, r.uy * sy,
+            r.uz * sx * sy)
+
+
+def test_hull_from_raw_is_its_public_chain():
+    """hull_from_raw gives, bit for bit, what normalize, then
+    tighten_with_scaling, then describe give with sc2.compose(sc1) as the
+    scaling, or raises the same exception with the same message, on 20,000
+    seeded raw_box draws, the ALL_RAW boxes and their mirrors at raw scales
+    across 10^+-300, and the two rare boxes."""
+    rng = random.Random(30)
+    boxes = [raw_box(rng) for _ in range(20_000)]
+    boxes += [_scaled(r, sx, sy) for r in ALL_RAW + MIRRORED_RAW
+              for sx in SCALES for sy in SCALES]
+    seen = Counter()
+    for box in boxes + RARE_RAW:
+        try:
+            raw = RawBounds(*box)
+        except InfeasibleBounds:
+            continue
+        got = _outcome(hull_from_raw, raw)
+        assert got == _outcome(_chain, raw), box
+        seen["ok" if got[0] == "ok" else got[1]] += 1
+    assert set(seen) == {
+        "ok", "ux*uy underflows to zero",
+        "z range collapses to a point after normalization",
+        "the composed scale factors underflow",
+        "bound tightening collapsed the z range",
+        "need 0 <= lx < 1 and 0 <= ly < 1"}, seen
+
