@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
+from types import MethodType
 
 from .errors import DegenerateBounds, NegativeDiscriminant
 from .geometry import NormalizedBounds, Point3, _Frozen
@@ -280,11 +281,13 @@ def _oriented(A, b, c, d, family, params, swapped) -> SocConstraint:
         A = ((a12, a11, a13), (a22, a21, a23))
         c = (c[1], c[0], c[2])
         family = _MIRROR_FAMILY.get(family, family)
-    return SocConstraint(A, b, c, d, family, params)
+    return SocConstraint.__new__(SocConstraint, A, b, c, d, family, params)
 
 
 # the RLT plane anchored at (1, 1) does not depend on the bounds
 _RLT_LOWER_ONES = LinearInequality(1.0, -1.0, -1.0, 1.0, "rlt_lower_ones")
+# LinearInequality.__new__ bound to its class (geometry._Frozen)
+_row = MethodType(LinearInequality.__new__, LinearInequality)
 
 
 def rlt(b: NormalizedBounds) -> list[LinearInequality]:
@@ -295,9 +298,9 @@ def rlt(b: NormalizedBounds) -> list[LinearInequality]:
     """
     return [
         _RLT_LOWER_ONES,
-        LinearInequality(b.lx * b.ly, -b.ly, -b.lx, 1.0, "rlt_lower_corner"),
-        LinearInequality(-b.lx, 1.0, b.lx, -1.0, "rlt_upper_x"),
-        LinearInequality(-b.ly, b.ly, 1.0, -1.0, "rlt_upper_y"),
+        _row(b.lx * b.ly, -b.ly, -b.lx, 1.0, "rlt_lower_corner"),
+        _row(-b.lx, 1.0, b.lx, -1.0, "rlt_upper_x"),
+        _row(-b.ly, b.ly, 1.0, -1.0, "rlt_upper_y"),
     ]
 
 
@@ -319,9 +322,9 @@ def soc_lower(lz: float) -> SocConstraint:
         raise DegenerateBounds("need 0 <= lz < 1")
     l12 = 2.0 * lz - 1.0
     l22 = _clamped_sqrt(1.0 - l12 * l12)
-    return SocConstraint(((-1.0, -l12, 0.0), (0.0, -l22, 0.0)),
-                         (1.0 + l12, l22), (1.0, 1.0, -2.0), 0.0,
-                         TangentFamily.LOWER, {"lz": lz})
+    return SocConstraint.__new__(
+        SocConstraint, ((-1.0, -l12, 0.0), (0.0, -l22, 0.0)), (1.0 + l12, l22),
+        (1.0, 1.0, -2.0), 0.0, TangentFamily.LOWER, {"lz": lz})
 
 
 def soc_center(lz: float, uz: float, swapped: bool = False) -> SocConstraint:

@@ -49,7 +49,9 @@ class _Frozen:
     __delattr__.  The contract does not depend on it: the caller gets an
     instance of the class itself, frozen (assigning or deleting any
     attribute, __class__ included, raises AttributeError), and copies and
-    pickles are rebuilt through __new__.
+    pickles are rebuilt through __new__.  Internal code calls __new__
+    itself, as Cls.__new__(Cls, ...) or through an alias bound to the
+    class (constraints._row): the same checks, without type.__call__.
 
     A class that neither defines nor inherits a __new__ gets one, compiled
     here as namedtuple compiles its own, that only stores the fields: such
@@ -181,10 +183,15 @@ class Scaling(_Frozen):
     def compose(self, inner: "Scaling") -> "Scaling":
         """Scaling equivalent to applying self first, then `inner`; a
         factor or their product that underflows raises DegenerateBounds."""
-        sx, sy = self.sx * inner.sx, self.sy * inner.sy
-        if sx * sy == 0.0:
-            raise DegenerateBounds("the composed scale factors underflow")
-        return Scaling(sx, sy)
+        return Scaling(*_composed(self.sx, self.sy, inner.sx, inner.sy))
+
+
+def _composed(sx, sy, ix, iy):
+    """Scaling.compose over floats: the factors of (sx, sy) then (ix, iy)."""
+    sx, sy = sx * ix, sy * iy
+    if sx * sy == 0.0:
+        raise DegenerateBounds("the composed scale factors underflow")
+    return sx, sy
 
 
 class NormalizedBounds(_Frozen):
@@ -194,12 +201,7 @@ class NormalizedBounds(_Frozen):
 
     def __new__(cls, lx: float, ly: float, lz: float,
                 uz: float) -> NormalizedBounds:
-        if not (0.0 <= lx < 1.0 and 0.0 <= ly < 1.0):
-            raise InfeasibleBounds("need 0 <= lx < 1 and 0 <= ly < 1")
-        if not (0.0 <= lz < uz <= 1.0):
-            raise InfeasibleBounds("need 0 <= lz < uz <= 1")
-        if lx * ly > lz + 1e-12:
-            raise InfeasibleBounds("need lx*ly <= lz (raise lz to the corner value)")
+        _check_normalized(lx, ly, lz, uz)
         self = object.__new__(cls._twin)
         self.lx = lx
         self.ly = ly
@@ -229,6 +231,16 @@ class NormalizedBounds(_Frozen):
                 and self.lx <= self.uz + bt and self.ly <= self.uz + bt)
 
 
+def _check_normalized(lx, ly, lz, uz):
+    """NormalizedBounds' argument checks, over floats."""
+    if not (0.0 <= lx < 1.0 and 0.0 <= ly < 1.0):
+        raise InfeasibleBounds("need 0 <= lx < 1 and 0 <= ly < 1")
+    if not (0.0 <= lz < uz <= 1.0):
+        raise InfeasibleBounds("need 0 <= lz < uz <= 1")
+    if lx * ly > lz + 1e-12:
+        raise InfeasibleBounds("need lx*ly <= lz (raise lz to the corner value)")
+
+
 def normalize(b: RawBounds) -> tuple[NormalizedBounds, Scaling]:
     """Rescale to unit variable upper bounds and drop slack in the z range.
 
@@ -240,18 +252,24 @@ def normalize(b: RawBounds) -> tuple[NormalizedBounds, Scaling]:
     a product ux*uy that underflows to zero raises DegenerateBounds.
     """
     s = Scaling(b.ux, b.uy)
-    if s.sz == 0.0:
+    return NormalizedBounds(*_normalized(b.lx, b.ly, b.lz, b.ux, b.uy, b.uz)), s
+
+
+def _normalized(lx, ly, lz, ux, uy, uz):
+    """normalize over floats: (lx, ly, lz, uz) of the box scaled by (ux, uy)."""
+    sz = ux * uy
+    if sz == 0.0:
         raise DegenerateBounds("ux*uy underflows to zero")
-    lx = b.lx / b.ux
-    ly = b.ly / b.uy
-    lz = b.lz / s.sz
-    uz = min(b.uz / s.sz, 1.0)
+    lx = lx / ux
+    ly = ly / uy
+    lz = lz / sz
+    uz = min(uz / sz, 1.0)
     if uz >= _NEAR_ONE:
         uz = 1.0
     lz = max(lz, lx * ly)
     if not lz < uz:
         raise InfeasibleBounds("z range collapses to a point after normalization")
-    return NormalizedBounds(lx, ly, lz, uz), s
+    return lx, ly, lz, uz
 
 
 def tighten_with_scaling(b: NormalizedBounds) -> tuple[NormalizedBounds, Scaling]:
@@ -266,8 +284,13 @@ def tighten_with_scaling(b: NormalizedBounds) -> tuple[NormalizedBounds, Scaling
     the pass leaves the ratio just past that snap (lx or ly a few ulps from
     lz or uz), tightening again shrinks by about 5 ulps more.
     """
-    lz, uz = b.lz, b.uz
-    lx, ly = max(b.lx, lz), max(b.ly, lz)
+    lx, ly, lz, uz, ax, ay = _tightened(b.lx, b.ly, b.lz, b.uz)
+    return NormalizedBounds(lx, ly, lz, uz), Scaling(ax, ay)
+
+
+def _tightened(lx, ly, lz, uz):
+    """tighten_with_scaling over floats: (lx, ly, lz, uz) and (ax, ay)."""
+    lx, ly = max(lx, lz), max(ly, lz)
     ax = min(1.0, uz / ly) if ly > 0.0 else 1.0
     ay = min(1.0, uz / lx) if lx > 0.0 else 1.0
     if ax >= _NEAR_ONE:
@@ -282,4 +305,4 @@ def tighten_with_scaling(b: NormalizedBounds) -> tuple[NormalizedBounds, Scaling
     lz = min(max(lz, lx * ly), uz)
     if not lz < uz:
         raise InfeasibleBounds("bound tightening collapsed the z range")
-    return NormalizedBounds(lx, ly, lz, uz), Scaling(ax, ay)
+    return lx, ly, lz, uz, ax, ay

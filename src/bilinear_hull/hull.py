@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from types import MethodType
 from typing import TYPE_CHECKING
 
 from .constraints import (
@@ -50,6 +51,7 @@ from .constraints import (
     TangentSegment,
     _affine,
     _center,
+    _row,
     _side,
     rlt,
     soc_lower,
@@ -63,9 +65,11 @@ from .geometry import (
     Point3,
     RawBounds,
     Scaling,
+    _check_normalized,
+    _composed,
     _Frozen,
-    normalize,
-    tighten_with_scaling,
+    _normalized,
+    _tightened,
 )
 
 if TYPE_CHECKING:
@@ -117,12 +121,12 @@ _CASES = {(r, s): CaseTag(r, s) for r in Region for s in (False, True)}
 
 def _predicate(a0: float, ax: float, ay: float) -> LinearInequality:
     """The predicate row a0 + ax*x + ay*y >= 0."""
-    return LinearInequality(a0, ax, ay, 0.0, "predicate")
+    return _row(a0, ax, ay, 0.0, "predicate")
 
 
 def _yx(a0: float, ax: float, ay: float) -> LinearInequality:
     """_predicate(a0, ax, ay) with x and y interchanged."""
-    return LinearInequality(a0, ay, ax, 0.0, "predicate")
+    return _row(a0, ay, ax, 0.0, "predicate")
 
 
 def dline(ly: float, lz: float, uz: float) -> LinearInequality:
@@ -174,6 +178,7 @@ class HullPiece(_Frozen):
 # descriptions share these two rows
 _X_UPPER = LinearInequality(1.0, -1.0, 0.0, 0.0, "x_upper")
 _Y_UPPER = LinearInequality(1.0, 0.0, -1.0, 0.0, "y_upper")
+_piece = MethodType(HullPiece.__new__, HullPiece)  # as constraints._row
 
 
 class HullDescription(_Frozen):
@@ -203,11 +208,11 @@ class HullDescription(_Frozen):
         self.zlo = zlo = bounds.lz
         self.zhi = zhi = bounds.uz
         self.rows = tuple(rlt) + (
-            LinearInequality(-zlo, 0.0, 0.0, 1.0, "z_lower"),
-            LinearInequality(zhi, 0.0, 0.0, -1.0, "z_upper"),
-            LinearInequality(-bounds.lx, 1.0, 0.0, 0.0, "x_lower"),
+            _row(-zlo, 0.0, 0.0, 1.0, "z_lower"),
+            _row(zhi, 0.0, 0.0, -1.0, "z_upper"),
+            _row(-bounds.lx, 1.0, 0.0, 0.0, "x_lower"),
             _X_UPPER,
-            LinearInequality(-bounds.ly, 0.0, 1.0, 0.0, "y_lower"),
+            _row(-bounds.ly, 0.0, 1.0, 0.0, "y_lower"),
             _Y_UPPER,
         )
         self.__class__ = cls
@@ -274,43 +279,41 @@ def _pieces(region: Region, lx: float, ly: float, lz: float, uz: float,
     if region is Region.NO_Z_BOUND:
         return ()
     if region is Region.UPPER_ONLY:
-        return (HullPiece((), soc_upper_general(lx, ly, uz)),)
+        return (_piece((), soc_upper_general(lx, ly, uz)),)
     if region is Region.LOWER_ONLY:
-        return (HullPiece((), soc_lower(lz)),)
+        return (_piece((), soc_lower(lz)),)
     hp = _yx if sw else _predicate
     p = {"lz": lz, "uz": uz}  # the one params record of the description
     if region is Region.B or region is Region.BOTH_ZERO_LB:
         # center cone between the fans into (1, uz) and (uz, 1), side
         # cones beyond the lines y = uz*x and x = uz*y
         return (
-            HullPiece((hp(0.0, -uz, 1.0), hp(0.0, 1.0, -uz)), _center(p, sw)),
-            HullPiece((hp(0.0, uz, -1.0),),
-                      _side(p, TangentFamily.SIDE_X, sw)),
-            HullPiece((hp(0.0, -1.0, uz),),
-                      _side(p, TangentFamily.SIDE_Y, sw)),
+            _piece((hp(0.0, -uz, 1.0), hp(0.0, 1.0, -uz)), _center(p, sw)),
+            _piece((hp(0.0, uz, -1.0),), _side(p, TangentFamily.SIDE_X, sw)),
+            _piece((hp(0.0, -1.0, uz),), _side(p, TangentFamily.SIDE_Y, sw)),
         )
     ug_y = soc_upper_general(lz / ly, ly, uz, sw)
     if region is Region.D:
         line = dline(ly, lz, uz)
         return (
-            HullPiece((hp(line.a0, line.ax, -1.0),), ug_y),
-            HullPiece((hp(-line.a0, -line.ax, 1.0),),
-                      _side(p, TangentFamily.SIDE_Y, sw)),
+            _piece((hp(line.a0, line.ax, -1.0),), ug_y),
+            _piece((hp(-line.a0, -line.ax, 1.0),),
+                   _side(p, TangentFamily.SIDE_Y, sw)),
         )
     center_lo = hp(0.0, -ly * ly / lz, 1.0)
-    ug_y_piece = HullPiece((hp(0.0, ly * ly / lz, -1.0),), ug_y)
+    ug_y_piece = _piece((hp(0.0, ly * ly / lz, -1.0),), ug_y)
     if region is Region.A:
         return (
-            HullPiece((center_lo, hp(0.0, lz / (lx * lx), -1.0)),
-                      _center(p, sw)),
+            _piece((center_lo, hp(0.0, lz / (lx * lx), -1.0)),
+                   _center(p, sw)),
             ug_y_piece,
-            HullPiece((hp(0.0, -lz / (lx * lx), 1.0),),
-                      soc_upper_general(lx, lz / lx, uz, sw)),
+            _piece((hp(0.0, -lz / (lx * lx), 1.0),),
+                   soc_upper_general(lx, lz / lx, uz, sw)),
         )
     return (  # Region.C
-        HullPiece((center_lo, hp(0.0, 1.0, -uz)), _center(p, sw)),
+        _piece((center_lo, hp(0.0, 1.0, -uz)), _center(p, sw)),
         ug_y_piece,
-        HullPiece((hp(0.0, -1.0, uz),), _side(p, TangentFamily.SIDE_Y, sw)),
+        _piece((hp(0.0, -1.0, uz),), _side(p, TangentFamily.SIDE_Y, sw)),
     )
 
 
@@ -324,17 +327,21 @@ def describe(b: NormalizedBounds) -> HullDescription:
     its cones as SocConstraint.mirrored() give them.
     """
     case, lx, ly = _classify(b)
-    return HullDescription(b, case, tuple(rlt(b)),
-                           _pieces(case.region, lx, ly, b.lz, b.uz,
-                                   case.swapped))
+    return HullDescription.__new__(
+        HullDescription, b, case, tuple(rlt(b)),
+        _pieces(case.region, lx, ly, b.lz, b.uz, case.swapped))
 
 
 def hull_from_raw(raw: RawBounds) -> tuple[HullDescription, Scaling]:
-    """normalize + tighten_with_scaling + describe; the scaling maps raw to
-    final frame."""
-    nb, sc1 = normalize(raw)
-    tb, sc2 = tighten_with_scaling(nb)
-    return describe(tb), sc2.compose(sc1)
+    """normalize + tighten_with_scaling + describe, with sc2.compose(sc1),
+    from raw to final frame, as the scaling.  The steps run on floats, each
+    check in its place, so one NormalizedBounds and one Scaling are built."""
+    nb = _normalized(raw.lx, raw.ly, raw.lz, raw.ux, raw.uy, raw.uz)
+    _check_normalized(*nb)
+    lx, ly, lz, uz, ax, ay = _tightened(*nb)
+    tb = NormalizedBounds.__new__(NormalizedBounds, lx, ly, lz, uz)
+    sx, sy = _composed(ax, ay, raw.ux, raw.uy)
+    return describe(tb), Scaling.__new__(Scaling, sx, sy)
 
 
 def _worst_row(d: HullDescription, p: Point3) -> tuple[float, LinearInequality]:
@@ -604,8 +611,8 @@ def _fan(d: HullDescription, piece: HullPiece, x: float, y: float
         upper = (_ray_end(ax, ay, dx, dy, uz) if fam is TangentFamily.CENTER
                  else (ax, ay, uz))
         a = -(lower[1] * upper[0] + lower[0] * upper[1] - 2.0 * lz) / (uz - lz)
-    return LinearInequality(-(2.0 + a) * touch[2], touch[1], touch[0], a,
-                            "lifted_tangent"), lower, upper, fam
+    return _row(-(2.0 + a) * touch[2], touch[1], touch[0], a,
+                "lifted_tangent"), lower, upper, fam
 
 
 def _ray_end(ax: float, ay: float, dx: float, dy: float, c: float) -> tuple:
@@ -727,8 +734,7 @@ def separate(d: HullDescription, p: Point3) -> LinearInequality | None:
     if xq * yq <= d.zlo:
         # outside the hull's (x, y) projection: tangent to the curve xy = lz
         s = math.sqrt(d.zlo / (xq * yq))
-        cut = LinearInequality(-2.0 * d.zlo, yq * s, xq * s, 0.0,
-                               "product_lower_tangent")
+        cut = _row(-2.0 * d.zlo, yq * s, xq * s, 0.0, "product_lower_tangent")
     elif xq * yq < d.zhi:
         # the supporting plane of zmax: the binding piece's, or where a
         # linear row binds, the lower of the two upper RLT planes

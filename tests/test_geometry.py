@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -373,3 +374,23 @@ def test_hull_from_raw_is_its_public_chain():
         "bound tightening collapsed the z range",
         "need 0 <= lx < 1 and 0 <= ly < 1"}, seen
 
+
+
+def test_hull_from_raw_builds_one_bounds_and_one_scaling():
+    """One NormalizedBounds and one Scaling per call, whether or not the
+    tightening pass moves the box: the steps before them run on floats."""
+    watched = {NormalizedBounds.__new__.__code__: "NormalizedBounds",
+               Scaling.__new__.__code__: "Scaling"}
+    for raw in ALL_RAW + [RawBounds(0.0, 0.3, 0.1, 2.0, 1.5, 1.2)]:
+        built = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                built[watched[frame.f_code]] += 1
+
+        sys.setprofile(profile)
+        try:
+            hull_from_raw(raw)
+        finally:
+            sys.setprofile(None)
+        assert built == {"NormalizedBounds": 1, "Scaling": 1}, (raw, built)
