@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import DegenerateBounds, InfeasibleBounds
+from .errors import DegenerateBounds, InfeasibleBounds, OutOfDomain
 
 # a ratio this close to 1 is roundoff, not a bound: a shrink factor uz/ly
 # there is no reduction (rescaling by it would leave the ratio where it
@@ -169,7 +169,11 @@ class Scaling(_Frozen):
         return self.sx * self.sy
 
     def to_normalized(self, p: Point3) -> Point3:
-        return Point3(p.x / self.sx, p.y / self.sy, p.z / self.sz)
+        """p in the normalized frame; OutOfDomain where a finite p overflows."""
+        q = (p.x / self.sx, p.y / self.sy, p.z / self.sz)
+        if not all(map(math.isfinite, q)) and all(map(math.isfinite, p.astuple())):
+            raise OutOfDomain("query point overflows under the scaling")
+        return Point3(*q)
 
     def to_raw(self, p: Point3) -> Point3:
         return Point3(p.x * self.sx, p.y * self.sy, p.z * self.sz)

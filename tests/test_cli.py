@@ -353,3 +353,15 @@ def test_non_finite_arguments_exit_2(argv):
     assert r.stdout == ""
     assert "Traceback" not in r.stderr
     assert "finite" in r.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["separate"], ["oracle", "--samples", "5"]], ids=lambda a: a[0])
+def test_a_finite_point_that_overflows_the_scaling_says_so(command):
+    # the point is finite, but z/(sx*sy) passes the float range: an error
+    # about the scaling, not about non-finite input
+    r = run_cli(*command, "--ux", "2.8346854760846905e+40", "--uy", "2e-323",
+                "--point", "1.417e40,1e-323,3.07e213")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == "error: query point overflows under the scaling\n"

@@ -16,6 +16,7 @@ from bilinear_hull import (
     DegenerateBounds,
     InfeasibleBounds,
     NormalizedBounds,
+    OutOfDomain,
     Point3,
     RawBounds,
     Scaling,
@@ -94,6 +95,14 @@ def test_scaling_round_trip():
         assert abs(q.x - p.x) <= 1e-12 * p.x
         assert abs(q.y - p.y) <= 1e-12 * p.y
         assert abs(q.z - p.z) <= 1e-12 * p.z
+
+
+def test_to_normalized_names_an_overflow_of_the_scaling():
+    s = Scaling(1e-300, 1.0)
+    with pytest.raises(OutOfDomain, match="overflows under the scaling"):
+        s.to_normalized(Point3(1e10, 0.5, 0.5))
+    # non-finite input is passed on, for the queries to reject as such
+    assert math.isinf(s.to_normalized(Point3(math.inf, 0.5, 0.5)).x)
 
 
 def test_scaling_compose():
