@@ -1,23 +1,39 @@
-"""A CLI sweep over extreme raw boxes: every box command runs in process
-through cli.main on seeded finite boxes and must end with an exit code,
-never an exception.
+"""Sweeps over extreme raw boxes (tests/_boxes.py): exponents across
+10^+-300, subnormals and zeros, corners and z bounds 0-5 ulps apart, and
+lz/uz near lx*ly.
 
-The boxes take exponents across 10^+-300, subnormals and zeros, corners and
-z bounds 0-5 ulps apart, and lz/uz near lx*ly.  The contract checked on
-each call: the exit code is 0 (ok), 1 (package error), 2 (bad arguments)
-or 3 (infeasible bounds); a nonzero exit writes nothing to stdout; and its
-stderr is one line, apart from argparse's own usage text.
+The CLI sweep runs every box command in process through cli.main on seeded
+finite boxes.  The contract checked on each call: the exit code is 0 (ok),
+1 (package error), 2 (bad arguments) or 3 (infeasible bounds); a nonzero
+exit writes nothing to stdout; and its stderr is one line, apart from
+argparse's own usage text.
+
+The library sweep calls the scalar queries on the descriptions that
+hull_from_raw builds from such boxes: each call returns finite values or
+raises a BilinearHullError subclass.
 """
 
 import contextlib
 import io
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from _boxes import raw_box
-from bilinear_hull import cli
+from bilinear_hull import (
+    BilinearHullError,
+    LinearInequality,
+    Point3,
+    RawBounds,
+    cli,
+    envelopes,
+    hull_from_raw,
+    membership,
+    separate,
+    worst_violation,
+)
 
 
 def _mid(lo, hi):
@@ -113,3 +129,65 @@ def test_every_call_ends_in_an_exit_code(command):
         if not (code == 2 and err.startswith("usage:")):
             assert len(err.splitlines()) == 1, (argv, err)
         assert "Traceback" not in err, argv
+
+
+def _descriptions(n_draws, seed):
+    """The descriptions hull_from_raw builds from n_draws seeded raw_box
+    draws; the draws it rejects are left out, as RawBounds' are."""
+    rng = random.Random(seed)
+    for _ in range(n_draws):
+        try:
+            yield hull_from_raw(RawBounds(*raw_box(rng)))[0]
+        except BilinearHullError:
+            continue
+
+
+def _finite(*values):
+    return all(math.isfinite(v) for v in values)
+
+
+def _query(outcomes, name, call, check):
+    """call(), counted under name as "ok" when check(result) holds or as
+    "error" when it raises a package error; anything else fails the test."""
+    try:
+        result = call()
+    except BilinearHullError:
+        outcomes[name, "error"] += 1
+        return
+    assert check(result), (name, result)
+    outcomes[name, "ok"] += 1
+
+
+def _cut_is_finite(cut):
+    return cut is None or (type(cut) is LinearInequality
+                           and _finite(cut.a0, cut.ax, cut.ay, cut.az))
+
+
+def test_scalar_queries_return_finite_values_or_package_errors():
+    """On each accepted box: the box corners, the edge midpoints and the
+    centre, each at zlo, the mid z, zhi and 1 beyond either bound (45
+    points), through membership, worst_violation and separate, and
+    envelopes at the 9 (x, y)."""
+    outcomes = Counter()
+    n_boxes = 0
+    for d in _descriptions(24_000, 20261021):
+        n_boxes += 1
+        b = d.bounds
+        zs = (d.zlo - 1.0, d.zlo, 0.5 * d.zlo + 0.5 * d.zhi, d.zhi,
+              d.zhi + 1.0)
+        for x in (b.lx, 0.5 * b.lx + 0.5, 1.0):
+            for y in (b.ly, 0.5 * b.ly + 0.5, 1.0):
+                _query(outcomes, "envelopes", lambda: envelopes(d, x, y),
+                       lambda r: _finite(*r))
+                for z in zs:
+                    p = Point3(x, y, z)
+                    _query(outcomes, "membership", lambda: membership(d, p),
+                           lambda r: type(r) is bool)
+                    _query(outcomes, "worst_violation",
+                           lambda: worst_violation(d, p),
+                           lambda r: _finite(r[0]))
+                    _query(outcomes, "separate", lambda: separate(d, p),
+                           _cut_is_finite)
+    assert n_boxes > 7_000
+    for name in ("envelopes", "membership", "worst_violation", "separate"):
+        assert outcomes[name, "ok"] > 0, outcomes
