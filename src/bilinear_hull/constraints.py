@@ -286,7 +286,7 @@ def _oriented(A, b, c, d, family, params, swapped) -> SocConstraint:
 
 # the RLT plane anchored at (1, 1) does not depend on the bounds
 _RLT_LOWER_ONES = LinearInequality(1.0, -1.0, -1.0, 1.0, "rlt_lower_ones")
-# LinearInequality.__new__ bound to its class (geometry._Frozen)
+# LinearInequality.__new__ bound to its class: a row without type.__call__
 _row = MethodType(LinearInequality.__new__, LinearInequality)
 
 
