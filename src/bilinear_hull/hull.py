@@ -636,11 +636,11 @@ def _wedge(d: HullDescription, x: float, y: float
     curve = not b.lower_trivial
     # rlt(b)'s plane, built alone
     if ly * x + y - ly <= x + lx * y - lx:
-        plane = LinearInequality(-ly, ly, 1.0, -1.0, "rlt_upper_y")
+        plane = _row(-ly, ly, 1.0, -1.0, "rlt_upper_y")
         family, upper = TangentFamily.SIDE_X, (1.0, uz, uz)
         lower = (lz / ly if curve and ly > 0.0 else lx, ly, lz)
     else:
-        plane = LinearInequality(-lx, 1.0, lx, -1.0, "rlt_upper_x")
+        plane = _row(-lx, 1.0, lx, -1.0, "rlt_upper_x")
         family, upper = TangentFamily.SIDE_Y, (uz, 1.0, uz)
         lower = (lx, lz / lx if curve and lx > 0.0 else ly, lz)
     if d.case.region in (Region.UPPER_ONLY, Region.LOWER_ONLY):
