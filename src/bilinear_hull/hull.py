@@ -174,11 +174,12 @@ class HullPiece(_Frozen):
                 "soc": self.soc.to_dict(), "global": self.globally_valid}
 
 
+_piece = MethodType(HullPiece.__new__, HullPiece)  # as constraints._row
+
 # the box's upper bounds are 1 in every normalized frame, so all
 # descriptions share these two rows
 _X_UPPER = LinearInequality(1.0, -1.0, 0.0, 0.0, "x_upper")
 _Y_UPPER = LinearInequality(1.0, 0.0, -1.0, 0.0, "y_upper")
-_piece = MethodType(HullPiece.__new__, HullPiece)  # as constraints._row
 
 
 class HullDescription(_Frozen):

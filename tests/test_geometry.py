@@ -384,13 +384,14 @@ def test_hull_from_raw_is_its_public_chain():
         "need 0 <= lx < 1 and 0 <= ly < 1"}, seen
 
 
-
 def test_hull_from_raw_builds_one_bounds_and_one_scaling():
     """One NormalizedBounds and one Scaling per call, whether or not the
     tightening pass moves the box: the steps before them run on floats."""
     watched = {NormalizedBounds.__new__.__code__: "NormalizedBounds",
                Scaling.__new__.__code__: "Scaling"}
-    for raw in ALL_RAW + [RawBounds(0.0, 0.3, 0.1, 2.0, 1.5, 1.2)]:
+    shrunk = RawBounds(0.0, 0.5, 0.1, 1.0, 1.0, 0.3)  # x <= uz/ly = 0.6
+    assert tighten_with_scaling(normalize(shrunk)[0])[1].sx == 0.6
+    for raw in ALL_RAW + [shrunk]:
         built = Counter()
 
         def profile(frame, event, arg):
