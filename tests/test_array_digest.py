@@ -13,6 +13,16 @@ to an extreme raw box and brought back or not.  Each box gets:
   * vol_numeric(d, 64);
   * vol_mc(d, 2**17, seed=3), serial and with workers=2.
 
+Those grids fit in one block of the kernels.  A second sha256 pins the same
+descriptions on inputs that span several blocks:
+
+  * envelope_grid on unsorted 300 x 301 axes reaching up to 0.01 outside the
+    box, on 1 x 5000 and 5000 x 1 grids, on a 512 x 512 grid and on a grid
+    of 257 columns whose rows lie exactly on the predicate lines;
+  * vol_numeric(d, 300) and vol_numeric(d, 512);
+  * vol_mc(d, n, seed=5) for n = 1, 65537 and 200000, whose last chunk is
+    a partial one.
+
 Arrays are hashed by their raw bytes, floats by float.hex.  A change to the
 array kernels must leave every bit of them unchanged.
 """
@@ -38,6 +48,7 @@ from bilinear_hull import (
 from test_hull import ALL_RAW, MIRRORED_RAW
 
 ARRAY_DIGEST = "998bfd09eb59b7d4d4c3a4c93989f1196584092aa19892539de5589a5fc9ecc0"
+MULTI_BLOCK_DIGEST = "e80fd2b7d6cb3f749671e32b74df08ce189df0c5279ea1ad6b674a5c0964a2eb"
 
 DRAWN = 40
 
@@ -158,7 +169,8 @@ def _mask_points(rng, d, zmin, zmax, xs, ys):
     return np.concatenate(px), np.concatenate(py), np.concatenate(pz)
 
 
-def _array_outputs():
+def _hasher():
+    """A sha256 and its two feeders: put for arrays, put_floats for floats."""
     h = hashlib.sha256()
 
     def put(*arrays):
@@ -170,6 +182,11 @@ def _array_outputs():
     def put_floats(*values):
         h.update(" ".join(float(v).hex() for v in values).encode())
 
+    return h, put, put_floats
+
+
+def _array_outputs():
+    h, put, put_floats = _hasher()
     rng = np.random.default_rng(2026)
     for d in descriptions():
         b = d.bounds
@@ -191,3 +208,27 @@ def _array_outputs():
 
 def test_array_kernels_keep_their_bits():
     assert _array_outputs() == ARRAY_DIGEST
+
+
+def _multi_block_outputs():
+    h, put, put_floats = _hasher()
+    rng = np.random.default_rng(2031)
+    for d in descriptions():
+        b = d.bounds
+        xs = rng.uniform(b.lx - 0.01, 1.01, 300)
+        ys = rng.uniform(b.ly - 0.01, 1.01, 301)
+        long_x = rng.uniform(b.lx - 0.01, 1.01, 5000)
+        long_y = rng.uniform(b.ly - 0.01, 1.01, 5000)
+        lx = np.linspace(b.lx, 1.0, 257)
+        for gx, gy in ((xs, ys), (xs[:1], long_y), (long_x, ys[:1]),
+                       (np.linspace(b.lx, 1.0, 512), np.linspace(b.ly, 1.0, 512)),
+                       (lx, _on_predicate_lines(d, lx))):
+            put(*envelope_grid(d, gx, gy))
+        put_floats(*vol_numeric(d, 300), *vol_numeric(d, 512))
+        for n in (1, 65537, 200000):
+            put_floats(*vol_mc(d, n, seed=5))
+    return h.hexdigest()
+
+
+def test_multi_block_kernels_keep_their_bits():
+    assert _multi_block_outputs() == MULTI_BLOCK_DIGEST
