@@ -47,12 +47,14 @@ from .geometry import NormalizedBounds, Point3, _Frozen
 DISC_CLAMP = -1e-12
 
 
-def _clamped_sqrt(d):
+def _clamped_sqrt(d, where=True):
     """sqrt with the documented negative-roundoff clamp at DISC_CLAMP.
 
     A Python number gives a float, through math, and a float at or above
     the clamp takes no further test; anything else is evaluated as an
-    array, and only then is numpy imported.
+    array, and only then is numpy imported.  An array is held to the clamp
+    only where the boolean array where is true (everywhere by default);
+    elsewhere a negative value gives 0.
     """
     if type(d) is float and d >= DISC_CLAMP:
         return math.sqrt(max(d, 0.0))
@@ -62,6 +64,8 @@ def _clamped_sqrt(d):
     else:
         import numpy as np
         low = np.min(d, initial=np.inf)
+        if low < DISC_CLAMP and where is not True:
+            low = np.min(d[where], initial=np.inf)
     if low < DISC_CLAMP:
         raise NegativeDiscriminant(
             "discriminant %g below clamp threshold %g" % (float(low), DISC_CLAMP)
@@ -225,6 +229,10 @@ class SocConstraint(_Frozen):
         array, by the same expressions in numpy, which give the same floats
         up to the sign of a zero.
         """
+        return self._envelope_z(x, y, True)
+
+    def _envelope_z(self, x, y, where):
+        """envelope_z, its discriminant held to the clamp where where is."""
         scalar = (type(x) is float and type(y) is float
                   or isinstance(x, (int, float)) and isinstance(y, (int, float)))
         if not scalar:
@@ -234,11 +242,11 @@ class SocConstraint(_Frozen):
         f = self.family
         p = self.params
         if f is TangentFamily.UPPER_ZERO:
-            out = _clamped_sqrt(p["uz"] * x * y)
+            out = _clamped_sqrt(p["uz"] * x * y, where)
         elif f is TangentFamily.CENTER:
             lz, uz = p["lz"], p["uz"]
-            out = (math.sqrt(lz) + math.sqrt(uz)) * _clamped_sqrt(x * y) \
-                - math.sqrt(lz * uz)
+            out = (math.sqrt(lz) + math.sqrt(uz)) \
+                * _clamped_sqrt(x * y, where) - math.sqrt(lz * uz)
         else:
             kx, ky = self.anchor
             upper = f is TangentFamily.UPPER_GENERAL
@@ -246,7 +254,8 @@ class SocConstraint(_Frozen):
             # ky*x with ky = 1 is x, and kx*y likewise
             u = x if ky == 1.0 else ky * x
             v = y if kx == 1.0 else kx * y
-            r = _clamped_sqrt((u - v) ** 2 + 4.0 * c * (kx - x) * (ky - y))
+            r = _clamped_sqrt((u - v) ** 2 + 4.0 * c * (kx - x) * (ky - y),
+                              where)
             out = (u + v + r) / 2.0 if upper else (u + v - r) / 2.0
         if scalar or np.ndim(out) == 0:
             return float(out)

@@ -34,7 +34,9 @@ first.  The array forms of the rows, predicates and cones leave out
 zero terms and unit products (constraints._affine), which changes at most
 the sign of a zero, and membership_mask reads the bound rows, predicates
 and cones only at the points that meet the RLT planes: its answers are
-membership's.
+membership's.  envelope_grid and vol_numeric walk the grid in tiles, read
+a piece only on the tiles where a predicate row's corner values let it
+apply, and hold its discriminant to the clamp only where it applies.
 """
 
 from __future__ import annotations
@@ -90,9 +92,11 @@ class Region(Enum):
     __hash__ = object.__hash__
 
 
-# elements per block of the array kernels (membership_mask, envelope_grid):
-# a few block-sized temporaries fit in a core's L2 cache
+# elements per block of the array kernels (membership_mask's points,
+# envelope_grid's tiles): a few block-sized temporaries fit in a core's L2
+# cache.  A grid tile spans at most _TILE columns, so it is about square.
 _BLOCK = 1 << 14
+_TILE = 128
 
 # map letters of the lettered regions, unswapped and swapped
 _LETTERS = {Region.A: "AA", Region.B: "BB", Region.C: "CE", Region.D: "DF"}
@@ -532,10 +536,29 @@ def envelope_grid(d: HullDescription, xs: np.ndarray, ys: np.ndarray
     lowest index on a tie), or -1 where a linear constraint (RLT plane or z
     bound) is the binding one.  Grid values are clipped to the box before
     evaluation; a non-finite grid value raises OutOfDomain.  The grid is
-    walked in blocks of about _BLOCK nodes, so temporaries stay
-    block-sized, and a piece's envelope is evaluated only at the nodes
-    where the piece applies: outside its predicate the discriminant can go
-    negative (general upper cones).
+    walked in tiles (_envelope_tiles), so temporaries stay tile-sized.
+    """
+    import numpy as np
+    shape = (np.size(xs), np.size(ys))
+    out = np.empty(shape), np.empty(shape), np.empty(shape, dtype=int)
+    for _ in _envelope_tiles(d, xs, ys, out):
+        pass
+    return out
+
+
+def _envelope_tiles(d: HullDescription, xs, ys, out=None):
+    """(rows, cols, zmin, zmax) of each tile of the grid xs x ys, node for
+    node the floats of envelopes(); with out = (zmin, zmax, piece_id) of
+    the grid's shape, each tile is written into it, piece_id too.
+
+    A tile spans at most _TILE columns and about _BLOCK nodes.  A predicate
+    row is read first at the tile's four corners, from its least and
+    greatest clipped x and y: rounded a0 + ax*x + ay*y is monotone in x and
+    in y, so they bound it on the tile.  A piece is skipped on a tile where
+    it applies at no node, read without a mask where it applies at every
+    node, and masked node by node only where a predicate line crosses the
+    tile.  Its value is taken, and its discriminant held to the clamp, only
+    where it applies: elsewhere a general upper cone's can fall below it.
     """
     import numpy as np
     b = d.bounds
@@ -544,40 +567,47 @@ def envelope_grid(d: HullDescription, xs: np.ndarray, ys: np.ndarray
         raise OutOfDomain("grid values must be finite")
     x = np.clip(x, b.lx, 1.0)[:, None]
     y = np.clip(y, b.ly, 1.0)[None, :]
-    shape = np.broadcast(x, y).shape
-    zmin, zmax = np.empty(shape), np.empty(shape)
-    piece_id = np.empty(shape, dtype=int)
-    step = max(1, _BLOCK // max(1, shape[1]))
-    for lo in range(0, shape[0], step):
-        rows = slice(lo, lo + step)
-        xb = x[rows]
-        lower = np.maximum(xb + y - 1.0, b.ly * xb + b.lx * y - b.lx * b.ly)
-        np.maximum(lower, d.zlo, out=zmin[rows])
-        lin = np.minimum(xb + b.lx * y - b.lx, b.ly * xb + y - b.ly)
-        lin = np.minimum(lin, d.zhi)
-        # running minimum over the pieces; the strict < keeps the lowest
-        # piece index on a tie
-        best = np.full(lin.shape, np.inf)
-        pid = piece_id[rows]
-        flat_best, flat_pid = best.reshape(-1), pid.reshape(-1)
-        for i, piece in enumerate(d.pieces):
-            if not piece.predicate:
-                env = piece.soc.envelope_z(xb, y)
-                win = env < best
-                best[win] = env[win]
-                pid[win] = i
-                continue
-            app = piece.applicable(xb, y)
-            idx = np.flatnonzero(app)
-            if idx.size:
-                env = piece.soc.envelope_z(np.broadcast_to(xb, app.shape)[app],
-                                           np.broadcast_to(y, app.shape)[app])
-                win = env < flat_best[idx]
-                flat_best[idx[win]] = env[win]
-                flat_pid[idx[win]] = i
-        np.minimum(lin, best, out=zmax[rows])
-        pid[~(best <= lin)] = -1
-    return zmin, zmax, piece_id
+    bt = -BOUNDARY_TOL
+    cols = max(1, min(y.size, max(_TILE, _BLOCK // max(1, x.size))))
+    step = max(1, _BLOCK // cols)
+    for i in range(0, x.size, step):
+        xb = x[i:i + step]
+        xr = float(xb.min()), float(xb.max())
+        for j in range(0, y.size, cols):
+            tile = slice(i, i + step), slice(j, j + cols)
+            yb = y[:, tile[1]]
+            yr = float(yb.min()), float(yb.max())
+            zmin, zmax, pid = (None,) * 3 if out is None else (
+                a[tile] for a in out)
+            lower = np.maximum(xb + yb - 1.0,
+                               b.ly * xb + b.lx * yb - b.lx * b.ly)
+            zmin = np.maximum(lower, d.zlo, out=zmin)
+            lin = np.minimum(xb + b.lx * yb - b.lx, b.ly * xb + yb - b.ly)
+            lin = np.minimum(lin, d.zhi, out=lin)
+            # running minimum over the pieces; the strict < keeps the
+            # lowest piece index on a tie
+            best = np.full(lin.shape, np.inf)
+            for k, piece in enumerate(d.pieces):
+                app = True
+                for hp in piece.predicate:
+                    r = [hp.a0 + hp.ax * u + hp.ay * v for u in xr for v in yr]
+                    if all(c < bt for c in r):
+                        break
+                    if not all(c >= bt for c in r):
+                        row = _row_values(hp, xb, yb, 0.0) >= bt
+                        app = row if app is True else app & row
+                else:
+                    env = piece.soc._envelope_z(xb, yb, app)
+                    win = env < best
+                    if app is not True:
+                        win &= app
+                    np.copyto(best, env, where=win)
+                    if pid is not None:
+                        pid[win] = k
+            zmax = np.minimum(lin, best, out=zmax)
+            if pid is not None:
+                pid[~(best <= lin)] = -1
+            yield tile[0], tile[1], zmin, zmax
 
 
 _UPPER_FORM = (TangentFamily.UPPER_ZERO, TangentFamily.UPPER_GENERAL)

@@ -15,10 +15,9 @@ import numpy as np
 
 from .geometry import _Frozen
 from .hull import (
-    _BLOCK,
     HullDescription,
     Region,
-    envelope_grid,
+    _envelope_tiles,
     membership_mask,
 )
 
@@ -95,19 +94,18 @@ def vol_numeric(d: HullDescription, grid_n: int = 512) -> tuple[float, float]:
 
 
 def _midpoint_volume(d: HullDescription, n: int) -> float:
+    """The midpoint sum of (zmax - zmin)+ over n x n cells, the envelopes a
+    tile at a time (hull._envelope_tiles, without piece ids); the one sum
+    over the whole grid of gaps keeps its bits."""
     b = d.bounds
     hx = (1.0 - b.lx) / n
     hy = (1.0 - b.ly) / n
     xs = b.lx + (np.arange(n) + 0.5) * hx
     ys = b.ly + (np.arange(n) + 0.5) * hy
-    # (zmax - zmin)+ a block of rows at a time, so envelope_grid's outputs
-    # stay block-sized; the one sum over the whole grid keeps its bits
     gap = np.empty((n, n))
-    step = max(1, _BLOCK // n)
-    for lo in range(0, n, step):
-        zmin, zmax, _ = envelope_grid(d, xs[lo:lo + step], ys)
-        rows = np.subtract(zmax, zmin, out=gap[lo:lo + step])
-        np.maximum(rows, 0.0, out=rows)
+    for rows, cols, zmin, zmax in _envelope_tiles(d, xs, ys):
+        tile = np.subtract(zmax, zmin, out=gap[rows, cols])
+        np.maximum(tile, 0.0, out=tile)
     return float(np.sum(gap) * hx * hy)
 
 
@@ -115,10 +113,12 @@ def _mc_chunk(d: HullDescription, seed: int, chunk: int, count: int) -> int:
     b = d.bounds
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
-    x = rng.uniform(b.lx, 1.0, count)
-    y = rng.uniform(b.ly, 1.0, count)
-    z = rng.uniform(d.zlo, d.zhi, count)
-    return int(np.count_nonzero(membership_mask(d, x, y, z)))
+    # uniform(lo, hi, count)'s bits for x, y, then z: lo + (hi - lo) * u
+    lo = np.array([[b.lx], [b.ly], [d.zlo]])
+    pts = rng.random((3, count))
+    pts *= np.array([[1.0], [1.0], [d.zhi]]) - lo
+    pts += lo
+    return int(np.count_nonzero(membership_mask(d, *pts)))
 
 
 def vol_mc(d: HullDescription, n_samples: int, seed: int = 0,

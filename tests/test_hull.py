@@ -37,10 +37,12 @@ from bilinear_hull import (
     soc_upper_general,
     soc_upper_zero,
     tighten_with_scaling,
+    vol_numeric,
     worst_violation,
 )
 from bilinear_hull.hull import (
     _BLOCK,
+    _TILE,
     _binding,
     _cone_fails,
     _worst_piece,
@@ -1184,10 +1186,11 @@ def _assert_grid_matches_scalar(d, xs, ys):
 
 
 def test_envelope_grid_agrees_across_block_boundaries():
-    # (rows, columns) with _BLOCK - 1, _BLOCK, _BLOCK + 1 and 3*_BLOCK + 7
-    # nodes: one block, a full block, and blocks with a short last one
-    shapes = ((3, 5461), (128, 128), (5, 3277), (11, 4469))
-    assert tuple(r * c for r, c in shapes) == BLOCK_SIZES
+    # (rows, columns) whose tiles end short in both axes (129 x 130: tiles
+    # of 128 and 1 rows, 128 and 2 columns; 200 x 257: 128 and 72 rows, 128,
+    # 128 and 1 columns) or in one (3 x 9000: 5461 and 3539 columns)
+    assert _TILE == 128 and _BLOCK // _TILE == 128
+    shapes = ((129, 130), (200, 257), (3, 9000))
     d, _ = hull_from_raw(RawBounds(0.14, 0.2, 0.1, 1, 1, 0.7))
     b = d.bounds
     rng = np.random.default_rng(131)
@@ -1195,6 +1198,34 @@ def test_envelope_grid_agrees_across_block_boundaries():
         xs = rng.uniform(b.lx, 1.0, rows)
         ys = rng.uniform(b.ly, 1.0, cols)
         _assert_grid_matches_scalar(d, xs, ys)
+
+
+# region-a (mirrored), region-c and region-d: a general upper cone's
+# discriminant falls below the clamp outside the cone's predicate
+CLAMPED_RAW = [ALL_RAW[4], ALL_RAW[6], ALL_RAW[7]]
+
+
+def test_grid_kernels_hold_the_clamp_only_where_a_piece_applies():
+    for raw in CLAMPED_RAW:
+        d, _ = hull_from_raw(raw)
+        b = d.bounds
+        xs = np.linspace(b.lx, 1.0, 150)
+        ys = np.linspace(b.ly, 1.0, 140)
+        raised = 0
+        for piece in d.pieces:
+            for x in xs[::7].tolist():
+                for y in ys[::7].tolist():
+                    if piece.applicable(x, y):
+                        continue
+                    try:
+                        piece.soc.envelope_z(x, y)
+                    except NegativeDiscriminant:
+                        raised += 1
+        assert raised > 0
+        # the grid kernels read no piece where it does not apply
+        _assert_grid_matches_scalar(d, xs, ys)
+        value, err = vol_numeric(d, 512)
+        assert math.isfinite(value) and math.isfinite(err)
 
 
 def test_envelope_grid_on_predicate_lines_and_row_by_row():

@@ -8,9 +8,10 @@ finite boxes.  The contract checked on each call: the exit code is 0 (ok),
 exit writes nothing to stdout; and its stderr is one line, apart from
 argparse's own usage text.
 
-The library sweep calls the scalar queries on the descriptions that
-hull_from_raw builds from such boxes: each call returns finite values or
-raises a BilinearHullError subclass.
+The library sweeps call the scalar queries, and on a seeded subset the
+array kernels, on the descriptions that hull_from_raw builds from such
+boxes: each call returns finite values or raises a BilinearHullError
+subclass.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from _boxes import raw_box
@@ -28,10 +30,14 @@ from bilinear_hull import (
     Point3,
     RawBounds,
     cli,
+    envelope_grid,
     envelopes,
     hull_from_raw,
     membership,
+    membership_mask,
     separate,
+    vol_mc,
+    vol_numeric,
     worst_violation,
 )
 
@@ -190,4 +196,43 @@ def test_scalar_queries_return_finite_values_or_package_errors():
                            _cut_is_finite)
     assert n_boxes > 7_000
     for name in ("envelopes", "membership", "worst_violation", "separate"):
+        assert outcomes[name, "ok"] > 0, outcomes
+
+
+def _grid_is_finite(grid):
+    zmin, zmax, pid = grid
+    return (np.isfinite(zmin).all() and np.isfinite(zmax).all()
+            and pid.dtype.kind == "i")
+
+
+def test_array_kernels_return_finite_values_or_package_errors():
+    """On the scalar sweep's boxes whose pieces have predicates and on
+    every 16th of the others: envelope_grid on a 130 x 131 grid (two
+    tiles in each axis, the last one short) reaching 1e-3 of a side
+    outside the box, membership_mask on 64 points around it,
+    vol_numeric(d, 8) and vol_mc(d, 64)."""
+    outcomes = Counter()
+    rng = np.random.default_rng(20261022)
+    descriptions = [d for k, d in enumerate(_descriptions(24_000, 20261021))
+                    if k % 16 == 0 or any(p.predicate for p in d.pieces)]
+    for d in descriptions:
+        b = d.bounds
+        wx, wy = 1e-3 * (1.0 - b.lx), 1e-3 * (1.0 - b.ly)
+        xs = rng.uniform(b.lx - wx, 1.0 + wx, 130)
+        ys = rng.uniform(b.ly - wy, 1.0 + wy, 131)
+        _query(outcomes, "envelope_grid", lambda: envelope_grid(d, xs, ys),
+               _grid_is_finite)
+        x = rng.uniform(b.lx - wx, 1.0 + wx, 64)
+        y = rng.uniform(b.ly - wy, 1.0 + wy, 64)
+        z = rng.uniform(d.zlo - 1.0, d.zhi + 1.0, 64)
+        _query(outcomes, "membership_mask",
+               lambda: membership_mask(d, x, y, z),
+               lambda r: r.dtype == bool and r.shape == (64,))
+        _query(outcomes, "vol_numeric", lambda: vol_numeric(d, 8),
+               lambda r: _finite(*r))
+        _query(outcomes, "vol_mc", lambda: vol_mc(d, 64, seed=1),
+               lambda r: _finite(*r))
+    assert len(descriptions) > 500
+    for name in ("envelope_grid", "membership_mask", "vol_numeric",
+                 "vol_mc"):
         assert outcomes[name, "ok"] > 0, outcomes
