@@ -232,7 +232,7 @@ class SocConstraint(_Frozen):
         return self._envelope_z(x, y, True)
 
     def _envelope_z(self, x, y, where):
-        """envelope_z, its discriminant held to the clamp where where is."""
+        """envelope_z, its discriminant clamp-checked only where where is."""
         scalar = (type(x) is float and type(y) is float
                   or isinstance(x, (int, float)) and isinstance(y, (int, float)))
         if not scalar:
