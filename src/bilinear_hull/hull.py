@@ -651,7 +651,10 @@ def _ray_end(ax: float, ay: float, dx: float, dy: float, c: float) -> tuple:
     (x, y, c): the root of dx*dy*t^2 + m*t + k, in the form that does not
     cancel."""
     m, k = ax * dy + ay * dx, ax * ay - c
-    t = 2.0 * abs(k) / (abs(m) + math.sqrt(m * m - 4.0 * dx * dy * k))
+    den = abs(m) + math.sqrt(m * m - 4.0 * dx * dy * k)
+    if den == 0.0:  # m = 0 and dx*dy*k underflowed: take the root in parts
+        den = 2.0 * math.sqrt(abs(dx)) * math.sqrt(abs(dy)) * math.sqrt(abs(k))
+    t = 2.0 * abs(k) / den
     return ax + t * dx, ay + t * dy, c
 
 

@@ -137,8 +137,8 @@ def sample_surface(b: NormalizedBounds, n: int) -> SurfaceSample:
     corner sample.  The stable argsort on y runs over these at most 4n + 4
     samples only, with the bits it gives over all of them.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ValueError("need an integer n >= 2")
     xs = np.linspace(b.lx, 1.0, n)
     # an lx within a few ulps of 1 repeats grid x, whose rows would interleave
     xs = xs[np.append(True, xs[1:] != xs[:-1])]

@@ -2,8 +2,8 @@
 
 Closed forms cover the two single-bound cases with a zero lower corner;
 general descriptions are integrated numerically (midpoint rule with one
-Richardson step) or by counter-based Monte Carlo so runs reproduce exactly
-regardless of worker count.
+Richardson step) or by counter-based Monte Carlo, keyed per chunk of
+samples, so a run reproduces exactly from its seed.
 """
 
 from __future__ import annotations
@@ -86,8 +86,9 @@ def vol_numeric(d: HullDescription, grid_n: int = 512) -> tuple[float, float]:
     Returns (value, error) where error is the extrapolation increment
     |I_n - I_{n/2}|/3; the value is the extrapolated estimate.
     """
-    if grid_n < 8 or grid_n % 2:
-        raise ValueError("need an even grid_n >= 8")
+    if not (isinstance(grid_n, (int, np.integer)) and grid_n >= 8
+            and grid_n % 2 == 0):
+        raise ValueError("need an even integer grid_n >= 8")
     fine = _midpoint_volume(d, grid_n)
     coarse = _midpoint_volume(d, grid_n // 2)
     return fine + (fine - coarse) / 3.0, abs(fine - coarse) / 3.0
@@ -109,47 +110,35 @@ def _midpoint_volume(d: HullDescription, n: int) -> float:
     return float(np.sum(gap) * hx * hy)
 
 
-def _mc_chunk(d: HullDescription, seed: int, chunk: int, count: int) -> int:
-    b = d.bounds
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
-    # uniform(lo, hi, count)'s bits for x, y, then z: lo + (hi - lo) * u
-    lo = np.array([[b.lx], [b.ly], [d.zlo]])
-    pts = rng.random((3, count))
-    pts *= np.array([[1.0], [1.0], [d.zhi]]) - lo
-    pts += lo
-    return int(np.count_nonzero(membership_mask(d, *pts)))
-
-
 def vol_mc(d: HullDescription, n_samples: int, seed: int = 0,
            workers: int | None = None) -> tuple[float, float]:
     """Monte Carlo volume with a 3-sigma half width.
 
-    Sampling is keyed per 65536-sample chunk, so the estimate is identical
-    whether chunks run serially or on a thread pool.  The seed is an
-    integer in [0, 2**64).
+    The samples are drawn in chunks of 65536, chunk k from the Philox key
+    [seed, k], and counted in order on the calling thread.  n_samples is an
+    integer >= 1 and the seed an integer in [0, 2**64).  workers is
+    accepted and has no effect.
     """
-    if n_samples < 1:
-        raise ValueError("need n_samples >= 1")
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+        raise ValueError("need an integer n_samples >= 1")
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64):
         raise ValueError("need an integer seed in [0, 2**64)")
+    n = int(n_samples)
     b = d.bounds
-    chunks = range(math.ceil(n_samples / _MC_CHUNK))
-
-    def chunk(k: int) -> int:
-        return _mc_chunk(d, seed, k, min(_MC_CHUNK, n_samples - k * _MC_CHUNK))
-
-    if workers is not None and workers > 1:
-        # imported here: concurrent.futures pulls in logging, a cost every
-        # import of the package would pay
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(chunk, chunks))
-    else:
-        hits = sum(map(chunk, chunks))
+    # uniform(lo, hi, count)'s bits for x, y, then z: lo + (hi - lo) * u
+    lo = np.array([[b.lx], [b.ly], [d.zlo]])
+    width = np.array([[1.0], [1.0], [d.zhi]]) - lo
+    hits = 0
+    for k, start in enumerate(range(0, n, _MC_CHUNK)):
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+        pts = rng.random((3, min(_MC_CHUNK, n - start)))
+        pts *= width
+        pts += lo
+        hits += int(np.count_nonzero(membership_mask(d, *pts)))
     vbox = (1.0 - b.lx) * (1.0 - b.ly) * (d.zhi - d.zlo)
-    p = hits / n_samples
-    half = 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples) * vbox
+    p = hits / n
+    half = 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n) * vbox
     return p * vbox, half
 
 
@@ -173,35 +162,27 @@ def _stationarity(b: float) -> float:
 
 
 def optimal_branch(grid: np.ndarray | None = None) -> BranchReport:
-    """Branch value minimizing the total child-hull volume, to 1e-12.
+    """Branch value minimizing the total child-hull volume.
 
-    The stationarity condition ln b = 2(b-1) has the spurious root b = 1;
-    the bracket [1e-6, 0.5] isolates the interior minimum.  Safeguarded
-    Newton: steps leaving the bracket fall back to bisection.
+    The stationarity condition g(b) = ln b - 2(b-1) = 0 has the spurious
+    root b = 1.  g is concave and increasing on (0, 1/2), so Newton from
+    b = 0.2, where g < 0, climbs to the interior root without passing it;
+    it stops when an iterate repeats.
     """
-    lo, hi = 1e-6, 0.5
-    b = 0.2
-    for _ in range(200):
-        g = _stationarity(b)
-        if g < 0.0:
-            lo = b
-        else:
-            hi = b
-        dg = 1.0 / b - 2.0
-        step = b - g / dg if dg != 0.0 else math.nan
-        b = step if lo < step < hi else 0.5 * (lo + hi)
-        if hi - lo < 1e-14:
+    b_star = 0.2
+    for _ in range(16):
+        b = b_star - _stationarity(b_star) / (1.0 / b_star - 2.0)
+        if b == b_star:
             break
-    b_star = 0.5 * (lo + hi)
+        b_star = b
     total = vol_hull(Side.UPPER, b_star) + vol_hull(Side.LOWER, b_star)
     if grid is None:
         grid = np.linspace(0.01, 0.99, 99)
     grid = np.asarray(grid, dtype=float)
-    ur = np.array([vol_hull(Side.UPPER, t) / vol_rlt_cut(Side.UPPER, t)
-                   for t in grid])
-    lr = np.array([vol_hull(Side.LOWER, t) / vol_rlt_cut(Side.LOWER, t)
-                   for t in grid])
-    tr = np.array([(vol_hull(Side.UPPER, t) + vol_hull(Side.LOWER, t)) / _SIXTH
-                   for t in grid])
+    upper = np.array([vol_hull(Side.UPPER, t) for t in grid])
+    lower = np.array([vol_hull(Side.LOWER, t) for t in grid])
+    ur = upper / np.array([vol_rlt_cut(Side.UPPER, t) for t in grid])
+    lr = lower / np.array([vol_rlt_cut(Side.LOWER, t) for t in grid])
     return BranchReport(b_star=b_star, sum_ratio=total / _SIXTH, grid=grid,
-                        upper_ratio=ur, lower_ratio=lr, total_ratio=tr)
+                        upper_ratio=ur, lower_ratio=lr,
+                        total_ratio=(upper + lower) / _SIXTH)

@@ -5,6 +5,11 @@ raw_box(rng) draws six finite nonnegative floats (lx, ly, lz, ux, uy, uz)
 with exponents across 10^+-300, subnormals and zeros, corners and z bounds
 0-5 ulps apart, and lz/uz near lx*ly and ux*uy.  Not every draw is a valid
 RawBounds: that is part of what the sweeps test.
+
+threshold_box(rng) draws a raw box whose tightened lower corner sits near
+one of the thresholds between regions A-D: 0-5 ulps or 1e-12 to 1e-7 to
+either side of it, in either corner order, scaled across 10^+-150.  It
+draws from its own rng, so raw_box's stream stays as it is.
 """
 
 import math
@@ -63,3 +68,32 @@ def raw_box(rng):
         lz = _magnitude(rng)
         uz = _above(rng, lz)
     return lx, ly, lz, ux, uy, uz
+
+
+def _across(rng, t):
+    """t moved 0-5 ulps, or by a relative 1e-12 to 1e-7, to either side."""
+    if rng.random() < 0.5:
+        return _ulps(t, rng.randint(-5, 5))
+    return t * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, -7))
+
+
+def threshold_box(rng):
+    """Six floats (lx, ly, lz, ux, uy, uz) whose normalized box puts the
+    lower corner (lx <= ly in the canonical order) near one threshold, with
+    s_lo = sqrt(lz*uz) and s_hi = sqrt(lz/uz): lx = s_lo (A|C), ly = s_lo
+    (B|C) or ly = s_hi (C|D)."""
+    uz = rng.uniform(0.05, 0.95)
+    which = rng.choice(("AC", "BC", "CD"))
+    # C|D needs s_hi <= uz, that is lz <= uz**3
+    lz = (uz ** 3 if which == "CD" else uz) * rng.uniform(0.01, 0.99)
+    s_lo, s_hi = math.sqrt(lz * uz), math.sqrt(lz / uz)
+    if which == "AC":
+        lx = _across(rng, s_lo)
+        ly = rng.uniform(s_lo, min(s_hi, uz))
+    else:
+        lx = rng.uniform(lz, s_lo)
+        ly = _across(rng, s_lo if which == "BC" else s_hi)
+    if rng.random() < 0.5:
+        lx, ly = ly, lx
+    sx, sy = 10.0 ** rng.uniform(-150, 150), 10.0 ** rng.uniform(-150, 150)
+    return lx * sx, ly * sy, lz * sx * sy, sx, sy, uz * sx * sy

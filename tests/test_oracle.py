@@ -88,8 +88,12 @@ def test_sampler_is_deterministic():
 
 
 def test_sampler_rejects_tiny_n():
-    with pytest.raises(ValueError):
-        sample_surface(NormalizedBounds(0, 0, 0, 1), 1)
+    b = NormalizedBounds(0, 0, 0, 1)
+    # a count must be an integer, even one a float holds exactly
+    for n in (1, 2.5, 3.0):
+        with pytest.raises(ValueError, match="n >= 2"):
+            sample_surface(b, n)
+    assert len(sample_surface(b, np.int64(3))) == len(sample_surface(b, 3))
 
 
 def test_oracle_envelope_example():

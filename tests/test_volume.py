@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -79,10 +80,14 @@ def test_vol_closed_on_tightened_lower_only_zero_corner_box():
 
 
 def test_import_leaves_the_thread_pool_unloaded():
-    # vol_mc imports concurrent.futures (and logging with it) only when it
-    # runs workers, so a plain import does not pay for them
-    code = ("import sys, bilinear_hull; "
-            "assert 'concurrent.futures' not in sys.modules")
+    # neither the import nor vol_mc, with or without workers, loads
+    # concurrent.futures (and logging with it) or starts a thread
+    code = ("import sys, threading, bilinear_hull as bh; "
+            "assert 'concurrent.futures' not in sys.modules; "
+            "d, _ = bh.hull_from_raw(bh.RawBounds(0, 0, 0, 1, 1, 0.4)); "
+            "bh.vol_mc(d, 2**17, seed=1, workers=2); "
+            "assert 'concurrent.futures' not in sys.modules; "
+            "assert threading.active_count() == 1, threading.active_count()")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True)
     assert r.returncode == 0, r.stderr
@@ -117,6 +122,18 @@ def test_domain_checks():
     d, _ = hull_from_raw(RawBounds(0, 0, 0, 1, 1, 0.3))
     with pytest.raises(ValueError, match="n_samples"):
         vol_mc(d, 0)
+    # a count must be an integer, even one a float holds exactly
+    for n in (1.5, 2.0 ** 17, np.float64(16)):
+        with pytest.raises(ValueError, match="n_samples"):
+            vol_mc(d, n)
+    for n in (8.0, 9.5):
+        with pytest.raises(ValueError, match="grid_n"):
+            vol_numeric(d, n)
+    assert vol_numeric(d, np.int64(8)) == vol_numeric(d, 8)
+    # numpy integers count as integers, and the volume is a Python float
+    v, half = vol_mc(d, np.int64(1000))
+    assert (v, half) == vol_mc(d, 1000)
+    assert type(v) is float and type(half) is float
     # numpy would raise OverflowError for the first two and run the third
     # as seed 1
     for seed in (-1, 2 ** 64, 1.5):
@@ -214,6 +231,17 @@ def test_optimal_branch_point():
     assert child_sum(rep.b_star) < child_sum(rep.b_star - 0.01)
     assert abs(rep.sum_ratio - 6 * child_sum(rep.b_star)) <= 1e-12
     assert abs(100 * (1 - rep.sum_ratio) - 32.38) <= 0.01
+
+
+def test_optimal_branch_point_to_the_last_bits():
+    # Newton on ln b = 2(b - 1) in 40 digits; b* is within 1e-16 of its
+    # root, 0.20318786997997995383...
+    with localcontext() as ctx:
+        ctx.prec = 40
+        b = Decimal("0.2")
+        for _ in range(30):
+            b -= (b.ln() - 2 * (b - 1)) / (1 / b - 2)
+        assert abs(Decimal(optimal_branch().b_star) - b) <= Decimal("1e-16")
 
 
 def test_branch_report_curves():
