@@ -94,17 +94,11 @@ def _flat_csv(obj, prefix="", rows=None) -> list[str]:
         for i, v in enumerate(obj):
             _flat_csv(v, prefix + str(i) + ".", rows)
         return rows
-    key = prefix[:-1]
-    if isinstance(obj, bool):
-        rows.append("%s,%s" % (key, "true" if obj else "false"))
-    elif obj is None:
-        rows.append("%s," % key)
-    elif isinstance(obj, int):
-        rows.append("%s,%d" % (key, obj))
-    elif isinstance(obj, float):
-        rows.append("%s,%s" % (key, _g(obj)))
-    else:
-        rows.append("%s,%s" % (key, obj))
+    # None is an empty field, a string its plain text
+    rows.append("%s,%s" % (prefix[:-1], "" if obj is None
+                           else obj if isinstance(obj, str)
+                           else _g(obj) if isinstance(obj, float)
+                           else _json(obj)))
     return rows
 
 
@@ -169,7 +163,7 @@ def _cmd_check(args, d, sc, out):
     res, violated = worst_violation(d, p)
     out.update({
         "point": dict(zip("xyz", args.point)),
-        "member": membership(d, p),
+        "member": violated is None,
         "worst_residual": res,
         "violated": violated,
     })

@@ -180,9 +180,12 @@ class Scaling(_Frozen):
 
     def inequality_to_raw(self, q):
         """The inequality a0 + ax*x + ay*y + az*z >= 0 (a LinearInequality)
-        over normalized points, restated over raw points."""
-        return type(q)(q.a0, q.ax / self.sx, q.ay / self.sy, q.az / self.sz,
-                       q.label)
+        over normalized points, restated over raw points; OutOfDomain where
+        a raw coefficient overflows."""
+        a = (q.a0, q.ax / self.sx, q.ay / self.sy, q.az / self.sz)
+        if not all(map(math.isfinite, a)):
+            raise OutOfDomain("the inequality overflows under the scaling")
+        return type(q)(*a, q.label)
 
     def compose(self, inner: "Scaling") -> "Scaling":
         """Scaling equivalent to applying self first, then `inner`; a

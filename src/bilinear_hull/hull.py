@@ -534,22 +534,28 @@ def envelope_grid(d: HullDescription, xs: np.ndarray, ys: np.ndarray
 
     piece_id holds the index of the piece whose envelope attains zmax (the
     lowest index on a tie), or -1 where a linear constraint (RLT plane or z
-    bound) is the binding one.  Grid values are clipped to the box before
-    evaluation; a non-finite grid value raises OutOfDomain.  The grid is
-    walked in tiles (_envelope_tiles), so temporaries stay tile-sized.
+    bound) is the binding one.  xs and ys must be 1-D (ValueError).  Grid
+    values are clipped to the box before evaluation; a non-finite grid
+    value raises OutOfDomain.  The grid is walked in tiles
+    (_envelope_tiles), so temporaries stay tile-sized.
     """
     import numpy as np
-    shape = (np.size(xs), np.size(ys))
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValueError("xs and ys must be 1-D, got shapes %s and %s"
+                         % (x.shape, y.shape))
+    shape = (x.size, y.size)
     out = np.empty(shape), np.empty(shape), np.empty(shape, dtype=int)
-    for _ in _envelope_tiles(d, xs, ys, out):
+    for _ in _envelope_tiles(d, x, y, out):
         pass
     return out
 
 
 def _envelope_tiles(d: HullDescription, xs, ys, out=None):
-    """(rows, cols, zmin, zmax) of each tile of the grid xs x ys, node for
-    node the floats of envelopes(); with out = (zmin, zmax, piece_id) of
-    the grid's shape, each tile is written into it, piece_id too.
+    """(rows, cols, zmin, zmax) of each tile of the grid xs x ys (1-D float
+    arrays), node for node the floats of envelopes(); with out = (zmin,
+    zmax, piece_id) of the grid's shape, each tile is written into it,
+    piece_id too.
 
     A tile spans at most _TILE columns and about _BLOCK nodes.  A predicate
     row is read first at the tile's four corners, from its least and
@@ -562,11 +568,10 @@ def _envelope_tiles(d: HullDescription, xs, ys, out=None):
     """
     import numpy as np
     b = d.bounds
-    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise OutOfDomain("grid values must be finite")
-    x = np.clip(x, b.lx, 1.0)[:, None]
-    y = np.clip(y, b.ly, 1.0)[None, :]
+    x = np.clip(xs, b.lx, 1.0)[:, None]
+    y = np.clip(ys, b.ly, 1.0)[None, :]
     bt = -BOUNDARY_TOL
     cols = max(1, min(y.size, max(_TILE, _BLOCK // max(1, x.size))))
     step = max(1, _BLOCK // cols)
@@ -788,7 +793,7 @@ class BranchBlock(_Frozen):
     lam: a0*lam_i + a'v_i >= 0 and ||A v_i + b*lam_i|| <= c'v_i + d*lam_i.
     """
 
-    __slots__ = ("index", "rows", "soc")
+    __slots__ = ("rows", "soc")
 
     def soc_residual(self, lam, x, y, z) -> float:
         if self.soc is None:
@@ -810,43 +815,19 @@ class BranchBlock(_Frozen):
         return self.soc_residual(lam, x, y, z) >= -FEAS_TOL
 
 
-class ExtendedFormulation(_Frozen):
-    """Disjunctive description: one block per piece plus aggregation rows
-    x = sum x_i, y = sum y_i, z = sum z_i, sum lam_i = 1, lam >= 0.
-    """
+def disjunctive(d: HullDescription) -> tuple[BranchBlock, ...]:
+    """The branch blocks of a description's extended formulation.
 
-    __slots__ = ("blocks",)
-
-    @property
-    def num_branch_variables(self) -> int:
-        return 4 * len(self.blocks)
-
-    @property
-    def num_aggregation_rows(self) -> int:
-        return 4
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        names = ["x", "y", "z"]
-        for blk in self.blocks:
-            i = blk.index + 1
-            names += [f"lam{i}", f"x{i}", f"y{i}", f"z{i}"]
-        return tuple(names)
-
-
-def disjunctive(d: HullDescription) -> ExtendedFormulation:
-    """The branch-block formulation of a description.
-
-    Each block holds the description's rows plus its piece's predicate
-    rows.  With no curved pieces the hull is already polyhedral; a
-    single block carrying just the rows is returned so the aggregation
-    shape is uniform.
+    Block i holds the description's rows plus piece i's predicate rows and
+    its cone, in piece order; a description without pieces is already
+    polyhedral and gets the single block of its rows.  The formulation
+    joins the blocks by the aggregation rows x = sum x_i, y = sum y_i,
+    z = sum z_i, sum lam_i = 1 and lam >= 0.
     """
     if not d.pieces:
-        return ExtendedFormulation((BranchBlock(0, d.rows, None),))
-    return ExtendedFormulation(tuple(
-        BranchBlock(i, d.rows + piece.predicate, piece.soc)
-        for i, piece in enumerate(d.pieces)))
+        return (BranchBlock(d.rows, None),)
+    return tuple(BranchBlock(d.rows + piece.predicate, piece.soc)
+                 for piece in d.pieces)
 
 
 def region_map_polylines(lz: float, uz: float, n: int = 65) -> dict[str, np.ndarray]:

@@ -116,12 +116,14 @@ def vol_mc(d: HullDescription, n_samples: int, seed: int = 0,
 
     The samples are drawn in chunks of 65536, chunk k from the Philox key
     [seed, k], and counted in order on the calling thread.  n_samples is an
-    integer >= 1 and the seed an integer in [0, 2**64).  workers is
-    accepted and has no effect.
+    integer >= 1 and the seed an integer in [0, 2**64), neither a bool.
+    workers is accepted and has no effect.
     """
-    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+    if isinstance(n_samples, bool) or not (
+            isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
         raise ValueError("need an integer n_samples >= 1")
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64):
+    if isinstance(seed, bool) or not (
+            isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 64):
         raise ValueError("need an integer seed in [0, 2**64)")
     n = int(n_samples)
     b = d.bounds

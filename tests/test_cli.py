@@ -365,3 +365,15 @@ def test_a_finite_point_that_overflows_the_scaling_says_so(command):
     assert r.returncode == 1
     assert r.stdout == ""
     assert r.stderr == "error: query point overflows under the scaling\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_cut_that_overflows_the_scaling_exits_1(fmt):
+    # sz = sx*sy is subnormal, so the raw az = az/sz passes the float
+    # range; this used to print -inf, which is no JSON number
+    r = run_cli("separate", "--ux", "1e-160", "--uy", "1e-160",
+                "--uz", "1e-320", "--point", "5e-161,5e-161,1e-320",
+                "--format", fmt)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == "error: the inequality overflows under the scaling\n"

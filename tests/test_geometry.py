@@ -15,6 +15,7 @@ from bilinear_hull import (
     BilinearHullError,
     DegenerateBounds,
     InfeasibleBounds,
+    LinearInequality,
     NormalizedBounds,
     OutOfDomain,
     Point3,
@@ -103,6 +104,16 @@ def test_to_normalized_names_an_overflow_of_the_scaling():
         s.to_normalized(Point3(1e10, 0.5, 0.5))
     # non-finite input is passed on, for the queries to reject as such
     assert math.isinf(s.to_normalized(Point3(math.inf, 0.5, 0.5)).x)
+
+
+def test_inequality_to_raw_names_an_overflow_of_the_scaling():
+    s = Scaling(1e-160, 1e-160)  # sz = 1e-320, a subnormal
+    q = LinearInequality(-1.0, 1.0, 1.0, -1.0, "rlt_upper_x")
+    with pytest.raises(OutOfDomain, match="inequality overflows"):
+        s.inequality_to_raw(q)
+    r = Scaling(2.0, 0.5).inequality_to_raw(q)
+    assert (r.a0, r.ax, r.ay, r.az, r.label) == (-1.0, 0.5, 2.0, -1.0,
+                                                 "rlt_upper_x")
 
 
 def test_scaling_compose():

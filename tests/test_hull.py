@@ -1,6 +1,7 @@
 """Hull descriptions: case analysis, pieces, membership, separation, blocks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from bilinear_hull import (
     BOUNDARY_TOL,
     FEAS_TOL,
+    BranchBlock,
     CaseTag,
     DegenerateBounds,
     HullDescription,
@@ -532,25 +534,20 @@ def test_disjunctive_block_counts():
         (RawBounds(0.14, 0.5, 0.1, 1, 1, 0.7), 2),
     ]:
         d, _ = hull_from_raw(raw)
-        ef = disjunctive(d)
-        assert len(ef.blocks) == nblocks
-        assert ef.num_branch_variables == 4 * nblocks
-        assert ef.num_aggregation_rows == 4
-        assert len(ef.variables) == 3 + 4 * nblocks
-        assert ef.variables[:3] == ("x", "y", "z")
+        blocks = disjunctive(d)
+        assert isinstance(blocks, tuple) and len(blocks) == nblocks
+        assert all(type(blk) is BranchBlock for blk in blocks)
 
 
 def test_disjunctive_no_piece_block_is_linear():
     d = describe(NormalizedBounds(0, 0, 0, 1))
-    ef = disjunctive(d)
-    assert len(ef.blocks) == 1
-    assert ef.blocks[0].soc is None
+    assert disjunctive(d) == (BranchBlock(d.rows, None),)
 
 
 def test_block_at_unit_weight_matches_membership():
     rng = np.random.default_rng(101)
     d, _ = hull_from_raw(RawBounds(0.14, 0.2, 0.1, 1, 1, 0.7))
-    ef = disjunctive(d)
+    blocks = disjunctive(d)
     b = d.bounds
     n = 0
     while n < 400:
@@ -561,25 +558,25 @@ def test_block_at_unit_weight_matches_membership():
         n += 1
         z = x * y
         # the surface point is feasible in the block whose region holds it
-        feas = [blk.feasible(1.0, x, y, z) for blk in ef.blocks]
+        feas = [blk.feasible(1.0, x, y, z) for blk in blocks]
         applic = [pc.applicable(x, y) for pc in d.pieces]
         for f, a in zip(feas, applic):
             if a:
                 assert f
         assert any(feas)
     # box violations kill every block
-    assert not any(blk.feasible(1.0, 1.2, 0.5, 0.6) for blk in ef.blocks)
+    assert not any(blk.feasible(1.0, 1.2, 0.5, 0.6) for blk in blocks)
 
 
 def test_block_soc_scales_homogeneously():
     rng = np.random.default_rng(103)
     d, _ = hull_from_raw(RawBounds(0, 0, 0.2, 1, 1, 0.7))
-    ef = disjunctive(d)
+    blocks = disjunctive(d)
     for _ in range(300):
         lam = rng.uniform(0.05, 1.0)
         x, y = rng.uniform(0.2, 1.0, size=2)
         z = rng.uniform(0.0, 1.0)
-        for blk in ef.blocks:
+        for blk in blocks:
             full = blk.soc_residual(1.0, x, y, z)
             scaled = blk.soc_residual(lam, lam * x, lam * y, lam * z)
             assert abs(scaled - lam * full) <= 1e-12
@@ -600,8 +597,8 @@ def test_disjunctive_blocks_are_the_rows_plus_predicates():
         d, _ = hull_from_raw(raw)
         b = d.bounds
         assert [q.label for q in d.rows] == ROW_LABELS
-        ef = disjunctive(d)
-        for blk, piece in zip(ef.blocks, d.pieces or (None,)):
+        blocks = disjunctive(d)
+        for blk, piece in zip(blocks, d.pieces or (None,)):
             assert blk.rows[:10] == d.rows
             preds = piece.predicate if piece is not None else ()
             assert [(q.a0, q.ax, q.ay, q.az) for q in blk.rows[10:]] == [
@@ -615,13 +612,13 @@ def test_disjunctive_blocks_are_the_rows_plus_predicates():
             z = rng.choice([d.zlo, d.zhi, x * y,
                             rng.uniform(d.zlo - 0.05, d.zhi + 0.05)])
             lam = rng.uniform(0.05, 1.0)
-            for blk in ef.blocks:
+            for blk in blocks:
                 f = blk.feasible(1.0, x, y, z)
                 assert f == blk.feasible(lam, lam * x, lam * y, lam * z)
                 seen.add(f)
         assert seen == {True, False}
         # at weight 0 the origin is feasible; a negative weight is not
-        for blk in ef.blocks:
+        for blk in blocks:
             assert blk.feasible(0.0, 0.0, 0.0, 0.0)
             assert not blk.feasible(-2.0 * FEAS_TOL, 0.0, 0.0, 0.0)
 
@@ -1275,6 +1272,21 @@ def test_envelope_grid_rejects_non_finite_axes():
     edge = envelope_grid(d, np.array([b.lx, 1.0]), good)
     for got, want in zip(far, edge):
         assert np.array_equal(got, want)
+
+
+def test_envelope_grid_needs_1d_axes():
+    # as oracle_envelope_many does; a plain list is an axis too
+    d, _ = hull_from_raw(RawBounds(0.14, 0.3, 0.1, 1, 1, 0.7))
+    ys = np.linspace(0.3, 1, 4)
+    for xs, shapes in ((0.5, "() and (4,)"),
+                       (np.full((2, 2), 0.5), "(2, 2) and (4,)")):
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            envelope_grid(d, xs, ys)
+        with pytest.raises(ValueError, match="must be 1-D"):
+            envelope_grid(d, ys, xs)
+    got = envelope_grid(d, [0.5, 0.75], ys.tolist())
+    for a, b in zip(got, envelope_grid(d, np.array([0.5, 0.75]), ys)):
+        assert np.array_equal(a, b)
 
 
 def test_scalar_and_array_branches_agree():

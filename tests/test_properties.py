@@ -373,7 +373,7 @@ def test_tightening_near_ties(raw, seed):
 def test_points_feasible_in_a_branch_block_are_members(b, seed):
     # disjunctive is sound: a block at lam = 1 holds only points of the hull
     d = describe(b)
-    blocks = disjunctive(d).blocks
+    blocks = disjunctive(d)
     rng = np.random.default_rng(seed)
     u, v, w = rng.uniform(0.0, 1.0, (3, 200))
     xs, ys = b.lx + u * (1.0 - b.lx), b.ly + v * (1.0 - b.ly)
@@ -387,7 +387,7 @@ def _assert_pieces_follow_from_the_case(d):
     """A piece is valid on the whole box exactly when it has no predicate
     or is the center cone; its predicate rows are the ones disjunctive
     adds to its block; Region D's are the D line, one each way."""
-    for piece, blk in zip(d.pieces, disjunctive(d).blocks):
+    for piece, blk in zip(d.pieces, disjunctive(d)):
         assert piece.globally_valid == (
             not piece.predicate or piece.soc.family is TangentFamily.CENTER)
         extra = blk.rows[len(d.rows):]

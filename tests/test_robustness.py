@@ -4,9 +4,9 @@ lz/uz near lx*ly.
 
 The CLI sweep runs every box command in process through cli.main on seeded
 finite boxes.  The contract checked on each call: the exit code is 0 (ok),
-1 (package error), 2 (bad arguments) or 3 (infeasible bounds); a nonzero
-exit writes nothing to stdout; and its stderr is one line, apart from
-argparse's own usage text.
+1 (package error), 2 (bad arguments) or 3 (infeasible bounds); JSON output
+parses, with no NaN or infinite constant; a nonzero exit writes nothing to
+stdout; and its stderr is one line, apart from argparse's own usage text.
 
 The library sweeps call the scalar queries and lifted_tangent, and on a
 seeded subset the array kernels, on the descriptions that hull_from_raw
@@ -19,6 +19,7 @@ with the box, and no more.
 import contextlib
 import functools
 import io
+import json
 import math
 import random
 from collections import Counter
@@ -127,6 +128,19 @@ def test_the_sweep_covers_every_box_command_and_exit_code():
     assert codes == {0, 1, 2, 3}
 
 
+def _no_constant(name):
+    raise ValueError("non-finite JSON constant %s" % name)
+
+
+def _strict_json(text) -> bool:
+    """Whether text parses as JSON with no NaN or infinite constant."""
+    try:
+        json.loads(text, parse_constant=_no_constant)
+    except ValueError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_every_call_ends_in_an_exit_code(command):
     for name, argv in SWEEP:
@@ -136,6 +150,7 @@ def test_every_call_ends_in_an_exit_code(command):
         assert code in (0, 1, 2, 3), argv
         if code == 0:
             assert out, argv
+            assert "--format" in argv or _strict_json(out), argv
             continue
         assert out == "", argv
         # argparse's own usage text is the only stderr of several lines

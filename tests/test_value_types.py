@@ -16,7 +16,6 @@ from bilinear_hull import (
     BranchBlock,
     BranchReport,
     CaseTag,
-    ExtendedFormulation,
     HullDescription,
     HullPiece,
     InfeasibleBounds,
@@ -45,14 +44,12 @@ SOC = SocConstraint(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (0.0, 0.5),
                     (0.0, 0.0, 1.0), 0.25, TangentFamily.CENTER,
                     {"lz": 0.0, "uz": 0.5})
 HP = LinearInequality(0.5, -1.0, 0.25, 0.0, "predicate")
-BLK = BranchBlock(0, (Q,), SOC)
 
 SOC_REPR = ("SocConstraint(A=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), b=(0.0, 0.5), "
             "c=(0.0, 0.0, 1.0), d=0.25, family=<TangentFamily.CENTER: "
             "'Center'>, params={'lz': 0.0, 'uz': 0.5})")
 Q_REPR = ("LinearInequality(a0=-0.5, ax=1.0, ay=0.5, az=-1.0, "
           "label='rlt_upper_x')")
-BLK_REPR = "BranchBlock(index=0, rows=(%s,), soc=%s)" % (Q_REPR, SOC_REPR)
 NB = NormalizedBounds(0.25, 0.5, 0.25, 0.75)
 PIECE = HullPiece((HP,), SOC)
 PIECE_REPR = ("HullPiece(predicate=(LinearInequality(a0=0.5, ax=-1.0, "
@@ -92,10 +89,8 @@ CASES = [
      "CaseTag(region=<Region.C: 'RegionC'>, swapped=True)"),
     (HullPiece, ("predicate", "soc"), ((HP,), SOC), ((), SOC), False,
      PIECE_REPR),
-    (BranchBlock, ("index", "rows", "soc"), (0, (Q,), SOC), (1, (Q,), SOC),
-     False, BLK_REPR),
-    (ExtendedFormulation, ("blocks",), ((BLK,),), ((BLK, BLK),), False,
-     "ExtendedFormulation(blocks=(%s,))" % BLK_REPR),
+    (BranchBlock, ("rows", "soc"), ((Q,), SOC), ((Q,), None), False,
+     "BranchBlock(rows=(%s,), soc=%s)" % (Q_REPR, SOC_REPR)),
     (HullDescription, ("bounds", "case", "rlt", "pieces"),
      (NB, CaseTag(Region.B, False), (Q,), (PIECE,)),
      (NB, CaseTag(Region.B, False), (Q,), ()), False,
@@ -135,6 +130,12 @@ def test_defaults():
     assert q.label == "" and q == LinearInequality(0.0, 1.0, 0.0, 0.0, "")
 
 
+class _Triple(_Frozen):
+    """Another value type with Point3's field names."""
+
+    __slots__ = ("x", "y", "z")
+
+
 def test_equality(case):
     cls, _, values, other = case[:4]
     v = cls(*values)
@@ -142,7 +143,7 @@ def test_equality(case):
     assert v != cls(*other) and not v == cls(*other)
     # never equal to a plain tuple, nor to another type with the same values
     assert v != values and values != v
-    twin = BranchBlock(0.25, 0.5, 0.125) if cls is Point3 else P
+    twin = _Triple(0.25, 0.5, 0.125) if cls is Point3 else P
     assert v != twin and not v == twin
 
 

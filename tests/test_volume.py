@@ -122,8 +122,9 @@ def test_domain_checks():
     d, _ = hull_from_raw(RawBounds(0, 0, 0, 1, 1, 0.3))
     with pytest.raises(ValueError, match="n_samples"):
         vol_mc(d, 0)
-    # a count must be an integer, even one a float holds exactly
-    for n in (1.5, 2.0 ** 17, np.float64(16)):
+    # a count must be an integer, even one a float holds exactly, and not
+    # a bool, though Python counts one as an int
+    for n in (1.5, 2.0 ** 17, np.float64(16), True, False):
         with pytest.raises(ValueError, match="n_samples"):
             vol_mc(d, n)
     for n in (8.0, 9.5):
@@ -134,9 +135,9 @@ def test_domain_checks():
     v, half = vol_mc(d, np.int64(1000))
     assert (v, half) == vol_mc(d, 1000)
     assert type(v) is float and type(half) is float
-    # numpy would raise OverflowError for the first two and run the third
-    # as seed 1
-    for seed in (-1, 2 ** 64, 1.5):
+    # numpy would raise OverflowError for the first two, run 1.5 and True
+    # as seed 1 and False as seed 0
+    for seed in (-1, 2 ** 64, 1.5, True, False):
         with pytest.raises(ValueError, match="seed"):
             vol_mc(d, 16, seed=seed)
     assert vol_mc(d, 16, seed=2 ** 64 - 1) == vol_mc(
