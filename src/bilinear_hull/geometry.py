@@ -256,7 +256,8 @@ def normalize(b: RawBounds) -> tuple[NormalizedBounds, Scaling]:
     (a normalized uz within a few ulps of 1 counts as that bound).
     A z range that collapses to a single value after these adjustments leaves
     no three-dimensional body to describe and raises InfeasibleBounds, and
-    a product ux*uy that underflows to zero raises DegenerateBounds.
+    a product ux*uy that underflows to zero or overflows the float range
+    raises DegenerateBounds.
     """
     s = Scaling(b.ux, b.uy)
     return NormalizedBounds(*_normalized(b.lx, b.ly, b.lz, b.ux, b.uy, b.uz)), s
@@ -267,6 +268,8 @@ def _normalized(lx, ly, lz, ux, uy, uz):
     sz = ux * uy
     if sz == 0.0:
         raise DegenerateBounds("ux*uy underflows to zero")
+    if sz == math.inf:
+        raise DegenerateBounds("ux*uy overflows the float range")
     lx = lx / ux
     ly = ly / uy
     lz = lz / sz

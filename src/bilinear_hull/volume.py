@@ -3,12 +3,14 @@
 Closed forms cover the two single-bound cases with a zero lower corner;
 general descriptions are integrated numerically (midpoint rule with one
 Richardson step) or by counter-based Monte Carlo, keyed per chunk of
-samples, so a run reproduces exactly from its seed.
+samples, so a run reproduces exactly from its seed; a helper thread draws
+the next chunk while the calling thread counts the current one.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from enum import Enum
 
 import numpy as np
@@ -115,9 +117,13 @@ def vol_mc(d: HullDescription, n_samples: int, seed: int = 0,
     """Monte Carlo volume with a 3-sigma half width.
 
     The samples are drawn in chunks of 65536, chunk k from the Philox key
-    [seed, k], and counted in order on the calling thread.  n_samples is an
-    integer >= 1 and the seed an integer in [0, 2**64), neither a bool.
-    workers is accepted and has no effect.
+    [seed, k].  While the calling thread counts chunk k, a helper thread
+    draws chunk k + 1 into a second buffer (numpy fills without the GIL);
+    the hits are summed in chunk order, so the result does not depend on
+    the overlap.  A call of one chunk starts no thread, and no thread
+    outlives the call.  n_samples is an integer >= 1 and the seed an
+    integer in [0, 2**64), neither a bool.  workers is accepted and has no
+    effect.
     """
     if isinstance(n_samples, bool) or not (
             isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
@@ -130,14 +136,41 @@ def vol_mc(d: HullDescription, n_samples: int, seed: int = 0,
     # uniform(lo, hi, count)'s bits for x, y, then z: lo + (hi - lo) * u
     lo = np.array([[b.lx], [b.ly], [d.zlo]])
     width = np.array([[1.0], [1.0], [d.zhi]]) - lo
+    n_chunks = -(-n // _MC_CHUNK)
+    # chunk k fills bufs[k % 2], which the count of chunk k - 2 is done with;
+    # a draw's exception is kept for the calling thread to raise, since a
+    # helper's own would only reach threading.excepthook
+    bufs = [np.empty(3 * min(_MC_CHUNK, n)) for _ in range(min(n_chunks, 2))]
+    failed = []
+
+    def chunk(k):
+        m = min(_MC_CHUNK, n - k * _MC_CHUNK)
+        return bufs[k % 2][:3 * m].reshape(3, m)
+
+    def draw(k):
+        try:
+            pts = chunk(k)
+            np.random.Generator(np.random.Philox(
+                key=np.array([seed, k], dtype=np.uint64))).random(out=pts)
+            pts *= width
+            pts += lo
+        except BaseException as exc:
+            failed.append(exc)
+
+    draw(0)
     hits = 0
-    for k, start in enumerate(range(0, n, _MC_CHUNK)):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
-        pts = rng.random((3, min(_MC_CHUNK, n - start)))
-        pts *= width
-        pts += lo
-        hits += int(np.count_nonzero(membership_mask(d, *pts)))
+    for k in range(n_chunks):
+        if failed:
+            raise failed[0]
+        helper = None
+        if k + 1 < n_chunks:
+            helper = threading.Thread(target=draw, args=(k + 1,))
+            helper.start()
+        try:
+            hits += int(np.count_nonzero(membership_mask(d, *chunk(k))))
+        finally:
+            if helper is not None:
+                helper.join()
     vbox = (1.0 - b.lx) * (1.0 - b.ly) * (d.zhi - d.zlo)
     p = hits / n
     half = 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n) * vbox

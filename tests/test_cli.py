@@ -57,8 +57,8 @@ def test_underflowing_scale_exits_1_with_one_error_line():
     assert r.returncode == 1
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
-    # the overflowing box collapses its z range: infeasible, as before
-    assert run_cli("describe", "--ux", "1e200", "--uy", "1e200").returncode == 3
+    # ux*uy overflows the float range: an error too, not an infeasible box
+    assert run_cli("describe", "--ux", "1e200", "--uy", "1e200").returncode == 1
 
 
 @pytest.mark.parametrize("method", ["numeric", "closed"])

@@ -388,7 +388,7 @@ def test_hull_from_raw_is_its_public_chain():
         assert got == _outcome(_chain, raw), box
         seen["ok" if got[0] == "ok" else got[1]] += 1
     assert set(seen) == {
-        "ok", "ux*uy underflows to zero",
+        "ok", "ux*uy underflows to zero", "ux*uy overflows the float range",
         "z range collapses to a point after normalization",
         "the composed scale factors underflow",
         "bound tightening collapsed the z range",

@@ -3,11 +3,13 @@
 import math
 import subprocess
 import sys
+import threading
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+import bilinear_hull.volume as volume
 from bilinear_hull import (
     NormalizedBounds,
     RawBounds,
@@ -16,6 +18,7 @@ from bilinear_hull import (
     describe,
     envelope_grid,
     hull_from_raw,
+    membership_mask,
     optimal_branch,
     vol_hull,
     vol_mc,
@@ -24,6 +27,7 @@ from bilinear_hull import (
     vol_rlt_cut,
 )
 from bilinear_hull.volume import vol_closed
+from test_hull import ALL_RAW, MIRRORED_RAW
 
 B_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -81,7 +85,7 @@ def test_vol_closed_on_tightened_lower_only_zero_corner_box():
 
 def test_import_leaves_the_thread_pool_unloaded():
     # neither the import nor vol_mc, with or without workers, loads
-    # concurrent.futures (and logging with it) or starts a thread
+    # concurrent.futures (and logging with it) or leaves a thread running
     code = ("import sys, threading, bilinear_hull as bh; "
             "assert 'concurrent.futures' not in sys.modules; "
             "d, _ = bh.hull_from_raw(bh.RawBounds(0, 0, 0, 1, 1, 0.4)); "
@@ -198,6 +202,109 @@ def test_mc_is_deterministic_and_parallel_safe():
     # a different seed moves the estimate but stays inside its own band
     v4, _ = vol_mc(d, 200_000, seed=6)
     assert v4 != v1
+
+
+def _serial_vol_mc(d, n, seed):
+    """vol_mc drawn and counted one chunk after another on this thread."""
+    b = d.bounds
+    lo = np.array([[b.lx], [b.ly], [d.zlo]])
+    width = np.array([[1.0], [1.0], [d.zhi]]) - lo
+    hits = 0
+    for k, start in enumerate(range(0, n, 65536)):
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+        pts = rng.random((3, min(65536, n - start))) * width + lo
+        hits += int(np.count_nonzero(membership_mask(d, *pts)))
+    vbox = (1.0 - b.lx) * (1.0 - b.ly) * (d.zhi - d.zlo)
+    p = hits / n
+    return p * vbox, 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n) * vbox
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_mc_keeps_the_bits_of_a_serial_draw_at_chunk_boundaries(seed):
+    # the look-ahead draw fills a reused buffer, the last chunk a shorter
+    # view of it; each chunk keeps its key, its fill order and its sum
+    for raw in ALL_RAW + MIRRORED_RAW:
+        d, _ = hull_from_raw(raw)
+        for n in (1, 65535, 65536, 65537, 2 * 65536, 3 * 65536 + 7):
+            assert vol_mc(d, n, seed=seed) == _serial_vol_mc(d, n, seed), \
+                (raw, n)
+
+
+def test_mc_keeps_its_bits_when_called_from_several_threads():
+    # each call owns its buffers and its helper; a short switch interval
+    # interleaves three callers and their helpers at fine grain
+    d, _ = hull_from_raw(RawBounds(0.14, 0.3, 0.1, 1, 1, 0.7))
+    n = 3 * 65536 + 7
+    want = [_serial_vol_mc(d, n, seed) for seed in range(3)]
+    got = [None] * 3
+
+    def call(seed):
+        got[seed] = vol_mc(d, n, seed=seed)
+
+    callers = [threading.Thread(target=call, args=(seed,)) for seed in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == want
+
+
+def test_mc_starts_a_helper_per_chunk_after_the_first(monkeypatch):
+    d, _ = hull_from_raw(RawBounds(0, 0, 0, 1, 1, 0.4))
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    vol_mc(d, 65536)  # one chunk: nothing to draw ahead
+    assert started == []
+    vol_mc(d, 3 * 65536 + 7)
+    assert len(started) == 3
+    assert not any(t.is_alive() for t in started)
+
+
+def test_mc_errors_reach_the_caller_and_leave_no_thread(monkeypatch):
+    d, _ = hull_from_raw(RawBounds(0, 0, 0, 1, 1, 0.4))
+    before = threading.active_count()
+    # a helper thread's uncaught exception would reach threading.excepthook
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    counted = []
+
+    def mask_failing_on_the_second_chunk(*args):
+        counted.append(args)
+        if len(counted) == 2:
+            raise RuntimeError("count failed")
+        return membership_mask(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(volume, "membership_mask", mask_failing_on_the_second_chunk)
+        with pytest.raises(RuntimeError, match="count failed"):
+            vol_mc(d, 3 * 65536)
+    assert threading.active_count() == before
+    real_philox = np.random.Philox
+
+    def philox_failing_off_the_calling_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("draw failed")
+        return real_philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox",
+                        philox_failing_off_the_calling_thread)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        vol_mc(d, 3 * 65536)
+    assert threading.active_count() == before
+    assert hooked == []
 
 
 def test_mc_brackets_the_truth():
